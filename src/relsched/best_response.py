@@ -2,10 +2,12 @@
 
 With every other scheduler's row held fixed, minimising the objective over
 one scheduler's simplex is a water-filling problem: rank nodes by the
-marginal cost of sending them the first sliver of traffic, then walk the
-active-set size down from all nodes until the closed-form fractions are
-feasible.  The Lagrange multiplier that closes the row-sum constraint has
-an explicit expression, so no numeric root finding is involved.
+marginal cost of sending them the first sliver of traffic, compute the
+closed-form Lagrange multiplier of every candidate active-set size in one
+vectorised pass (prefix sums over the ranked nodes), and accept the
+largest size whose fractions are all nonnegative.  No numeric root
+finding is involved, and a row costs O(m log m): the solvers pass in the
+load of the other schedulers instead of the whole allocation.
 
 Writing W_j for a node's load weight and o_j for the load the other
 schedulers already impose on it, the fraction given to an active node is
@@ -142,20 +144,21 @@ def slice_fraction(i: int, j: int, alpha: float, alloc: Allocation,
     return (1.0 - w * others - math.sqrt(w * lam_i / alpha)) / (w * lam_i)
 
 
-def _best_row(i: int, entries: np.ndarray, lam: np.ndarray,
+def _best_row(i: int, lam_i: float, others: np.ndarray,
               weights: np.ndarray) -> tuple[np.ndarray, int, float]:
-    """Array-level core of best_response_row; used directly by the solvers."""
-    m = entries.shape[1]
-    lam_i = float(lam[i])
-    others = entries.T @ lam - lam[i] * entries[i]
+    """Array-level core of best_response_row; used directly by the solvers.
+
+    others is the per-node load of every scheduler except i, so one call
+    costs O(m log m) whatever the number of schedulers.
+    """
     headroom = 1.0 - others * weights
-    usable = np.nonzero(headroom > 0.0)[0]
+    usable = np.flatnonzero(headroom > 0.0)
     if usable.size == 0:
         raise NoFeasibleResponse(
             f"all nodes are saturated by schedulers other than {i}"
         )
 
-    row = np.zeros(m)
+    row = np.zeros(others.size)
     if lam_i == 0.0:
         # Objective is flat in this row; spread it uniformly over the
         # usable nodes for a deterministic result.
@@ -168,32 +171,34 @@ def _best_row(i: int, entries: np.ndarray, lam: np.ndarray,
     theta_sorted = marginals[sort]
 
     w_sorted = weights[order]
-    inv_sqrt_w = np.cumsum(1.0 / np.sqrt(w_sorted))
-    spare = np.cumsum(headroom[order] / (w_sorted * lam_i))
+    inv_sqrt_w = (1.0 / np.sqrt(w_sorted)).cumsum()
+    spare = (headroom[order] / (w_sorted * lam_i)).cumsum()
 
-    for d in range(order.size, 0, -1):
-        denom = spare[d - 1] - 1.0
-        if denom <= 0.0:
-            # Candidate set cannot absorb the stream.  Spare capacity only
-            # shrinks with the set, so every smaller candidate is degenerate
-            # too and the loop falls through to NoFeasibleResponse.
-            continue
-        alpha = (inv_sqrt_w[d - 1] / denom) ** 2 / lam_i
-        # Every fraction is >= 0 iff alpha >= the largest active marginal;
-        # equality puts the boundary node at exactly zero and is accepted.
-        if alpha >= theta_sorted[d - 1]:
-            active = order[:d]
-            vals = (headroom[active]
-                    - np.sqrt(weights[active] * lam_i / alpha)) / (
-                        weights[active] * lam_i)
-            # Accepted sets guarantee values in [0, 1]; strip a few ulp of
-            # rounding noise at the boundaries.
-            row[active] = np.clip(vals, 0.0, 1.0)
-            return row, int(d), float(alpha)
-
-    raise NoFeasibleResponse(
-        f"no active-set size admits a feasible row for scheduler {i}"
-    )
+    # Multiplier of every candidate size d = 1..len(order) at once.  A
+    # candidate whose spare capacity cannot absorb the stream
+    # (spare - 1 <= 0) gets -inf and is never accepted.
+    denom = spare - 1.0
+    absorbs = denom > 0.0
+    alphas = np.full(order.size, -np.inf)
+    alphas[absorbs] = (inv_sqrt_w[absorbs] / denom[absorbs]) ** 2 / lam_i
+    # Every fraction is >= 0 iff alpha >= the largest active marginal;
+    # equality puts the boundary node at exactly zero and is accepted.
+    # The largest accepted size is the water-filling solution.
+    accepted = np.flatnonzero(alphas >= theta_sorted)
+    if accepted.size == 0:
+        raise NoFeasibleResponse(
+            f"no active-set size admits a feasible row for scheduler {i}"
+        )
+    d = int(accepted[-1]) + 1
+    alpha = float(alphas[d - 1])
+    active = order[:d]
+    w_active = weights[active]
+    vals = (headroom[active] - np.sqrt(w_active * lam_i / alpha)) / (
+        w_active * lam_i)
+    # Accepted sets guarantee values in [0, 1]; strip a few ulp of
+    # rounding noise at the boundaries.
+    row[active] = np.minimum(np.maximum(vals, 0.0), 1.0)
+    return row, d, alpha
 
 
 def best_response_row(i: int, alloc: Allocation,
@@ -204,6 +209,7 @@ def best_response_row(i: int, alloc: Allocation,
     NoFeasibleResponse when the other schedulers saturate every node.
     """
     row, active_count, alpha = _best_row(
-        i, alloc.entries, config.arrival_rates(), config.load_weights()
+        i, float(config.schedulers[i].lam),
+        others_load_vector(i, alloc, config), config.load_weights(),
     )
     return BestResponseResult(row=row, active_count=active_count, alpha=alpha)

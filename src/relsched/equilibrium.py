@@ -2,7 +2,10 @@
 
 Starting from the uniform allocation, schedulers take turns replacing
 their row with the closed-form best response, each update visible to the
-next scheduler within the same sweep.  The loop stops when the objective
+next scheduler within the same sweep.  The sweep loop keeps the node load
+vector current by a rank-1 update after each row and resynchronises it
+exactly once per sweep, so a sweep costs O(n*m log m) rather than
+recomputing every load for every row.  The loop stops when the objective
 changes by no more than the configured threshold between sweeps.  At least
 one sweep always runs.
 """
@@ -15,7 +18,13 @@ import numpy as np
 
 from .best_response import _best_row
 from .errors import NotConverged
-from .model import Allocation, SystemConfig, availability_vector, objective
+from .model import (
+    Allocation,
+    SystemConfig,
+    _objective_of_loads,
+    availability_vector,
+    objective,
+)
 
 
 @dataclass(frozen=True)
@@ -38,40 +47,54 @@ class EquilibriumReport:
 def fixed_point_iteration(config: SystemConfig, respond,
                           initial: Allocation | None = None,
                           single_pass: bool = False) -> EquilibriumReport:
-    """Shared sweep loop: respond(i, entries) -> new row for scheduler i.
+    """Shared sweep loop: respond(i, lam_i, others) -> new row for scheduler i.
 
-    Rows are written back immediately, so later schedulers in a sweep see
-    earlier updates.  Raises NotConverged (with the partial report) when
-    the cycle cap is hit first.
+    others is the per-node load of every scheduler except i.  Rows are
+    written back immediately, so later schedulers in a sweep see earlier
+    updates.  The loop holds the node load vector itself and keeps it
+    current with one rank-1 update per row, so a sweep costs n row kernels
+    plus O(n*m).  It recomputes the loads exactly once per sweep, which
+    also gives that sweep's objective, so rounding drift never outlives a
+    sweep.  Raises NotConverged (with the partial report) when the cycle
+    cap is hit first.
     """
     n, m = config.n_schedulers, config.n_nodes
     if initial is None:
         initial = Allocation.uniform(n, m)
     entries = np.array(initial.entries)
+    lam = config.arrival_rates()
+    rates = lam.tolist()
+    weights = config.load_weights()
 
-    latter = objective(Allocation(entries), config)
+    delta = entries.T @ lam
+    latter = _objective_of_loads(delta, weights)
     trace: list[float] = []
     cycles = 0
     while True:
         former = latter
-        for i in range(n):
-            entries[i] = respond(i, entries)
+        for i, lam_i in enumerate(rates):
+            others = delta - lam_i * entries[i]
+            row = respond(i, lam_i, others)
+            entries[i] = row
+            delta = others + lam_i * row
         cycles += 1
-        alloc = Allocation(np.array(entries))
-        latter = objective(alloc, config)
+        delta = entries.T @ lam
+        latter = _objective_of_loads(delta, weights)
         eps = abs(former - latter)
         trace.append(eps)
         if single_pass or eps <= config.epsilon_threshold:
             converged = eps <= config.epsilon_threshold
             break
         if cycles >= config.max_cycles:
-            partial = _report(alloc, latter, cycles, trace, config, False)
+            partial = _report(Allocation(entries), latter, cycles, trace,
+                              config, False)
             raise NotConverged(
                 f"no convergence within {config.max_cycles} cycles "
                 f"(last epsilon {eps:.3g})",
                 report=partial,
             )
-    return _report(alloc, latter, cycles, trace, config, converged)
+    return _report(Allocation(entries), latter, cycles, trace, config,
+                   converged)
 
 
 def _report(alloc, value, cycles, trace, config, converged) -> EquilibriumReport:
@@ -92,11 +115,10 @@ def solve(config: SystemConfig,
     At the returned allocation every scheduler's row is its own best
     response to the others, i.e. no scheduler can improve unilaterally.
     """
-    lam = config.arrival_rates()
     weights = config.load_weights()
 
-    def respond(i, entries):
-        return _best_row(i, entries, lam, weights)[0]
+    def respond(i, lam_i, others):
+        return _best_row(i, lam_i, others, weights)[0]
 
     return fixed_point_iteration(config, respond, initial=initial)
 

@@ -307,7 +307,14 @@ def objective_at(entries, config: SystemConfig) -> float:
     errors still apply.
     """
     entries = np.asarray(entries, dtype=float)
-    avail = 1.0 - (entries.T @ config.arrival_rates()) * config.load_weights()
+    return _objective_of_loads(entries.T @ config.arrival_rates(),
+                               config.load_weights())
+
+
+def _objective_of_loads(delta: np.ndarray, weights: np.ndarray) -> float:
+    """Objective from the node loads delta_j = sum_i lam_i a_ij; the sweep
+    loop calls it directly with the load vector it already holds."""
+    avail = 1.0 - delta * weights
     bad = (avail < 0.0) | (avail > 1.0)
     if bad.any():
         j = int(np.argmax(bad))

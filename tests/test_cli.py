@@ -280,13 +280,23 @@ class TestMainExitCodes:
                      "--bsa-single-pass", "--out", str(out)]) == 0
 
     def test_module_entry_point(self, tmp_path):
+        import os
         import subprocess
         import sys
+        from pathlib import Path
 
+        import relsched
+
+        # Run the package under test from an unrelated directory, where a
+        # relative PYTHONPATH would resolve to nothing.
+        package_root = str(Path(relsched.__file__).resolve().parent.parent)
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [package_root, env.get("PYTHONPATH")]))
         result = subprocess.run(
             [sys.executable, "-m", "relsched", "solve",
              "--preset", "table1-table3"],
-            capture_output=True, text=True, cwd=tmp_path,
+            capture_output=True, text=True, cwd=tmp_path, env=env,
         )
         assert result.returncode == 0
         assert "objective=" in result.stdout

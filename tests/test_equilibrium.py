@@ -16,21 +16,18 @@ from relsched import (
     solve,
     validate_config,
 )
-from relsched.best_response import _best_row
 from relsched.presets import preset
 
 
 def solve_with_order(config, order):
     """Reference sweep loop with a custom scheduler visiting order."""
-    lam = config.arrival_rates()
-    weights = config.load_weights()
     n, m = config.n_schedulers, config.n_nodes
     entries = np.full((n, m), 1.0 / m)
     latter = objective(Allocation(entries.copy()), config)
     for _ in range(config.max_cycles):
         former = latter
         for i in order:
-            entries[i] = _best_row(i, entries, lam, weights)[0]
+            entries[i] = best_response_row(i, Allocation(entries), config).row
         latter = objective(Allocation(entries.copy()), config)
         if abs(former - latter) <= config.epsilon_threshold:
             return Allocation(entries.copy())
@@ -80,14 +77,13 @@ class TestSolve:
             assert later <= earlier + 1e-12
 
     def test_objective_never_increases_across_sweeps(self, table12):
-        lam = table12.arrival_rates()
-        weights = table12.load_weights()
         n, m = table12.n_schedulers, table12.n_nodes
         entries = np.full((n, m), 1.0 / m)
         values = [objective(Allocation(entries.copy()), table12)]
         for _ in range(6):
             for i in range(n):
-                entries[i] = _best_row(i, entries, lam, weights)[0]
+                entries[i] = best_response_row(
+                    i, Allocation(entries), table12).row
             values.append(objective(Allocation(entries.copy()), table12))
         for earlier, later in zip(values, values[1:]):
             assert later <= earlier + 1e-12
