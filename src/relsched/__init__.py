@@ -7,25 +7,15 @@ balanced (residual-capacity-proportional) baseline.  An experiment harness
 reproduces the standard sweep families as CSV artifacts.
 """
 
-from .baseline import bsa_row, bsa_solve
-from .best_response import (
-    BestResponseResult,
-    SortedNodeIndex,
-    best_response_row,
-    marginal_at_zero,
-    rank_nodes,
-    slice_fraction,
-    solve_alpha,
-)
+from .baseline import bsa_solve
+from .best_response import BestResponseResult, best_response_row
 from .equilibrium import EquilibriumReport, objective_all_schedulers, solve
 from .errors import (
     AllNodesSaturated,
     AvailabilityOutOfRange,
-    DegenerateActiveSet,
     DivisionByZeroAvailability,
     EmptyInput,
     NoFeasibleResponse,
-    NodeSaturatedByOthers,
     NotConverged,
     ParseError,
     RelschedError,
@@ -35,23 +25,17 @@ from .metrics import fairness_index, per_node_reciprocals
 from .model import (
     Allocation,
     CheckResult,
-    NodeLoadView,
     NodeParams,
     SchedulerParams,
     SystemConfig,
     ValidationReport,
-    aggregate_arrival,
-    availability,
     availability_vector,
     build_config,
     derive_lambdas,
     node_arrivals,
-    node_load,
     objective,
-    objective_at,
     objective_curvature,
     objective_marginal,
-    residual_capacity,
     validate_config,
 )
 from .oracle import nash_check, numeric_best_response, traffic_empirical_rates
@@ -65,50 +49,36 @@ __all__ = [
     "AvailabilityOutOfRange",
     "BestResponseResult",
     "CheckResult",
-    "DegenerateActiveSet",
     "DivisionByZeroAvailability",
     "EmptyInput",
     "EquilibriumReport",
     "NoFeasibleResponse",
-    "NodeLoadView",
     "NodeParams",
-    "NodeSaturatedByOthers",
     "NotConverged",
     "ParseError",
     "PRESET_NAMES",
     "REFERENCE_GAPS",
     "RelschedError",
     "SchedulerParams",
-    "SortedNodeIndex",
     "SystemConfig",
     "ValidationError",
     "ValidationReport",
-    "aggregate_arrival",
-    "availability",
     "availability_vector",
     "best_response_row",
-    "bsa_row",
     "bsa_solve",
     "build_config",
     "derive_lambdas",
     "fairness_index",
-    "marginal_at_zero",
     "nash_check",
     "node_arrivals",
-    "node_load",
     "numeric_best_response",
     "objective",
     "objective_all_schedulers",
-    "objective_at",
     "objective_curvature",
     "objective_marginal",
     "per_node_reciprocals",
     "preset",
-    "rank_nodes",
-    "residual_capacity",
-    "slice_fraction",
     "solve",
-    "solve_alpha",
     "traffic_empirical_rates",
     "validate_config",
 ]

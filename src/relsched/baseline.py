@@ -17,12 +17,13 @@ import numpy as np
 
 from .equilibrium import EquilibriumReport, fixed_point_iteration
 from .errors import AllNodesSaturated
-from .model import Allocation, SystemConfig, others_load_vector
+from .model import Allocation, SystemConfig
 
 
 def _balanced_row(i: int, others: np.ndarray, mu: np.ndarray) -> np.ndarray:
-    """Array-level core of bsa_row: others is the per-node load of every
-    scheduler except i."""
+    """Balanced row for scheduler i: the residual capacity mu - others that
+    each node still offers it, normalised; others is the per-node load of
+    every scheduler except i."""
     # A node saturated by the others gets no share rather than a negative one.
     residual = np.maximum(mu - others, 0.0)
     total = residual.sum()
@@ -31,13 +32,6 @@ def _balanced_row(i: int, others: np.ndarray, mu: np.ndarray) -> np.ndarray:
             f"no node has spare capacity for scheduler {i}"
         )
     return residual / total
-
-
-def bsa_row(i: int, alloc: Allocation, config: SystemConfig) -> np.ndarray:
-    """Balanced row for scheduler i: residual capacity, normalised."""
-    return _balanced_row(
-        i, others_load_vector(i, alloc, config), config.service_rates()
-    )
 
 
 def bsa_solve(config: SystemConfig, initial: Allocation | None = None,

@@ -7,44 +7,35 @@ closed-form Lagrange multiplier of every candidate active-set size in one
 vectorised pass (prefix sums over the ranked nodes), and accept the
 largest size whose fractions are all nonnegative.  No numeric root
 finding is involved, and a row costs O(m log m): the solvers pass in the
-load of the other schedulers instead of the whole allocation.
+load of the other schedulers instead of the whole allocation.  The array
+kernel ``_best_row`` is the only implementation of these formulas; the
+solvers call it directly and ``best_response_row`` wraps it for one row
+of an Allocation.
 
-Writing W_j for a node's load weight and o_j for the load the other
-schedulers already impose on it, the fraction given to an active node is
+Writing W_j for a node's load weight, o_j for the load the other
+schedulers already impose on it and theta_j = W_j*lam_i/(1 - W_j*o_j)**2
+for its zero-load marginal, the multiplier of the d cheapest nodes is
+
+    alpha_d = (S_d / (R_d - 1))**2 / lam_i
+
+where S_d sums 1/sqrt(W_j) and R_d sums (1 - W_j*o_j)/(W_j*lam_i) over
+those d nodes (the trailing -1 is what makes the fractions sum to one),
+and the fraction given to an active node is
 
     a_ij = (1 - W_j*o_j - sqrt(W_j*lam_i/alpha)) / (W_j*lam_i)
 
-and a node receives traffic exactly when alpha is at least its zero-load
-marginal.  A nonpositive multiplier denominator means the candidate active
-set cannot absorb the scheduler's whole stream.
+A node receives traffic exactly when alpha is at least theta_j.  A
+nonpositive multiplier denominator means the candidate active set cannot
+absorb the scheduler's whole stream.
 """
-
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    DegenerateActiveSet,
-    NodeSaturatedByOthers,
-    NoFeasibleResponse,
-)
+from .errors import NoFeasibleResponse
 from .model import Allocation, SystemConfig, others_load_vector
-
-
-@dataclass(frozen=True)
-class SortedNodeIndex:
-    """Nodes a scheduler may use, cheapest zero-load marginal first.
-
-    Nodes saturated by the other schedulers are excluded entirely, so
-    ``order`` is a permutation of the unsaturated subset.  Ties are broken
-    by ascending node index to keep the ranking deterministic.
-    """
-
-    order: tuple[int, ...]
-    marginals: tuple[float, ...]
 
 
 @dataclass(frozen=True)
@@ -63,85 +54,6 @@ class BestResponseResult:
         row = np.array(self.row, dtype=float)
         row.setflags(write=False)
         object.__setattr__(self, "row", row)
-
-
-def marginal_at_zero(i: int, j: int, alloc: Allocation,
-                     config: SystemConfig) -> float:
-    """Derivative of the objective in a_ij evaluated at a_ij = 0.
-
-    This is the cost of routing the first sliver of scheduler i's stream
-    to node j, used to rank nodes for water filling.
-    """
-    w = config.nodes[j].load_weight
-    others = float(others_load_vector(i, alloc, config)[j])
-    headroom = 1.0 - others * w
-    if headroom <= 0.0:
-        raise NodeSaturatedByOthers(i, j)
-    lam_i = config.schedulers[i].lam
-    if lam_i == 0.0:
-        return 0.0
-    return w * lam_i / headroom**2
-
-
-def rank_nodes(i: int, alloc: Allocation, config: SystemConfig) -> SortedNodeIndex:
-    """Rank the nodes scheduler i can still use by ascending zero-load marginal."""
-    weights = config.load_weights()
-    others = others_load_vector(i, alloc, config)
-    lam_i = config.schedulers[i].lam
-    headroom = 1.0 - others * weights
-    usable = np.nonzero(headroom > 0.0)[0]
-    marginals = weights[usable] * lam_i / headroom[usable] ** 2
-    sort = np.argsort(marginals, kind="stable")
-    return SortedNodeIndex(
-        order=tuple(int(j) for j in usable[sort]),
-        marginals=tuple(float(t) for t in marginals[sort]),
-    )
-
-
-def solve_alpha(i: int, active, alloc: Allocation,
-                config: SystemConfig) -> float:
-    """Multiplier such that the closed-form fractions over the active set sum to 1.
-
-    alpha = (sum_j 1/sqrt(W_j) / (sum_j (1 - W_j*o_j)/(W_j*lam_i) - 1))**2 / lam_i
-
-    The trailing "-1" in the denominator is required for the fractions to
-    actually sum to one; dropping it does not solve the row-sum equation.
-    Requires lam_i > 0 and every active node unsaturated.
-    """
-    active = list(active)
-    if not active:
-        raise DegenerateActiveSet("empty active set")
-    lam_i = config.schedulers[i].lam
-    others = others_load_vector(i, alloc, config)
-    inv_sqrt_w = 0.0
-    spare = 0.0
-    for j in active:
-        w = config.nodes[j].load_weight
-        headroom = 1.0 - others[j] * w
-        if headroom <= 0.0:
-            raise NodeSaturatedByOthers(i, j)
-        inv_sqrt_w += 1.0 / math.sqrt(w)
-        spare += headroom / (w * lam_i)
-    denom = spare - 1.0
-    if denom <= 0.0:
-        raise DegenerateActiveSet(
-            f"active set of scheduler {i} cannot absorb its stream"
-        )
-    return (inv_sqrt_w / denom) ** 2 / lam_i
-
-
-def slice_fraction(i: int, j: int, alpha: float, alloc: Allocation,
-                   config: SystemConfig) -> float:
-    """Closed-form slicing fraction for node j at a given multiplier.
-
-    May be negative; a negative value signals that the node should receive
-    nothing at this multiplier (the caller zeroes it or shrinks the active
-    set), not an error.
-    """
-    lam_i = config.schedulers[i].lam
-    w = config.nodes[j].load_weight
-    others = float(others_load_vector(i, alloc, config)[j])
-    return (1.0 - w * others - math.sqrt(w * lam_i / alpha)) / (w * lam_i)
 
 
 def _best_row(i: int, lam_i: float, others: np.ndarray,

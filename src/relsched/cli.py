@@ -1,30 +1,21 @@
 """Experiment harness and command-line interface.
 
-Subcommands cover the five experiment families plus direct solves and
-oracle checks:
-
-  solve            equilibrium solve of one instance, per-node CSV
-  compare          game solver vs balanced baseline, per-node reciprocals
-  sweep-load       both objectives across a system-load range
-  sweep-schedulers both objectives across scheduler counts
-  sweep-nodes      both objectives across node counts
-  fairness         fairness index across a swept variable
-  convergence      objective-change trace, or cycle counts across a sweep
-  oracle-check     numeric-minimiser and traffic-simulation verification
-
-Artifacts are CSV plot data, never rendered images.  Floats in CSVs carry
-12 significant digits so a file re-read reproduces the printed values;
-summary tables print 6 significant digits.  Exit codes: 0 success,
-2 validation failure, 3 non-convergence.
+One table, COMMANDS, names every subcommand (the five experiment families
+plus direct solves and oracle checks), builds its parser and holds its
+handler, default artifact and extra flags; every sweep runs through one
+handler.  Artifacts are CSV plot data, never rendered images.  Floats in
+CSVs carry 12 significant digits so a file re-read reproduces the printed
+values; summary tables print 6 significant digits.  Exit codes:
+0 success, 2 validation failure, 3 non-convergence.
 """
-
 from __future__ import annotations
 
 import argparse
 import csv
 import json
+import math
 import sys
-from dataclasses import dataclass
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -48,47 +39,24 @@ from .model import (
 )
 from .presets import PRESET_NAMES, preset
 
-SWEEP_KINDS = ("load-sweep", "scheduler-sweep", "node-sweep", "fairness")
-KINDS = ("objective-compare",) + SWEEP_KINDS + ("convergence",)
-
 _CSV_DIGITS = ".12g"
 _SUMMARY_DIGITS = ".6g"
 
-
-@dataclass(frozen=True)
-class ExperimentSpec:
-    """One named experiment: what to vary, over which preset, written where."""
-
-    kind: str
-    preset: str
-    sweep_range: tuple[float, float, float] | None = None
-    output_path: str | None = None
-    seed: int = 0
-    rho: float | None = None
-    epsilon: float | None = None
-    bsa_single_pass: bool = False
-    vary: str = "rho"
-
-    def __post_init__(self):
-        if self.kind not in KINDS:
-            raise ValidationError(f"unknown experiment kind {self.kind!r}")
-        needs_range = self.kind in SWEEP_KINDS
-        if needs_range and self.sweep_range is None:
-            raise ValidationError(f"{self.kind} requires a sweep range")
-        if not needs_range and self.kind != "convergence" \
-                and self.sweep_range is not None:
-            raise ValidationError(f"{self.kind} does not take a sweep range")
-        if self.vary not in ("rho", "schedulers", "nodes"):
-            raise ValidationError(f"cannot vary {self.vary!r}")
+# Swept variable -> (CSV column, default LO:HI:STEP).
+VARY = {
+    "rho": ("rho", "0.1:0.9:0.1"),
+    "schedulers": ("n", "5:20:1"),
+    "nodes": ("m", "10:20:1"),
+}
 
 
-def load_config(path) -> SystemConfig:
-    """Read a JSON instance file and return a validated SystemConfig.
+def _read_config(path) -> dict:
+    """Parse a JSON instance file into build_config keyword arguments.
 
-    Node entries need only "mu"; "mu_prime", "gamma" and "beta1" default to
-    mu/10, 5/mu and 1/mu.  Scheduler entries carry "phi" and/or "lambda";
-    missing rates are derived as phi * rho * (total mu).  Top-level keys:
-    "rho" (required), "epsilon_threshold", "max_cycles".
+    Every value is type-checked here: numbers must be finite and not
+    booleans, and a JSON null is rejected like any other wrong type.
+    Feasibility is left to the caller, which may first override the load
+    or truncate the instance.
     """
     path = Path(path)
     try:
@@ -104,17 +72,21 @@ def load_config(path) -> SystemConfig:
     if not isinstance(raw, dict):
         raise ParseError(f"{path}: top level must be an object")
 
-    def field(obj, key, kinds, where):
-        value = obj.get(key)
-        if value is not None and not isinstance(value, kinds):
+    def field(obj, key, where, kinds=(int, float)):
+        if key not in obj:
+            return None
+        value = obj[key]
+        if isinstance(value, bool) or not isinstance(value, kinds):
             raise ParseError(f"{path}: field {key!r} of {where} has wrong type")
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ParseError(f"{path}: field {key!r} of {where} is not finite")
         return value
 
-    rho = field(raw, "rho", (int, float), "config")
+    rho = field(raw, "rho", "config")
     if rho is None:
         raise ParseError(f"{path}: missing required field 'rho'")
-    nodes_raw = field(raw, "nodes", list, "config")
-    scheds_raw = field(raw, "schedulers", list, "config")
+    nodes_raw = field(raw, "nodes", "config", list)
+    scheds_raw = field(raw, "schedulers", "config", list)
     if not nodes_raw:
         raise ParseError(f"{path}: missing or empty 'nodes' list")
     if not scheds_raw:
@@ -124,35 +96,48 @@ def load_config(path) -> SystemConfig:
     for k, entry in enumerate(nodes_raw):
         if not isinstance(entry, dict):
             raise ParseError(f"{path}: node {k} must be an object")
-        mu = field(entry, "mu", (int, float), f"node {k}")
+        mu = field(entry, "mu", f"node {k}")
         if mu is None:
             raise ParseError(f"{path}: node {k} is missing 'mu'")
         nodes.append(NodeParams.from_rate(
             float(mu),
-            mu_prime=field(entry, "mu_prime", (int, float), f"node {k}"),
-            gamma=field(entry, "gamma", (int, float), f"node {k}"),
-            beta1=field(entry, "beta1", (int, float), f"node {k}"),
+            mu_prime=field(entry, "mu_prime", f"node {k}"),
+            gamma=field(entry, "gamma", f"node {k}"),
+            beta1=field(entry, "beta1", f"node {k}"),
         ))
 
     schedulers = []
     for k, entry in enumerate(scheds_raw):
         if not isinstance(entry, dict):
             raise ParseError(f"{path}: scheduler {k} must be an object")
-        phi = field(entry, "phi", (int, float), f"scheduler {k}") or 0.0
-        lam = field(entry, "lambda", (int, float), f"scheduler {k}")
+        phi = field(entry, "phi", f"scheduler {k}") or 0.0
+        lam = field(entry, "lambda", f"scheduler {k}")
         if lam is None:
-            lam = field(entry, "lam", (int, float), f"scheduler {k}")
+            lam = field(entry, "lam", f"scheduler {k}")
         schedulers.append(SchedulerParams(
             phi=float(phi), lam=None if lam is None else float(lam)
         ))
 
-    config = build_config(
-        nodes=nodes,
-        schedulers=schedulers,
+    epsilon = field(raw, "epsilon_threshold", "config")
+    max_cycles = field(raw, "max_cycles", "config", int)
+    return dict(
+        nodes=tuple(nodes),
+        schedulers=tuple(schedulers),
         rho=float(rho),
-        epsilon_threshold=float(raw.get("epsilon_threshold", 1e-6)),
-        max_cycles=int(raw.get("max_cycles", 1000)),
+        epsilon_threshold=1e-6 if epsilon is None else float(epsilon),
+        max_cycles=1000 if max_cycles is None else max_cycles,
     )
+
+
+def load_config(path) -> SystemConfig:
+    """Read a JSON instance file and return a validated SystemConfig.
+
+    Node entries need only "mu"; "mu_prime", "gamma" and "beta1" default to
+    mu/10, 5/mu and 1/mu.  Scheduler entries carry "phi" and/or "lambda";
+    missing rates are derived as phi * rho * (total mu).  Top-level keys:
+    "rho" (required), "epsilon_threshold", "max_cycles".
+    """
+    config = build_config(**_read_config(path))
     _check_stability(config)
     return config
 
@@ -168,49 +153,42 @@ def _check_stability(config: SystemConfig) -> None:
                               report=report)
 
 
-def _resolve_config(spec_preset: str, rho: float | None,
-                    epsilon: float | None,
-                    n_schedulers: int | None = None,
-                    n_nodes: int | None = None) -> SystemConfig:
-    """Preset name -> built preset; anything else is a config file path."""
-    eps = 1e-6 if epsilon is None else epsilon
-    if spec_preset in PRESET_NAMES:
-        config = preset(spec_preset, rho=rho, n_schedulers=n_schedulers,
-                        n_nodes=n_nodes, epsilon_threshold=eps)
-        _check_stability(config)
-        return config
-    config = load_config(spec_preset)
-    if rho is not None or epsilon is not None \
-            or n_schedulers is not None or n_nodes is not None:
-        config = _rebuild(config, rho=rho, epsilon=epsilon,
-                          n_schedulers=n_schedulers, n_nodes=n_nodes)
+def _source(args) -> dict | None:
+    """A --config file parsed once per command; None for a --preset."""
+    return None if args.preset is not None else _read_config(args.config)
+
+
+def _instance(args, source: dict | None, rho: float | None = None,
+              schedulers: int | None = None,
+              nodes: int | None = None) -> SystemConfig:
+    """The instance at one point, with --rho, --epsilon and the point's
+    value applied and its stability checked once.
+
+    A config file keeps its own rates when nothing is overridden.
+    Otherwise rates are re-derived from the relative weights whenever any
+    weight is positive; instances specified by direct rates keep them.
+    """
+    rho = args.rho if rho is None else rho
+    if source is None:
+        config = preset(args.preset, rho=rho, n_schedulers=schedulers,
+                        n_nodes=nodes)
+    else:
+        kwargs = dict(source)
+        if nodes:
+            kwargs["nodes"] = kwargs["nodes"][:nodes]
+        if schedulers:
+            kwargs["schedulers"] = kwargs["schedulers"][:schedulers]
+        overridden = (rho, args.epsilon, schedulers, nodes) != (None,) * 4
+        if overridden and any(s.phi > 0 for s in kwargs["schedulers"]):
+            kwargs["schedulers"] = [SchedulerParams(phi=s.phi)
+                                    for s in kwargs["schedulers"]]
+        if rho is not None:
+            kwargs["rho"] = rho
+        config = build_config(**kwargs)
+    if args.epsilon is not None:
+        config = replace(config, epsilon_threshold=args.epsilon)
     _check_stability(config)
     return config
-
-
-def _rebuild(config: SystemConfig, rho: float | None = None,
-             epsilon: float | None = None,
-             n_schedulers: int | None = None,
-             n_nodes: int | None = None) -> SystemConfig:
-    """Re-derive a config at a new load or truncated scale.
-
-    Rates are re-derived from the relative weights whenever any weight is
-    positive; instances specified by direct rates keep them.
-    """
-    nodes = config.nodes[:n_nodes] if n_nodes else config.nodes
-    schedulers = (config.schedulers[:n_schedulers]
-                  if n_schedulers else config.schedulers)
-    rho = config.rho if rho is None else rho
-    if any(s.phi > 0 for s in schedulers):
-        schedulers = [SchedulerParams(phi=s.phi) for s in schedulers]
-    return build_config(
-        nodes=nodes,
-        schedulers=schedulers,
-        rho=rho,
-        epsilon_threshold=(config.epsilon_threshold
-                           if epsilon is None else epsilon),
-        max_cycles=config.max_cycles,
-    )
 
 
 def _fmt(value) -> str:
@@ -255,205 +233,115 @@ def parse_range(text: str) -> tuple[float, float, float]:
     return lo, hi, step
 
 
-def _point_config(spec: ExperimentSpec, vary: str, value) -> SystemConfig:
-    if vary == "rho":
-        return _resolve_config(spec.preset, value, spec.epsilon)
-    if vary == "schedulers":
-        return _resolve_config(spec.preset, spec.rho, spec.epsilon,
-                               n_schedulers=int(value))
-    return _resolve_config(spec.preset, spec.rho, spec.epsilon,
-                           n_nodes=int(value))
+def _write(args, header, rows) -> int:
+    """Write the artifact to --out, else to the subcommand's default name
+    (solve and oracle-check have none and write only with --out)."""
+    path = args.out or args.artifact
+    if path:
+        print(f"wrote {write_csv(path, header, rows)}")
+    return 0
 
 
-def _solve_pair(config: SystemConfig, single_pass: bool):
+def _solve_both(config: SystemConfig, args) -> dict:
+    """Game and balanced solves of one instance, by CSV column."""
     game = equilibrium.solve(config)
-    balanced = baseline.bsa_solve(config, single_pass=single_pass)
-    return game, balanced
+    balanced = baseline.bsa_solve(config, single_pass=args.bsa_single_pass)
+    fi_game, fi_bal = (
+        fairness_index(equilibrium.objective_all_schedulers(
+            report.allocation, config))
+        for report in (game, balanced))
+    return {"d_rbsa": game.objective, "d_bsa": balanced.objective,
+            "gap": balanced.objective - game.objective,
+            "cycles_rbsa": game.cycles, "cycles_bsa": balanced.cycles,
+            "fi_rbsa": fi_game, "fi_bsa": fi_bal}
 
 
-def _default_out(spec: ExperimentSpec) -> str:
-    return f"{spec.kind}.csv"
-
-
-def run_experiment(spec: ExperimentSpec) -> list[Path]:
-    """Execute one experiment and return the paths of the written artifacts.
+def _sweep(args, measure, columns) -> int:
+    """Measure every point of --range (or the swept variable's default).
 
     Sweep points that turn out infeasible are recorded as rows flagged
     feasible=0 instead of aborting the sweep.
     """
-    out = Path(spec.output_path or _default_out(spec))
-
-    if spec.kind == "objective-compare":
-        config = _resolve_config(spec.preset, spec.rho, spec.epsilon)
-        game, balanced = _solve_pair(config, spec.bsa_single_pass)
-        recip_game = per_node_reciprocals(game.allocation, config)
-        recip_bal = per_node_reciprocals(balanced.allocation, config)
-        rows = [
-            (j + 1, config.nodes[j].mu, recip_game[j], recip_bal[j])
-            for j in range(config.n_nodes)
-        ]
-        path = write_csv(out, ("node", "mu", "recip_rbsa", "recip_bsa"), rows)
-        _print_compare_summary(config, game, balanced)
-        return [path]
-
-    if spec.kind in ("load-sweep", "scheduler-sweep", "node-sweep", "fairness"):
-        vary = {"load-sweep": "rho", "scheduler-sweep": "schedulers",
-                "node-sweep": "nodes"}.get(spec.kind, spec.vary)
-        integer = vary != "rho"
-        values = _sweep_values(spec.sweep_range, integer)
-        rows = []
-        for value in values:
-            row = _sweep_point(spec, vary, value)
-            rows.append(row)
-        if spec.kind == "fairness":
-            header = (vary_column(vary), "fi_rbsa", "fi_bsa", "feasible")
-            rows = [(r[0], r[6], r[7], r[8]) for r in rows]
-        else:
-            header = (vary_column(vary), "d_rbsa", "d_bsa", "gap",
-                      "cycles_rbsa", "cycles_bsa", "fi_rbsa", "fi_bsa",
-                      "feasible")
-        path = write_csv(out, header, rows)
-        _print_sweep_summary(header, rows)
-        return [path]
-
-    if spec.kind == "convergence":
-        if spec.sweep_range is None:
-            config = _resolve_config(spec.preset, spec.rho, spec.epsilon)
-            report = equilibrium.solve(config)
-            rows = [(cycle + 1, eps)
-                    for cycle, eps in enumerate(report.epsilon_trace)]
-            path = write_csv(out, ("cycle", "epsilon"), rows)
-            print(f"converged={report.converged} cycles={report.cycles} "
-                  f"objective={report.objective:{_SUMMARY_DIGITS}}")
-            return [path]
-        integer = spec.vary != "rho"
-        values = _sweep_values(spec.sweep_range, integer)
-        rows = []
-        for value in values:
-            try:
-                config = _point_config(spec, spec.vary, value)
-                report = equilibrium.solve(config)
-                rows.append((value, report.cycles, 1))
-            except RelschedError:
-                rows.append((value, "", 0))
-        path = write_csv(out, (vary_column(spec.vary), "cycles", "feasible"),
-                         rows)
-        _print_sweep_summary((vary_column(spec.vary), "cycles", "feasible"),
-                             rows)
-        return [path]
-
-    raise ValidationError(f"unknown experiment kind {spec.kind!r}")
-
-
-def vary_column(vary: str) -> str:
-    return {"rho": "rho", "schedulers": "n", "nodes": "m"}[vary]
-
-
-def _sweep_point(spec: ExperimentSpec, vary: str, value):
-    try:
-        config = _point_config(spec, vary, value)
-        game, balanced = _solve_pair(config, spec.bsa_single_pass)
-    except RelschedError:
-        return (value, "", "", "", "", "", "", "", 0)
-    fi_game = fairness_index(
-        equilibrium.objective_all_schedulers(game.allocation, config))
-    fi_bal = fairness_index(
-        equilibrium.objective_all_schedulers(balanced.allocation, config))
-    return (value, game.objective, balanced.objective,
-            balanced.objective - game.objective, game.cycles,
-            balanced.cycles, fi_game, fi_bal, 1)
-
-
-def _print_compare_summary(config, game, balanced) -> None:
-    gap = balanced.objective - game.objective
-    print(f"n={config.n_schedulers} m={config.n_nodes} rho={config.rho}")
-    print(f"D_rbsa={game.objective:{_SUMMARY_DIGITS}} "
-          f"D_bsa={balanced.objective:{_SUMMARY_DIGITS}} "
-          f"gap={gap:{_SUMMARY_DIGITS}}")
-    print(f"cycles_rbsa={game.cycles} cycles_bsa={balanced.cycles}")
-
-
-def _print_sweep_summary(header, rows) -> None:
+    column, default_range = VARY[args.vary]
+    source = _source(args)
+    rows = []
+    for value in _sweep_values(parse_range(args.range or default_range),
+                               args.vary != "rho"):
+        try:
+            measured = measure(_instance(args, source, **{args.vary: value}),
+                               args)
+            rows.append((value, *(measured[c] for c in columns), 1))
+        except RelschedError:
+            rows.append((value, *[""] * len(columns), 0))
+    header = (column, *columns, "feasible")
     print(" ".join(header))
     for row in rows:
         print(" ".join(
             format(v, _SUMMARY_DIGITS) if isinstance(v, float) else str(v)
             for v in row
         ))
+    return _write(args, header, rows)
+
+
+def _cmd_sweep(args) -> int:
+    return _sweep(args, _solve_both,
+                  ("d_rbsa", "d_bsa", "gap", "cycles_rbsa", "cycles_bsa",
+                   "fi_rbsa", "fi_bsa"))
+
+
+def _cmd_fairness(args) -> int:
+    return _sweep(args, _solve_both, ("fi_rbsa", "fi_bsa"))
+
+
+def _cmd_convergence(args) -> int:
+    if args.range:
+        return _sweep(args, lambda config, _: {
+            "cycles": equilibrium.solve(config).cycles}, ("cycles",))
+    report = equilibrium.solve(_instance(args, _source(args)))
+    print(f"converged={report.converged} cycles={report.cycles} "
+          f"objective={report.objective:{_SUMMARY_DIGITS}}")
+    return _write(args, ("cycle", "epsilon"),
+                  [(cycle + 1, eps)
+                   for cycle, eps in enumerate(report.epsilon_trace)])
 
 
 def _cmd_solve(args) -> int:
-    config = _resolve_config(args.preset or args.config, args.rho,
-                             args.epsilon)
+    config = _instance(args, _source(args))
     report = equilibrium.solve(config)
     values = equilibrium.objective_all_schedulers(report.allocation, config)
     print(f"objective={report.objective:{_SUMMARY_DIGITS}} "
           f"cycles={report.cycles} converged={report.converged} "
           f"fairness={fairness_index(values):{_SUMMARY_DIGITS}}")
-    if args.out:
-        deltas = node_arrivals(report.allocation, config)
-        rows = [
-            (j + 1, config.nodes[j].mu, float(deltas[j]),
-             report.per_node_availability[j],
-             1.0 / report.per_node_availability[j])
-            for j in range(config.n_nodes)
-        ]
-        path = write_csv(args.out,
-                         ("node", "mu", "delta", "availability", "reciprocal"),
-                         rows)
-        print(f"wrote {path}")
-    return 0
+    deltas = node_arrivals(report.allocation, config)
+    avail = report.per_node_availability
+    return _write(args,
+                  ("node", "mu", "delta", "availability", "reciprocal"),
+                  [(j + 1, config.nodes[j].mu, float(deltas[j]), avail[j],
+                    1.0 / avail[j]) for j in range(config.n_nodes)])
 
 
 def _cmd_compare(args) -> int:
-    spec = ExperimentSpec(kind="objective-compare",
-                          preset=args.preset or args.config, rho=args.rho,
-                          epsilon=args.epsilon, output_path=args.out,
-                          bsa_single_pass=args.bsa_single_pass,
-                          seed=args.seed)
-    for path in run_experiment(spec):
-        print(f"wrote {path}")
-    return 0
-
-
-_DEFAULT_RANGES = {"rho": "0.1:0.9:0.1", "schedulers": "5:20:1",
-                   "nodes": "10:20:1"}
-
-
-def _sweep_cmd(kind: str, default_range: str):
-    def runner(args) -> int:
-        vary = getattr(args, "vary", "rho")
-        chosen = args.range or (_DEFAULT_RANGES[vary] if kind == "fairness"
-                                else default_range)
-        spec = ExperimentSpec(
-            kind=kind, preset=args.preset or args.config,
-            sweep_range=parse_range(chosen),
-            output_path=args.out, rho=args.rho, epsilon=args.epsilon,
-            bsa_single_pass=args.bsa_single_pass, seed=args.seed,
-            vary=vary,
-        )
-        for path in run_experiment(spec):
-            print(f"wrote {path}")
-        return 0
-
-    return runner
-
-
-def _cmd_convergence(args) -> int:
-    spec = ExperimentSpec(
-        kind="convergence", preset=args.preset or args.config,
-        sweep_range=parse_range(args.range) if args.range else None,
-        output_path=args.out, rho=args.rho, epsilon=args.epsilon,
-        seed=args.seed, vary=args.vary,
-    )
-    for path in run_experiment(spec):
-        print(f"wrote {path}")
-    return 0
+    config = _instance(args, _source(args))
+    game = equilibrium.solve(config)
+    balanced = baseline.bsa_solve(config, single_pass=args.bsa_single_pass)
+    recip_game = per_node_reciprocals(game.allocation, config)
+    recip_bal = per_node_reciprocals(balanced.allocation, config)
+    gap = balanced.objective - game.objective
+    print(f"n={config.n_schedulers} m={config.n_nodes} rho={config.rho}")
+    print(f"D_rbsa={game.objective:{_SUMMARY_DIGITS}} "
+          f"D_bsa={balanced.objective:{_SUMMARY_DIGITS}} "
+          f"gap={gap:{_SUMMARY_DIGITS}}")
+    print(f"cycles_rbsa={game.cycles} cycles_bsa={balanced.cycles}")
+    return _write(args, ("node", "mu", "recip_rbsa", "recip_bsa"),
+                  [(j + 1, config.nodes[j].mu, recip_game[j], recip_bal[j])
+                   for j in range(config.n_nodes)])
 
 
 def _cmd_oracle_check(args) -> int:
-    config = _resolve_config(args.preset or args.config, args.rho,
-                             args.epsilon)
+    if not (math.isfinite(args.horizon) and args.horizon > 0):
+        raise ValidationError(
+            f"horizon must be positive and finite, got {args.horizon}")
+    config = _instance(args, _source(args))
     report = equilibrium.solve(config)
     ok, worst = oracle.nash_check(report.allocation, config)
     print(f"nash_check={'PASS' if ok else 'FAIL'} "
@@ -467,34 +355,57 @@ def _cmd_oracle_check(args) -> int:
     traffic_ok = bool(within.all())
     print(f"traffic_check={'PASS' if traffic_ok else 'FAIL'} "
           f"nodes_within_3sigma={int(within.sum())}/{config.n_nodes}")
-    if args.out:
-        rows = [
-            (j + 1, float(expected[j]), float(measured[j]), float(sigma[j]),
-             int(within[j]))
-            for j in range(config.n_nodes)
-        ]
-        path = write_csv(args.out,
-                         ("node", "expected_rate", "empirical_rate",
-                          "sigma", "within_3sigma"),
-                         rows)
-        print(f"wrote {path}")
+    _write(args,
+           ("node", "expected_rate", "empirical_rate", "sigma",
+            "within_3sigma"),
+           [(j + 1, float(expected[j]), float(measured[j]), float(sigma[j]),
+             int(within[j])) for j in range(config.n_nodes)])
     return 0 if ok and traffic_ok else 2
 
 
-def _add_common(parser: argparse.ArgumentParser, seed_default: int = 0):
-    group = parser.add_mutually_exclusive_group(required=True)
-    group.add_argument("--preset", choices=PRESET_NAMES,
-                       help="built-in instance")
-    group.add_argument("--config", metavar="PATH",
-                       help="JSON instance file")
-    parser.add_argument("--rho", type=float, default=None,
-                        help="override the system load")
-    parser.add_argument("--epsilon", type=float, default=None,
-                        help="convergence threshold (default 1e-6)")
-    parser.add_argument("--out", metavar="PATH", default=None,
-                        help="CSV output path")
-    parser.add_argument("--seed", type=int, default=seed_default,
-                        help="seed for oracle-backed runs")
+# Extra flags by name, shared by the subcommands that take them.
+_FLAGS = {
+    "--range": dict(metavar="LO:HI:STEP", default=None,
+                    help="sweep range, inclusive; sweeps default to "
+                         + ", ".join(f"{k} {r}" for k, (_, r) in VARY.items())
+                         + ", convergence traces one solve without it"),
+    "--vary": dict(choices=tuple(VARY), default="rho",
+                   help="variable to sweep"),
+    "--bsa-single-pass": dict(action="store_true",
+                              help="run the balanced baseline for one "
+                                   "sweep only"),
+    "--horizon": dict(type=float, default=1e7,
+                      help="traffic simulation horizon in seconds"),
+    "--seed": dict(type=int, default=1,
+                   help="seed of the traffic simulation"),
+}
+
+# name: (handler, default artifact, swept variable, extra flags, help).
+# A sweep with no fixed variable takes --vary.
+COMMANDS = {
+    "solve": (_cmd_solve, None, None, (),
+              "solve one instance to equilibrium"),
+    "compare": (_cmd_compare, "objective-compare.csv", None,
+                ("--bsa-single-pass",),
+                "per-node reciprocals: game vs balanced"),
+    "sweep-load": (_cmd_sweep, "load-sweep.csv", "rho",
+                   ("--range", "--bsa-single-pass"),
+                   "objectives across system loads"),
+    "sweep-schedulers": (_cmd_sweep, "scheduler-sweep.csv", "schedulers",
+                         ("--range", "--bsa-single-pass"),
+                         "objectives across scheduler counts"),
+    "sweep-nodes": (_cmd_sweep, "node-sweep.csv", "nodes",
+                    ("--range", "--bsa-single-pass"),
+                    "objectives across node counts"),
+    "fairness": (_cmd_fairness, "fairness.csv", None,
+                 ("--range", "--vary", "--bsa-single-pass"),
+                 "fairness index across a sweep"),
+    "convergence": (_cmd_convergence, "convergence.csv", None,
+                    ("--range", "--vary"),
+                    "objective-change trace, or cycle counts with --range"),
+    "oracle-check": (_cmd_oracle_check, None, None, ("--horizon", "--seed"),
+                     "verify an equilibrium with the numeric oracle"),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -503,57 +414,25 @@ def build_parser() -> argparse.ArgumentParser:
         description="Reliability-driven task-slicing solver and experiments",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("solve", help="solve one instance to equilibrium")
-    _add_common(p)
-    p.set_defaults(func=_cmd_solve)
-
-    p = sub.add_parser("compare",
-                       help="per-node reciprocals: game vs balanced")
-    _add_common(p)
-    p.add_argument("--bsa-single-pass", action="store_true",
-                   help="run the balanced baseline for one sweep only")
-    p.set_defaults(func=_cmd_compare)
-
-    for name, kind, default_range, help_text in (
-        ("sweep-load", "load-sweep", "0.1:0.9:0.1",
-         "objectives across system loads"),
-        ("sweep-schedulers", "scheduler-sweep", "5:20:1",
-         "objectives across scheduler counts"),
-        ("sweep-nodes", "node-sweep", "10:20:1",
-         "objectives across node counts"),
-    ):
+    for name, (func, artifact, vary, flags, help_text) in COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
-        _add_common(p)
-        p.add_argument("--range", metavar="LO:HI:STEP", default=None,
-                       help=f"sweep range (default {default_range})")
-        p.add_argument("--bsa-single-pass", action="store_true")
-        p.set_defaults(func=_sweep_cmd(kind, default_range))
-
-    p = sub.add_parser("fairness", help="fairness index across a sweep")
-    _add_common(p)
-    p.add_argument("--range", metavar="LO:HI:STEP", default=None)
-    p.add_argument("--vary", choices=("rho", "schedulers", "nodes"),
-                   default="rho")
-    p.add_argument("--bsa-single-pass", action="store_true")
-    p.set_defaults(func=_sweep_cmd("fairness", "0.1:0.9:0.1"))
-
-    p = sub.add_parser("convergence",
-                       help="objective-change trace or cycle counts")
-    _add_common(p)
-    p.add_argument("--range", metavar="LO:HI:STEP", default=None,
-                   help="sweep a variable and record cycle counts")
-    p.add_argument("--vary", choices=("rho", "schedulers", "nodes"),
-                   default="rho")
-    p.set_defaults(func=_cmd_convergence)
-
-    p = sub.add_parser("oracle-check",
-                       help="verify an equilibrium with the numeric oracle")
-    _add_common(p, seed_default=1)
-    p.add_argument("--horizon", type=float, default=1e7,
-                   help="traffic simulation horizon in seconds")
-    p.set_defaults(func=_cmd_oracle_check)
-
+        group = p.add_mutually_exclusive_group(required=True)
+        group.add_argument("--preset", choices=PRESET_NAMES,
+                           help="built-in instance")
+        group.add_argument("--config", metavar="PATH",
+                           help="JSON instance file")
+        p.add_argument("--rho", type=float, default=None,
+                       help="override the system load")
+        p.add_argument("--epsilon", type=float, default=None,
+                       help="convergence threshold (default 1e-6)")
+        p.add_argument("--out", metavar="PATH", default=None,
+                       help="CSV output path"
+                            + (f" (default {artifact})" if artifact else ""))
+        for flag in flags:
+            p.add_argument(flag, **_FLAGS[flag])
+        p.set_defaults(func=func, artifact=artifact)
+        if vary:
+            p.set_defaults(vary=vary)
     return parser
 
 
@@ -562,12 +441,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except NotConverged as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
     except RelschedError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return 3 if isinstance(exc, NotConverged) else 2
 
 
 if __name__ == "__main__":

@@ -24,21 +24,6 @@ class DivisionByZeroAvailability(RelschedError):
         self.node = node
 
 
-class NodeSaturatedByOthers(RelschedError):
-    """Other schedulers already consume the node's full capacity."""
-
-    def __init__(self, scheduler: int, node: int):
-        super().__init__(
-            f"node {node} is saturated by schedulers other than {scheduler}"
-        )
-        self.scheduler = scheduler
-        self.node = node
-
-
-class DegenerateActiveSet(RelschedError):
-    """No positive multiplier closes the simplex constraint for this active set."""
-
-
 class NoFeasibleResponse(RelschedError):
     """Every candidate active set failed; the scheduler's load cannot be placed."""
 

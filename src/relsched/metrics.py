@@ -4,8 +4,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import DivisionByZeroAvailability, EmptyInput
-from .model import Allocation, SystemConfig, availability_vector
+from .errors import EmptyInput
+from .model import (Allocation, SystemConfig, _nonzero_availability,
+                    node_arrivals)
 
 
 def fairness_index(values) -> float:
@@ -26,8 +27,6 @@ def fairness_index(values) -> float:
 
 def per_node_reciprocals(alloc: Allocation, config: SystemConfig) -> list[float]:
     """Reciprocal steady-state availability of each node; sums to the objective."""
-    avail = availability_vector(alloc, config)
-    zero = avail == 0.0
-    if zero.any():
-        raise DivisionByZeroAvailability(int(np.argmax(zero)))
+    avail = _nonzero_availability(node_arrivals(alloc, config),
+                                  config.load_weights())
     return [float(x) for x in 1.0 / avail]

@@ -8,8 +8,11 @@ retrials and server crashes.  A node that receives jobs at aggregate rate
     A = 1 - delta * beta1 * (1 + mu_prime * gamma)
 
 and the shared game objective is the sum of availability reciprocals over
-all nodes, D = sum_j 1/A_j.  Every function here is pure and every type is
-immutable after construction, so evaluation is thread-safe.
+all nodes, D = sum_j 1/A_j.  Each formula has one implementation, on
+whole vectors: the node loads are delta = entries.T @ lam, availability is
+range-checked in one helper, and the objective and its derivatives accept
+an Allocation or a raw matrix.  Every function here is pure and every type
+is immutable after construction, so evaluation is thread-safe.
 """
 
 from __future__ import annotations
@@ -195,15 +198,6 @@ class SystemConfig:
 
 
 @dataclass(frozen=True)
-class NodeLoadView:
-    """Load picture of one node under a given allocation."""
-
-    delta: float
-    availability: float
-    residual_capacity_for: tuple[float, ...]
-
-
-@dataclass(frozen=True)
 class CheckResult:
     name: str
     passed: bool
@@ -260,15 +254,21 @@ def node_arrivals(alloc: Allocation, config: SystemConfig) -> np.ndarray:
     return alloc.entries.T @ config.arrival_rates()
 
 
-def aggregate_arrival(j: int, alloc: Allocation, lambdas) -> float:
-    """Aggregate arrival rate at node j under the given scheduler rates."""
-    lambdas = np.asarray(lambdas, dtype=float)
-    return float(lambdas @ alloc.entries[:, j])
+def _entries(alloc) -> np.ndarray:
+    """The slicing matrix of an Allocation, or a raw matrix as given."""
+    return np.asarray(
+        alloc.entries if isinstance(alloc, Allocation) else alloc, dtype=float
+    )
 
 
-def availability_vector(alloc: Allocation, config: SystemConfig) -> np.ndarray:
-    """Steady-state availability of every node; raises if any leaves [0, 1]."""
-    avail = 1.0 - node_arrivals(alloc, config) * config.load_weights()
+def _availability(delta: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """A_j = 1 - delta_j * W_j for every node.
+
+    Out-of-range results raise AvailabilityOutOfRange (at the first such
+    node) rather than being clamped: a clamp would silently hide an
+    infeasible load.
+    """
+    avail = 1.0 - delta * weights
     bad = (avail < 0.0) | (avail > 1.0)
     if bad.any():
         j = int(np.argmax(bad))
@@ -276,63 +276,38 @@ def availability_vector(alloc: Allocation, config: SystemConfig) -> np.ndarray:
     return avail
 
 
-def availability(j: int, alloc: Allocation, config: SystemConfig) -> float:
-    """Steady-state availability of node j.
-
-    Out-of-range results raise AvailabilityOutOfRange rather than being
-    clamped: a clamp would silently hide an infeasible load.
-    """
-    delta = aggregate_arrival(j, alloc, config.arrival_rates())
-    avail = 1.0 - delta * config.nodes[j].load_weight
-    if avail < 0.0 or avail > 1.0:
-        raise AvailabilityOutOfRange(j, avail)
+def _nonzero_availability(delta: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """As _availability, and raises DivisionByZeroAvailability where a node's
+    availability is exactly zero, for callers that divide by it."""
+    avail = _availability(delta, weights)
+    zero = avail == 0.0
+    if zero.any():
+        raise DivisionByZeroAvailability(int(np.argmax(zero)))
     return avail
 
 
-def objective(alloc: Allocation, config: SystemConfig) -> float:
+def availability_vector(alloc: Allocation, config: SystemConfig) -> np.ndarray:
+    """Steady-state availability of every node; raises if any leaves [0, 1]."""
+    return _availability(node_arrivals(alloc, config), config.load_weights())
+
+
+def objective(alloc, config: SystemConfig) -> float:
     """Sum of availability reciprocals over all nodes.
 
     The value is the same for every scheduler, so a single number is
     returned.  It is at least the node count, with equality only when all
-    nodes are unloaded.
+    nodes are unloaded.  Accepts a raw matrix as well as an Allocation, so
+    derivative stencils and numeric oracles can probe points slightly off
+    the simplex; availability range errors still apply.
     """
-    return objective_at(alloc.entries, config)
-
-
-def objective_at(entries, config: SystemConfig) -> float:
-    """Objective evaluated on a raw slicing matrix.
-
-    Skips the row-simplex validation so derivative stencils and numeric
-    oracles can probe points slightly off the simplex; availability range
-    errors still apply.
-    """
-    entries = np.asarray(entries, dtype=float)
-    return _objective_of_loads(entries.T @ config.arrival_rates(),
+    return _objective_of_loads(_entries(alloc).T @ config.arrival_rates(),
                                config.load_weights())
 
 
 def _objective_of_loads(delta: np.ndarray, weights: np.ndarray) -> float:
     """Objective from the node loads delta_j = sum_i lam_i a_ij; the sweep
     loop calls it directly with the load vector it already holds."""
-    avail = 1.0 - delta * weights
-    bad = (avail < 0.0) | (avail > 1.0)
-    if bad.any():
-        j = int(np.argmax(bad))
-        raise AvailabilityOutOfRange(j, float(avail[j]))
-    zero = avail == 0.0
-    if zero.any():
-        raise DivisionByZeroAvailability(int(np.argmax(zero)))
-    return float(np.sum(1.0 / avail))
-
-
-def residual_capacity(i: int, j: int, alloc: Allocation,
-                      config: SystemConfig) -> float:
-    """Capacity node j still offers scheduler i once all other schedulers'
-    loads are subtracted.  May be <= 0; callers decide how to treat that."""
-    lam = config.arrival_rates()
-    col = alloc.entries[:, j]
-    others = float(lam @ col) - float(lam[i] * col[i])
-    return config.nodes[j].mu - others
+    return float(np.sum(1.0 / _nonzero_availability(delta, weights)))
 
 
 def others_load_vector(i: int, alloc: Allocation,
@@ -342,18 +317,12 @@ def others_load_vector(i: int, alloc: Allocation,
     return alloc.entries.T @ lam - lam[i] * alloc.entries[i]
 
 
-def _availability_at(j: int, entries, config: SystemConfig) -> float:
-    entries = np.asarray(
-        entries.entries if isinstance(entries, Allocation) else entries,
-        dtype=float,
-    )
-    delta = float(config.arrival_rates() @ entries[:, j])
-    avail = 1.0 - delta * config.nodes[j].load_weight
-    if avail < 0.0 or avail > 1.0:
-        raise AvailabilityOutOfRange(j, avail)
-    if avail == 0.0:
-        raise DivisionByZeroAvailability(j)
-    return avail
+def _availability_of(j: int, alloc, config: SystemConfig) -> float:
+    """Availability of node j; the range check covers every node, because
+    the objective is defined only where all of them are feasible."""
+    avail = _nonzero_availability(
+        _entries(alloc).T @ config.arrival_rates(), config.load_weights())
+    return float(avail[j])
 
 
 def objective_marginal(i: int, j: int, alloc, config: SystemConfig) -> float:
@@ -363,7 +332,7 @@ def objective_marginal(i: int, j: int, alloc, config: SystemConfig) -> float:
     Accepts a raw matrix as well as an Allocation so stencil points just
     off the simplex can be probed.
     """
-    avail = _availability_at(j, alloc, config)
+    avail = _availability_of(j, alloc, config)
     lam_i = config.schedulers[i].lam
     w = config.nodes[j].load_weight
     return w * lam_i / avail**2
@@ -373,24 +342,10 @@ def objective_curvature(i: int, j: int, alloc, config: SystemConfig) -> float:
     """Second derivative in the (i, j) fraction: 2 * W_j**2 * lam_i**2 / A_j**3.
     Strictly positive at every feasible point, which makes each scheduler's
     subproblem strictly convex."""
-    avail = _availability_at(j, alloc, config)
+    avail = _availability_of(j, alloc, config)
     lam_i = config.schedulers[i].lam
     w = config.nodes[j].load_weight
     return 2.0 * w**2 * lam_i**2 / avail**3
-
-
-def node_load(j: int, alloc: Allocation, config: SystemConfig) -> NodeLoadView:
-    """Bundle a node's aggregate arrivals, availability and the residual
-    capacity it offers to each scheduler."""
-    delta = aggregate_arrival(j, alloc, config.arrival_rates())
-    return NodeLoadView(
-        delta=delta,
-        availability=availability(j, alloc, config),
-        residual_capacity_for=tuple(
-            residual_capacity(i, j, alloc, config)
-            for i in range(config.n_schedulers)
-        ),
-    )
 
 
 def validate_config(alloc, config: SystemConfig) -> ValidationReport:
@@ -399,9 +354,7 @@ def validate_config(alloc, config: SystemConfig) -> ValidationReport:
     Accepts a raw matrix as well as an Allocation so that malformed inputs
     can be diagnosed instead of rejected at construction.  Never raises.
     """
-    entries = np.asarray(
-        alloc.entries if isinstance(alloc, Allocation) else alloc, dtype=float
-    )
+    entries = _entries(alloc)
     lam = config.arrival_rates()
     mu = config.service_rates()
     weights = config.load_weights()

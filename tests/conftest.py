@@ -56,3 +56,15 @@ def feasible_random_allocation(rng, config, min_availability=0.2):
         if avail.min() >= min_availability:
             return Allocation(entries)
     raise AssertionError("could not sample a feasible allocation")
+
+
+def closed_form_fractions(i, alpha, alloc, config):
+    """Closed-form slicing fraction of every node for scheduler i at
+    multiplier alpha: (1 - W_j*o_j - sqrt(W_j*lam_i/alpha)) / (W_j*lam_i),
+    where o_j is the load the other schedulers put on node j.  Negative
+    where the node should receive nothing at this multiplier."""
+    lam = config.arrival_rates()
+    weights = config.load_weights()
+    others = alloc.entries.T @ lam - lam[i] * alloc.entries[i]
+    return (1.0 - weights * others - np.sqrt(weights * lam[i] / alpha)) / (
+        weights * lam[i])

@@ -23,13 +23,12 @@ from relsched import (
     objective_all_schedulers,
     objective_curvature,
     objective_marginal,
-    slice_fraction,
     solve,
     traffic_empirical_rates,
 )
 from relsched.presets import REFERENCE_GAPS, preset
 
-from conftest import feasible_random_allocation
+from conftest import closed_form_fractions, feasible_random_allocation
 
 RHOS = [round(0.1 * k, 12) for k in range(1, 10)]
 SCHEDULER_COUNTS = range(5, 21)
@@ -246,10 +245,9 @@ def test_criterion_8_multiplier_closure():
             for i in range(config.n_schedulers):
                 result = best_response_row(i, alloc, config)
                 active = np.nonzero(result.row > 0.0)[0]
-                total = sum(
-                    slice_fraction(i, int(j), result.alpha, alloc, config)
-                    for j in active
-                )
+                fractions = closed_form_fractions(i, result.alpha, alloc,
+                                                  config)
+                total = sum(float(fractions[j]) for j in active)
                 worst = max(worst, abs(total - 1.0))
     ok = worst <= 1e-10
     _criterion(8, "multiplier closure", ok, f"worst |sum-1| {worst:.3g}")

@@ -8,7 +8,6 @@ from relsched import (
     AllNodesSaturated,
     NodeParams,
     SchedulerParams,
-    bsa_row,
     bsa_solve,
     build_config,
     solve,
@@ -16,9 +15,21 @@ from relsched import (
 from relsched.presets import preset
 
 
+def bsa_row(alloc, config):
+    """Balanced row of scheduler 0 against the other rows of alloc: the
+    first row a single sweep from alloc computes."""
+    return bsa_solve(config, initial=alloc, single_pass=True).allocation.row(0)
+
+
+def unit_weight_node(mu):
+    """A node whose load weight is 1, so it can take arrivals beyond its
+    processing rate and still have a feasible availability."""
+    return NodeParams(mu=mu, mu_prime=0.0, gamma=0.0, beta1=1.0)
+
+
 class TestBsaRow:
     def test_single_scheduler_proportional_to_rates(self, two_node_config):
-        row = bsa_row(0, Allocation.uniform(1, 2), two_node_config)
+        row = bsa_row(Allocation.uniform(1, 2), two_node_config)
         assert row.tolist() == pytest.approx([1 / 3, 2 / 3], rel=1e-12)
 
     def test_identical_nodes_uniform(self):
@@ -27,32 +38,32 @@ class TestBsaRow:
             schedulers=[SchedulerParams(phi=1.0, lam=0.005)],
             rho=0.5,
         )
-        row = bsa_row(0, Allocation.uniform(1, 4), config)
+        row = bsa_row(Allocation.uniform(1, 4), config)
         assert np.allclose(row, 0.25, atol=1e-15)
 
     def test_saturated_node_excluded(self):
         config = build_config(
-            nodes=[NodeParams.from_rate(0.02), NodeParams.from_rate(0.03)],
+            nodes=[unit_weight_node(0.02), unit_weight_node(0.03)],
             schedulers=[SchedulerParams(phi=0.0, lam=0.001),
                         SchedulerParams(phi=0.0, lam=0.025)],
             rho=0.5,
         )
         # scheduler 1 dumps everything on node 0, overloading it
         alloc = Allocation(np.array([[0.5, 0.5], [1.0, 0.0]]))
-        row = bsa_row(0, alloc, config)
+        row = bsa_row(alloc, config)
         assert row[0] == 0.0
         assert row[1] == 1.0
 
     def test_all_nodes_saturated(self):
         config = build_config(
-            nodes=[NodeParams.from_rate(0.01), NodeParams.from_rate(0.01)],
+            nodes=[unit_weight_node(0.01), unit_weight_node(0.01)],
             schedulers=[SchedulerParams(phi=0.0, lam=0.001),
                         SchedulerParams(phi=0.0, lam=0.025)],
             rho=0.5,
         )
         alloc = Allocation(np.array([[0.5, 0.5], [0.5, 0.5]]))
         with pytest.raises(AllNodesSaturated):
-            bsa_row(0, alloc, config)
+            bsa_row(alloc, config)
 
 
 class TestBsaSolve:

@@ -5,24 +5,27 @@ import pytest
 
 from relsched import (
     Allocation,
-    DegenerateActiveSet,
+    AvailabilityOutOfRange,
     NodeParams,
-    NodeSaturatedByOthers,
     NoFeasibleResponse,
     SchedulerParams,
     best_response_row,
     build_config,
-    marginal_at_zero,
     objective,
-    objective_at,
     objective_marginal,
-    rank_nodes,
-    slice_fraction,
-    solve_alpha,
 )
 from relsched.presets import preset
 
-from conftest import feasible_random_allocation
+from conftest import closed_form_fractions, feasible_random_allocation
+
+
+def zero_load_marginals(i, alloc, config):
+    """Cost of the first sliver of scheduler i's stream at every node,
+    W_j*lam_i/(1 - W_j*o_j)**2, computed from the arrays."""
+    lam = config.arrival_rates()
+    weights = config.load_weights()
+    others = alloc.entries.T @ lam - lam[i] * alloc.entries[i]
+    return weights * lam[i] / (1.0 - others * weights) ** 2
 
 
 def bisect_alpha(i, active, alloc, config, lo=1e-12, hi=1e12, iters=200):
@@ -32,9 +35,8 @@ def bisect_alpha(i, active, alloc, config, lo=1e-12, hi=1e12, iters=200):
     simplex constraint brackets the closed-form value.
     """
     def total(alpha):
-        return sum(
-            slice_fraction(i, j, alpha, alloc, config) for j in active
-        ) - 1.0
+        fractions = closed_form_fractions(i, alpha, alloc, config)
+        return sum(float(fractions[j]) for j in active) - 1.0
 
     assert total(lo) < 0 < total(hi)
     for _ in range(iters):
@@ -47,9 +49,14 @@ def bisect_alpha(i, active, alloc, config, lo=1e-12, hi=1e12, iters=200):
 
 
 class TestMarginalAtZero:
+    """The zero-load marginal is objective_marginal with the scheduler's
+    own entry cleared; the best response ranks nodes by it."""
+
     def test_single_scheduler_values(self, two_node_config, even_split):
-        assert marginal_at_zero(0, 0, even_split, two_node_config) == 0.375
-        assert marginal_at_zero(0, 1, even_split, two_node_config) == 0.1875
+        for j, value in ((0, 0.375), (1, 0.1875)):
+            cleared = np.array(even_split.entries)
+            cleared[0, j] = 0.0
+            assert objective_marginal(0, j, cleared, two_node_config) == value
 
     def test_zero_rate_scheduler(self, two_node_config):
         config = build_config(
@@ -58,8 +65,8 @@ class TestMarginalAtZero:
             rho=0.5,
         )
         alloc = Allocation.uniform(1, 2)
-        assert marginal_at_zero(0, 0, alloc, config) == 0.0
-        assert marginal_at_zero(0, 1, alloc, config) == 0.0
+        assert objective_marginal(0, 0, alloc, config) == 0.0
+        assert objective_marginal(0, 1, alloc, config) == 0.0
 
     def test_saturated_node_raises(self):
         config = build_config(
@@ -68,10 +75,13 @@ class TestMarginalAtZero:
                         SchedulerParams(phi=0.0, lam=0.019)],
             rho=0.5,
         )
-        # the second scheduler alone pushes node availability to zero
+        # the second scheduler alone pushes node availability below zero
         alloc = Allocation(np.array([[1.0], [1.0]]))
-        with pytest.raises(NodeSaturatedByOthers):
-            marginal_at_zero(0, 0, alloc, config)
+        cleared = np.array([[0.0], [1.0]])
+        with pytest.raises(AvailabilityOutOfRange):
+            objective_marginal(0, 0, cleared, config)
+        with pytest.raises(NoFeasibleResponse):
+            best_response_row(0, alloc, config)
 
     def test_equals_marginal_with_own_entry_zeroed(self, table12):
         rng = np.random.default_rng(5)
@@ -79,7 +89,7 @@ class TestMarginalAtZero:
         i, j = 3, 7
         cleared = np.array(alloc.entries)
         cleared[i, j] = 0.0
-        assert marginal_at_zero(i, j, alloc, table12) == pytest.approx(
+        assert zero_load_marginals(i, alloc, table12)[j] == pytest.approx(
             objective_marginal(i, j, cleared, table12), rel=1e-12
         )
 
@@ -87,46 +97,52 @@ class TestMarginalAtZero:
 class TestRankNodes:
     def test_orders_by_marginal_with_index_ties(self, table13):
         alloc = Allocation.uniform(table13.n_schedulers, table13.n_nodes)
-        ranked = rank_nodes(0, alloc, table13)
-        assert sorted(ranked.order) == list(range(table13.n_nodes))
-        assert list(ranked.marginals) == sorted(ranked.marginals)
-        # equal-rate nodes must appear in index order
-        mus = [table13.nodes[j].mu for j in ranked.order]
-        for a, b in zip(ranked.order, ranked.order[1:]):
+        marginals = zero_load_marginals(0, alloc, table13)
+        order = np.argsort(marginals, kind="stable")
+        # equal-rate nodes have equal marginals and keep index order
+        for a, b in zip(order, order[1:]):
             if table13.nodes[a].mu == table13.nodes[b].mu:
                 assert a < b
+        # the accepted active set is a prefix of that order
+        result = best_response_row(0, alloc, table13)
+        active = order[:result.active_count]
+        assert set(np.flatnonzero(result.row > 0.0)) <= set(active)
+        assert all(result.row[j] == 0.0 for j in order[result.active_count:])
 
 
 class TestSolveAlpha:
     def test_single_active_node_forces_full_fraction(self, two_node_config):
         alloc = Allocation(np.array([[0.5, 0.5]]))
-        alpha = solve_alpha(0, [1], alloc, two_node_config)
-        frac = slice_fraction(0, 1, alpha, alloc, two_node_config)
+        result = best_response_row(0, alloc, two_node_config)
+        assert result.active_count == 1
+        frac = closed_form_fractions(0, result.alpha, alloc,
+                                     two_node_config)[1]
         assert frac == pytest.approx(1.0, abs=1e-12)
 
     def test_symmetric_nodes_split_evenly(self, twin_node_config):
         alloc = Allocation(np.array([[0.5, 0.5]]))
-        alpha = solve_alpha(0, [0, 1], alloc, twin_node_config)
+        result = best_response_row(0, alloc, twin_node_config)
+        assert result.active_count == 2
+        fractions = closed_form_fractions(0, result.alpha, alloc,
+                                          twin_node_config)
         for j in (0, 1):
-            assert slice_fraction(0, j, alpha, alloc, twin_node_config) == \
-                pytest.approx(0.5, abs=1e-12)
+            assert fractions[j] == pytest.approx(0.5, abs=1e-12)
 
     def test_matches_bisection_oracle_on_reference_preset(self, table12):
         alloc = Allocation.uniform(table12.n_schedulers, table12.n_nodes)
-        active = list(range(table12.n_nodes))
-        alpha = solve_alpha(0, active, alloc, table12)
+        result = best_response_row(0, alloc, table12)
+        active = list(np.flatnonzero(result.row > 0.0))
         oracle_alpha = bisect_alpha(0, active, alloc, table12)
-        assert alpha == pytest.approx(oracle_alpha, rel=1e-9)
+        assert result.alpha == pytest.approx(oracle_alpha, rel=1e-9)
 
     def test_closure_sums_to_one(self, table12):
         rng = np.random.default_rng(2)
         alloc = feasible_random_allocation(rng, table12)
         for i in (0, 4, 9):
-            active = list(range(table12.n_nodes))
-            alpha = solve_alpha(i, active, alloc, table12)
-            total = sum(
-                slice_fraction(i, j, alpha, alloc, table12) for j in active
-            )
+            result = best_response_row(i, alloc, table12)
+            fractions = closed_form_fractions(i, result.alpha, alloc, table12)
+            total = sum(float(fractions[j])
+                        for j in np.flatnonzero(result.row > 0.0))
             assert total == pytest.approx(1.0, abs=1e-10)
 
     def test_degenerate_active_set(self):
@@ -137,17 +153,18 @@ class TestSolveAlpha:
             rho=0.5,
         )
         alloc = Allocation(np.array([[1.0]]))
-        with pytest.raises(DegenerateActiveSet):
-            solve_alpha(0, [0], alloc, config)
+        with pytest.raises(NoFeasibleResponse):
+            best_response_row(0, alloc, config)
 
 
 class TestSliceFraction:
     def test_negative_below_waterline(self, two_node_config, even_split):
-        alpha = solve_alpha(0, [0, 1], even_split, two_node_config)
-        value = slice_fraction(0, 0, alpha, even_split, two_node_config)
+        alpha = bisect_alpha(0, [0, 1], even_split, two_node_config)
+        value = closed_form_fractions(0, alpha, even_split,
+                                      two_node_config)[0]
         assert value == pytest.approx(-0.23283, abs=5e-6)
         # the multiplier sits below the slow node's zero-load marginal
-        assert alpha < marginal_at_zero(0, 0, even_split, two_node_config)
+        assert alpha < zero_load_marginals(0, even_split, two_node_config)[0]
 
 
 class TestBestResponseRow:
@@ -198,15 +215,14 @@ class TestBestResponseRow:
                 probe = np.array(updated.entries)
                 probe[i, p] += eps
                 probe[i, q] -= eps
-                assert objective_at(probe, table12) >= base - 1e-9
+                assert objective(probe, table12) >= base - 1e-9
 
     def test_water_filling_monotonicity(self, table12):
         rng = np.random.default_rng(31)
         alloc = feasible_random_allocation(rng, table12)
         for i in (2, 7):
             result = best_response_row(i, alloc, table12)
-            ranked = rank_nodes(i, alloc, table12)
-            marg = dict(zip(ranked.order, ranked.marginals))
+            marg = zero_load_marginals(i, alloc, table12)
             for p in range(table12.n_nodes):
                 for q in range(table12.n_nodes):
                     if marg[p] <= marg[q] and result.row[q] > 0.0:
@@ -245,13 +261,14 @@ class TestBestResponseRow:
         alloc = Allocation.uniform(table12.n_schedulers, table12.n_nodes)
         result = best_response_row(0, alloc, table12)
         assert result.row.sum() == pytest.approx(1.0, abs=1e-12)
-        ranked = rank_nodes(0, alloc, table12)
-        inactive = ranked.order[result.active_count:]
+        order = np.argsort(zero_load_marginals(0, alloc, table12),
+                           kind="stable")
+        inactive = order[result.active_count:]
         assert all(result.row[j] == 0.0 for j in inactive)
         # positive entries reproduce the closed form at the reported alpha
+        implied = closed_form_fractions(0, result.alpha, alloc, table12)
         for j in np.nonzero(result.row > 0.0)[0]:
-            implied = slice_fraction(0, int(j), result.alpha, alloc, table12)
-            assert abs(result.row[j] - implied) <= 1e-10
+            assert abs(result.row[j] - implied[j]) <= 1e-10
 
 
 class TestAgainstNumericMinimum:

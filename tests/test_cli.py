@@ -5,14 +5,8 @@ import json
 
 import pytest
 
-from relsched import ParseError, ValidationError
-from relsched.cli import (
-    ExperimentSpec,
-    load_config,
-    main,
-    parse_range,
-    run_experiment,
-)
+from relsched import ParseError, ValidationError, cli
+from relsched.cli import VARY, _sweep_values, load_config, main, parse_range
 
 
 def write_json(tmp_path, payload, name="config.json"):
@@ -90,18 +84,39 @@ class TestParseRange:
 
 
 class TestExperimentSpec:
-    def test_sweeps_require_range(self):
-        with pytest.raises(ValidationError):
-            ExperimentSpec(kind="load-sweep", preset="table1-table2")
+    """What each subcommand accepts, as the COMMANDS table builds it."""
 
-    def test_compare_rejects_range(self):
-        with pytest.raises(ValidationError):
-            ExperimentSpec(kind="objective-compare", preset="table1-table2",
-                           sweep_range=(0.1, 0.9, 0.1))
+    def test_sweeps_require_range(self, tmp_path, capsys):
+        # without --range a sweep runs over its variable's default range
+        for argv in (("sweep-load", "--preset", "table1-table2"),
+                     ("sweep-schedulers", "--preset", "table4-table5"),
+                     ("sweep-nodes", "--preset", "table6-table7"),
+                     ("fairness", "--preset", "table6-table7",
+                      "--vary", "nodes")):
+            out = tmp_path / f"{argv[0]}.csv"
+            assert main([*argv, "--out", str(out)]) == 0
+            rows = read_csv(out)
+            vary = {"rho": "rho", "n": "schedulers", "m": "nodes"}[rows[0][0]]
+            expected = _sweep_values(parse_range(VARY[vary][1]),
+                                     vary != "rho")
+            assert [r[0] for r in rows[1:]] == [str(v) for v in expected]
 
-    def test_unknown_kind(self):
-        with pytest.raises(ValidationError):
-            ExperimentSpec(kind="mystery", preset="table1-table2")
+    def test_compare_rejects_range(self, capsys):
+        # flags a subcommand does not take are usage errors (exit 2);
+        # --seed belongs to oracle-check alone
+        for argv in (("compare", "--range", "0.1:0.9:0.1"),
+                     ("solve", "--range", "0.1:0.9:0.1"),
+                     ("sweep-load", "--vary", "nodes"),
+                     ("solve", "--seed", "1"),
+                     ("sweep-load", "--seed", "1")):
+            with pytest.raises(SystemExit) as err:
+                main([argv[0], "--preset", "table1-table2", *argv[1:]])
+            assert err.value.code == 2
+
+    def test_unknown_kind(self, capsys):
+        with pytest.raises(SystemExit) as err:
+            main(["mystery", "--preset", "table1-table2"])
+        assert err.value.code == 2
 
 
 def read_csv(path):
@@ -112,21 +127,19 @@ def read_csv(path):
 class TestRunExperiment:
     def test_compare_emits_per_node_rows(self, tmp_path, capsys):
         out = tmp_path / "compare.csv"
-        spec = ExperimentSpec(kind="objective-compare", preset="table1-table2",
-                              output_path=str(out))
-        paths = run_experiment(spec)
-        assert paths == [out]
+        assert main(["compare", "--preset", "table1-table2",
+                     "--out", str(out)]) == 0
         rows = read_csv(out)
         assert rows[0] == ["node", "mu", "recip_rbsa", "recip_bsa"]
         assert len(rows) == 1 + 15
-        assert "gap=" in capsys.readouterr().out
+        printed = capsys.readouterr().out
+        assert "gap=" in printed
+        assert printed.endswith(f"wrote {out}\n")
 
-    def test_load_sweep_rows_and_ordering(self, tmp_path):
+    def test_load_sweep_rows_and_ordering(self, tmp_path, capsys):
         out = tmp_path / "load.csv"
-        spec = ExperimentSpec(kind="load-sweep", preset="table1-table2",
-                              sweep_range=(0.1, 0.9, 0.1),
-                              output_path=str(out))
-        run_experiment(spec)
+        assert main(["sweep-load", "--preset", "table1-table2",
+                     "--range", "0.1:0.9:0.1", "--out", str(out)]) == 0
         rows = read_csv(out)
         assert rows[0][0] == "rho"
         data = rows[1:]
@@ -138,31 +151,25 @@ class TestRunExperiment:
         assert all(g <= b + 1e-9 for g, b in zip(d_game, d_bal))
         assert all(r[-1] == "1" for r in data)
 
-    def test_csv_round_trip_is_exact(self, tmp_path):
+    def test_csv_round_trip_is_exact(self, tmp_path, capsys):
         out = tmp_path / "load.csv"
-        spec = ExperimentSpec(kind="load-sweep", preset="table1-table3",
-                              sweep_range=(0.2, 0.4, 0.1),
-                              output_path=str(out))
-        run_experiment(spec)
+        assert main(["sweep-load", "--preset", "table1-table3",
+                     "--range", "0.2:0.4:0.1", "--out", str(out)]) == 0
         rows = read_csv(out)
         for row in rows[1:]:
             for cell in row:
                 value = float(cell)
                 assert format(value, ".12g") == cell
 
-    def test_sweeps_reproducible(self, tmp_path):
-        spec_a = ExperimentSpec(kind="scheduler-sweep", preset="table4-table5",
-                                sweep_range=(5, 8, 1),
-                                output_path=str(tmp_path / "a.csv"))
-        spec_b = ExperimentSpec(kind="scheduler-sweep", preset="table4-table5",
-                                sweep_range=(5, 8, 1),
-                                output_path=str(tmp_path / "b.csv"))
-        run_experiment(spec_a)
-        run_experiment(spec_b)
+    def test_sweeps_reproducible(self, tmp_path, capsys):
+        for name in ("a.csv", "b.csv"):
+            assert main(["sweep-schedulers", "--preset", "table4-table5",
+                         "--range", "5:8:1",
+                         "--out", str(tmp_path / name)]) == 0
         assert (tmp_path / "a.csv").read_bytes() == \
             (tmp_path / "b.csv").read_bytes()
 
-    def test_infeasible_point_flagged_not_fatal(self, tmp_path):
+    def test_infeasible_point_flagged_not_fatal(self, tmp_path, capsys):
         # one heavy scheduler on one node: overloaded beyond rho = 1/30
         path = write_json(tmp_path, {
             "rho": 0.02,
@@ -170,10 +177,8 @@ class TestRunExperiment:
             "schedulers": [{"phi": 30.0}],
         })
         out = tmp_path / "load.csv"
-        spec = ExperimentSpec(kind="load-sweep", preset=str(path),
-                              sweep_range=(0.02, 0.06, 0.02),
-                              output_path=str(out))
-        run_experiment(spec)
+        assert main(["sweep-load", "--config", str(path),
+                     "--range", "0.02:0.06:0.02", "--out", str(out)]) == 0
         rows = read_csv(out)
         flags = {row[0]: row[-1] for row in rows[1:]}
         assert flags["0.02"] == "1"
@@ -182,28 +187,107 @@ class TestRunExperiment:
         infeasible = [row for row in rows[1:] if row[-1] == "0"]
         assert all(row[1] == "" for row in infeasible)
 
-    def test_fairness_sweep(self, tmp_path):
+    def test_fairness_sweep(self, tmp_path, capsys):
         out = tmp_path / "fi.csv"
-        spec = ExperimentSpec(kind="fairness", preset="table1-table3",
-                              sweep_range=(0.2, 0.6, 0.2),
-                              output_path=str(out))
-        run_experiment(spec)
+        assert main(["fairness", "--preset", "table1-table3",
+                     "--range", "0.2:0.6:0.2", "--out", str(out)]) == 0
         rows = read_csv(out)
         assert rows[0] == ["rho", "fi_rbsa", "fi_bsa", "feasible"]
         for row in rows[1:]:
             assert float(row[1]) == pytest.approx(1.0, abs=1e-9)
             assert float(row[2]) == pytest.approx(1.0, abs=1e-9)
 
-    def test_convergence_trace(self, tmp_path):
+    def test_convergence_trace(self, tmp_path, capsys):
         out = tmp_path / "trace.csv"
-        spec = ExperimentSpec(kind="convergence", preset="table1-table2",
-                              output_path=str(out))
-        run_experiment(spec)
+        assert main(["convergence", "--preset", "table1-table2",
+                     "--out", str(out)]) == 0
         rows = read_csv(out)
         assert rows[0] == ["cycle", "epsilon"]
         eps = [float(r[1]) for r in rows[1:]]
         assert eps[-1] <= 1e-6
         assert len(eps) <= 5
+
+
+class TestConfigBoundary:
+    def test_config_flag_is_always_a_path(self, tmp_path, monkeypatch,
+                                          capsys):
+        # a file named like a preset is read as a file, not as the preset
+        monkeypatch.chdir(tmp_path)
+        write_json(tmp_path, GOOD_CONFIG, name="table1-table2")
+        assert main(["solve", "--config", "table1-table2"]) == 0
+        by_name = capsys.readouterr().out
+        assert main(["solve", "--config", "./table1-table2"]) == 0
+        assert by_name == capsys.readouterr().out
+        assert main(["solve", "--preset", "table1-table2"]) == 0
+        assert by_name != capsys.readouterr().out
+
+    HEAVY = {"rho": 0.06, "nodes": [{"mu": 0.02}],
+             "schedulers": [{"phi": 30.0}]}
+
+    def test_override_rescues_infeasible_file_rho(self, tmp_path, capsys):
+        path = write_json(tmp_path, self.HEAVY, name="heavy.json")
+        assert main(["solve", "--config", str(path)]) == 2
+        assert main(["solve", "--config", str(path), "--rho", "0.02"]) == 0
+        out = tmp_path / "load.csv"
+        assert main(["sweep-load", "--config", str(path),
+                     "--range", "0.02:0.06:0.02", "--out", str(out)]) == 0
+        flags = [row[-1] for row in read_csv(out)[1:]]
+        assert flags == ["1", "0", "0"]
+
+    def test_sweep_reads_config_once(self, tmp_path, monkeypatch, capsys):
+        path = write_json(tmp_path, GOOD_CONFIG)
+        reads = []
+        read = cli._read_config
+        monkeypatch.setattr(cli, "_read_config",
+                            lambda p: reads.append(p) or read(p))
+        assert main(["sweep-load", "--config", str(path),
+                     "--out", str(tmp_path / "load.csv")]) == 0
+        assert reads == [str(path)]
+
+    def test_unreadable_config_fails_the_sweep(self, tmp_path, capsys):
+        assert main(["sweep-load", "--config", str(tmp_path / "absent"),
+                     "--out", str(tmp_path / "load.csv")]) == 2
+        assert "error:" in capsys.readouterr().err
+        assert not (tmp_path / "load.csv").exists()
+
+    @pytest.mark.parametrize("key,value,named", [
+        ("epsilon_threshold", '"x"', "epsilon_threshold"),
+        ("epsilon_threshold", "null", "epsilon_threshold"),
+        ("epsilon_threshold", "NaN", "epsilon_threshold"),
+        ("max_cycles", '"x"', "max_cycles"),
+        ("max_cycles", "null", "max_cycles"),
+        ("max_cycles", "2.9", "max_cycles"),
+        ("max_cycles", "true", "max_cycles"),
+        ("rho", "true", "rho"),
+        ("rho", "NaN", "rho"),
+        ("nodes", '[{"mu": true}]', "mu"),
+        ("nodes", '[{"mu": NaN}]', "mu"),
+        ("nodes", '[{"mu": Infinity}]', "mu"),
+        ("nodes", '[{"mu": 1e999}]', "mu"),
+        ("nodes", '[{"mu": 0.02, "beta1": -Infinity}]', "beta1"),
+        ("schedulers", '[{"lambda": NaN}]', "lambda"),
+        ("schedulers", '[{"phi": null}]', "phi"),
+        ("--horizon", "0", None),
+        ("--horizon", "nan", None),
+        ("--horizon", "inf", None),
+    ])
+    def test_bad_input_is_exit_2(self, key, value, named, tmp_path, capsys):
+        # each exits 2 with a message naming the bad value, where before
+        # some raised a traceback, some were accepted and some failed
+        # later with a message about a consequence of the value
+        fields = {k: json.dumps(v) for k, v in GOOD_CONFIG.items()}
+        argv, named = ["solve"], f"field {named!r}"
+        if key.startswith("--"):
+            argv, named = ["oracle-check", key, value], key[2:]
+        else:
+            fields[key] = value
+        path = tmp_path / "bad.json"
+        path.write_text(
+            "{" + ", ".join(f'"{k}": {v}' for k, v in fields.items()) + "}")
+        assert main([*argv, "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert named in err
 
 
 class TestMainExitCodes:

@@ -10,16 +10,13 @@ from relsched import (
     SchedulerParams,
     SystemConfig,
     ValidationError,
-    aggregate_arrival,
-    availability,
+    availability_vector,
     build_config,
     derive_lambdas,
-    node_load,
+    node_arrivals,
     objective,
-    objective_at,
     objective_curvature,
     objective_marginal,
-    residual_capacity,
     validate_config,
 )
 from relsched.presets import TABLE1_PHI, TABLE2_MU, preset
@@ -109,37 +106,46 @@ class TestDeriveLambdas:
                            [NodeParams.from_rate(0.02)], rho)
 
 
+def with_rates(config, lambdas):
+    """The config's nodes with schedulers at the given direct rates."""
+    return build_config(
+        nodes=config.nodes,
+        schedulers=[SchedulerParams(lam=lam) for lam in lambdas],
+        rho=config.rho,
+    )
+
+
 class TestAggregateArrival:
     def test_half_of_single_stream(self, two_node_config, even_split):
-        assert aggregate_arrival(0, even_split, [0.005]) == 0.0025
+        assert node_arrivals(even_split, two_node_config)[0] == 0.0025
 
-    def test_two_streams_hand_sum(self):
+    def test_two_streams_hand_sum(self, two_node_config):
         alloc = Allocation(np.array([[0.25, 0.75], [0.5, 0.5]]))
-        assert aggregate_arrival(0, alloc, [0.004, 0.006]) == pytest.approx(
+        config = with_rates(two_node_config, [0.004, 0.006])
+        assert node_arrivals(alloc, config)[0] == pytest.approx(
             0.001 + 0.003, rel=1e-12
         )
 
-    def test_zero_column(self):
+    def test_zero_column(self, two_node_config):
         alloc = Allocation(np.array([[0.0, 1.0]]))
-        assert aggregate_arrival(0, alloc, [0.005]) == 0.0
+        assert node_arrivals(alloc, two_node_config)[0] == 0.0
 
     def test_linearity_in_rates(self, table12):
         rng = np.random.default_rng(7)
         alloc = feasible_random_allocation(rng, table12)
         lam = table12.arrival_rates()
-        for j in range(table12.n_nodes):
-            single = aggregate_arrival(j, alloc, lam)
-            double = aggregate_arrival(j, alloc, 2.0 * lam)
-            assert double == pytest.approx(2.0 * single, rel=1e-12)
+        single = node_arrivals(alloc, table12)
+        double = node_arrivals(alloc, with_rates(table12, 2.0 * lam))
+        assert double == pytest.approx(2.0 * single, rel=1e-12)
 
 
 class TestAvailability:
     def test_canonical_half_load(self, two_node_config, even_split):
-        assert availability(0, even_split, two_node_config) == 0.8125
+        assert availability_vector(even_split, two_node_config)[0] == 0.8125
 
     def test_unloaded_node(self, two_node_config):
         alloc = Allocation(np.array([[0.0, 1.0]]))
-        assert availability(0, alloc, two_node_config) == 1.0
+        assert availability_vector(alloc, two_node_config)[0] == 1.0
 
     def test_overload_raises_instead_of_clamping(self):
         config = build_config(
@@ -149,14 +155,14 @@ class TestAvailability:
         )
         alloc = Allocation(np.array([[1.0]]))
         with pytest.raises(AvailabilityOutOfRange) as err:
-            availability(0, alloc, config)
+            availability_vector(alloc, config)
         assert err.value.value == pytest.approx(-0.5, rel=1e-12)
 
     def test_strictly_decreasing_in_own_fraction(self, two_node_config):
         values = []
         for frac in (0.1, 0.3, 0.5, 0.7, 0.9):
             alloc = Allocation(np.array([[frac, 1.0 - frac]]))
-            values.append(availability(0, alloc, two_node_config))
+            values.append(availability_vector(alloc, two_node_config)[0])
         assert all(a > b for a, b in zip(values, values[1:]))
 
 
@@ -194,10 +200,17 @@ class TestObjective:
         )
 
 
+def residual_capacity(i, alloc, config):
+    """Capacity every node still offers scheduler i: mu_j minus the load of
+    the other schedulers, which the balanced baseline allocates by."""
+    own = config.arrival_rates()[i] * alloc.entries[i]
+    return config.service_rates() - (node_arrivals(alloc, config) - own)
+
+
 class TestResidualCapacity:
     def test_single_scheduler_sees_full_rate(self, two_node_config, even_split):
-        assert residual_capacity(0, 0, even_split, two_node_config) == 0.02
-        assert residual_capacity(0, 1, even_split, two_node_config) == 0.04
+        residual = residual_capacity(0, even_split, two_node_config)
+        assert residual.tolist() == [0.02, 0.04]
 
     def test_other_scheduler_load_subtracted(self):
         config = build_config(
@@ -207,7 +220,7 @@ class TestResidualCapacity:
             rho=0.5,
         )
         alloc = Allocation(np.array([[1.0], [1.0]]))
-        assert residual_capacity(0, 0, alloc, config) == pytest.approx(
+        assert residual_capacity(0, alloc, config)[0] == pytest.approx(
             0.02, rel=1e-12
         )
 
@@ -219,7 +232,7 @@ class TestResidualCapacity:
             rho=0.5,
         )
         alloc = Allocation(np.array([[1.0], [1.0]]))
-        assert residual_capacity(0, 0, alloc, config) == pytest.approx(
+        assert residual_capacity(0, alloc, config)[0] == pytest.approx(
             0.0, abs=1e-15
         )
 
@@ -240,7 +253,7 @@ class TestDerivatives:
             up[i, j] += h
             down[i, j] -= h
             numeric = (
-                objective_at(up, config) - objective_at(down, config)
+                objective(up, config) - objective(down, config)
             ) / (2 * h)
             assert numeric == pytest.approx(analytic, rel=1e-5)
 
@@ -306,7 +319,10 @@ class TestValidateConfig:
 
 class TestNodeLoad:
     def test_view_bundles_consistent_numbers(self, two_node_config, even_split):
-        view = node_load(0, even_split, two_node_config)
-        assert view.delta == 0.0025
-        assert view.availability == 0.8125
-        assert view.residual_capacity_for == (0.02,)
+        delta = node_arrivals(even_split, two_node_config)
+        avail = availability_vector(even_split, two_node_config)
+        assert delta[0] == 0.0025
+        assert avail[0] == 0.8125
+        assert avail.tolist() == list(
+            1.0 - delta * two_node_config.load_weights())
+        assert residual_capacity(0, even_split, two_node_config)[0] == 0.02

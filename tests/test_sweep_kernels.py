@@ -20,7 +20,7 @@ from relsched import (
     bsa_solve,
     build_config,
     node_arrivals,
-    objective_at,
+    objective,
     solve,
 )
 from relsched.baseline import _balanced_row
@@ -139,14 +139,14 @@ def reference_iteration(config, respond, single_pass=False):
     lam = config.arrival_rates()
     n, m = config.n_schedulers, config.n_nodes
     entries = np.full((n, m), 1.0 / m)
-    latter = objective_at(entries, config)
+    latter = objective(entries, config)
     trace = []
     while True:
         former = latter
         for i in range(n):
             others = entries.T @ lam - lam[i] * entries[i]
             entries[i] = respond(i, float(lam[i]), others)
-        latter = objective_at(entries, config)
+        latter = objective(entries, config)
         trace.append(abs(former - latter))
         if single_pass or trace[-1] <= config.epsilon_threshold:
             return entries, trace
@@ -292,7 +292,7 @@ class TestSweepLoop:
         """The uniform start is feasible; the balanced row then sends
         three quarters of the stream to the node with the larger weight."""
         config = overload_config(lam=1.5)
-        assert objective_at(Allocation.uniform(1, 2).entries, config) > 0.0
+        assert objective(Allocation.uniform(1, 2).entries, config) > 0.0
         with pytest.raises(AvailabilityOutOfRange) as got:
             bsa_solve(config, single_pass=True)
         with pytest.raises(AvailabilityOutOfRange) as want:
