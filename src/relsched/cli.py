@@ -165,8 +165,11 @@ def _instance(args, source: dict | None, rho: float | None = None,
     value applied and its stability checked once.
 
     A config file keeps its own rates when nothing is overridden.
-    Otherwise rates are re-derived from the relative weights whenever any
-    weight is positive; instances specified by direct rates keep them.
+    Otherwise every scheduler with a positive relative weight has its rate
+    re-derived from that weight; a scheduler given only a direct rate
+    keeps it.  A file is truncated to its first n schedulers or m nodes,
+    and asking for fewer than one or more than the file holds is a
+    ValidationError, as it is for a preset.
     """
     rho = args.rho if rho is None else rho
     if source is None:
@@ -174,14 +177,16 @@ def _instance(args, source: dict | None, rho: float | None = None,
                         n_nodes=nodes)
     else:
         kwargs = dict(source)
-        if nodes:
-            kwargs["nodes"] = kwargs["nodes"][:nodes]
-        if schedulers:
-            kwargs["schedulers"] = kwargs["schedulers"][:schedulers]
-        overridden = (rho, args.epsilon, schedulers, nodes) != (None,) * 4
-        if overridden and any(s.phi > 0 for s in kwargs["schedulers"]):
-            kwargs["schedulers"] = [SchedulerParams(phi=s.phi)
-                                    for s in kwargs["schedulers"]]
+        for key, count in (("nodes", nodes), ("schedulers", schedulers)):
+            if count is None:
+                continue
+            if not 1 <= count <= len(kwargs[key]):
+                raise ValidationError(
+                    f"config file supports 1..{len(kwargs[key])} {key}")
+            kwargs[key] = kwargs[key][:count]
+        if (rho, args.epsilon, schedulers, nodes) != (None,) * 4:
+            kwargs["schedulers"] = [SchedulerParams(phi=s.phi) if s.phi > 0
+                                    else s for s in kwargs["schedulers"]]
         if rho is not None:
             kwargs["rho"] = rho
         config = build_config(**kwargs)

@@ -17,6 +17,7 @@ is immutable after construction, so evaluation is thread-safe.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -28,6 +29,14 @@ from .errors import (
 )
 
 ROW_SUM_TOL = 1e-9
+
+
+def _require_finite(params) -> None:
+    """Reject NaN and infinities in any numeric field of a parameter record."""
+    for name in params.__dataclass_fields__:
+        value = getattr(params, name)
+        if value is not None and not math.isfinite(value):
+            raise ValidationError(f"{name} must be finite, got {value}")
 
 
 @dataclass(frozen=True)
@@ -46,6 +55,7 @@ class NodeParams:
     beta1: float
 
     def __post_init__(self):
+        _require_finite(self)
         if self.mu <= 0:
             raise ValidationError(f"mu must be positive, got {self.mu}")
         if self.mu_prime < 0:
@@ -93,6 +103,7 @@ class SchedulerParams:
     lam: float | None = None
 
     def __post_init__(self):
+        _require_finite(self)
         if self.phi < 0:
             raise ValidationError(f"phi must be >= 0, got {self.phi}")
         if self.lam is not None and self.lam < 0:

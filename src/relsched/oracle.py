@@ -4,7 +4,10 @@ Three checkers that deliberately avoid the closed-form solver's algebra:
 
 * a numeric minimiser of one scheduler's row objective (grid enumeration
   over the simplex refined by pairwise line searches), used to validate
-  the closed-form best response;
+  the closed-form best response.  The lattice is built once per node
+  count and refinement; each line search moves mass between two nodes
+  and so evaluates only their two availability reciprocals, and keeps a
+  move only when it strictly lowers them;
 * an equilibrium checker that asks whether any scheduler could gain by
   switching to its numerically optimised row;
 * a Monte-Carlo splitter that draws actual Poisson traffic and routes it
@@ -20,7 +23,7 @@ simulation-checked.
 from __future__ import annotations
 
 import math
-from itertools import combinations
+from functools import lru_cache
 
 import numpy as np
 
@@ -28,22 +31,6 @@ from .model import Allocation, SystemConfig, objective
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 _MAX_GRID_POINTS = 100_000
-
-
-def _row_objective_fn(i: int, alloc: Allocation, config: SystemConfig):
-    """Objective as a function of scheduler i's row, +inf when infeasible."""
-    lam = config.arrival_rates()
-    weights = config.load_weights()
-    others = alloc.entries.T @ lam - lam[i] * alloc.entries[i]
-    lam_i = float(lam[i])
-
-    def fn(row) -> float:
-        avail = 1.0 - (others + lam_i * np.asarray(row)) * weights
-        if (avail <= 0.0).any() or (avail > 1.0).any():
-            return math.inf
-        return float(np.sum(1.0 / avail))
-
-    return fn
 
 
 def _grid_levels(m: int, resolution: float) -> int:
@@ -54,52 +41,69 @@ def _grid_levels(m: int, resolution: float) -> int:
     return levels
 
 
+@lru_cache(maxsize=2)
 def _simplex_lattice(m: int, levels: int) -> np.ndarray:
-    """All length-m nonnegative integer compositions of `levels`, scaled to 1."""
-    points = []
-    for cuts in combinations(range(levels + m - 1), m - 1):
-        prev = -1
-        comp = []
-        for c in cuts:
-            comp.append(c - prev - 1)
-            prev = c
-        comp.append(levels + m - 2 - prev)
-        points.append(comp)
-    return np.array(points, dtype=float) / levels
+    """All length-m nonnegative integer compositions of `levels`, scaled to 1.
+
+    Rows come in lexicographic order of their first m-1 parts, which is
+    the order `itertools.combinations` gives the cut positions, so argmin
+    ties resolve as they always have.  Each pass appends one part to every
+    prefix: a prefix with r units left spawns the r+1 children 0..r in
+    ascending order.  The result is cached per (m, levels) and read-only.
+    """
+    parts = np.zeros((1, 0), dtype=np.int64)
+    left = np.array([levels])
+    for _ in range(m - 1):
+        counts = left + 1
+        starts = np.cumsum(counts) - counts
+        first = np.arange(counts.sum()) - np.repeat(starts, counts)
+        parts = np.column_stack((np.repeat(parts, counts, axis=0), first))
+        left = np.repeat(left, counts) - first
+    lattice = np.column_stack((parts, left)) / levels
+    lattice.setflags(write=False)
+    return lattice
 
 
-def _line_search(fn, row: np.ndarray, p: int, q: int, tol: float) -> np.ndarray:
-    """Golden-section minimisation along moving mass from node q to node p."""
-    lo, hi = -float(row[p]), float(row[q])
+def _line_search(row: list, p: int, q: int, others: list, weights: list,
+                 lam_i: float, tol: float) -> None:
+    """Golden-section minimisation along moving mass from node q to node p.
+
+    A move along (p, q) changes only the availabilities of p and q, so the
+    search minimises their two reciprocals alone; every other term of the
+    row objective is constant.  The row is updated in place only when the
+    move strictly lowers those two terms.
+    """
+    xp, xq = row[p], row[q]
+    lo, hi = -xp, xq
     if hi - lo <= tol:
-        return row
+        return
+    op, oq, wp, wq = others[p], others[q], weights[p], weights[q]
 
-    def g(t):
-        candidate = np.array(row)
-        candidate[p] += t
-        candidate[q] -= t
-        return fn(candidate)
+    def pair(yp: float, yq: float) -> float:
+        ap = 1.0 - (op + lam_i * yp) * wp
+        aq = 1.0 - (oq + lam_i * yq) * wq
+        if not (0.0 < ap <= 1.0 and 0.0 < aq <= 1.0):
+            return math.inf
+        return 1.0 / ap + 1.0 / aq
 
     a, b = lo, hi
     x1 = b - _GOLDEN * (b - a)
     x2 = a + _GOLDEN * (b - a)
-    f1, f2 = g(x1), g(x2)
+    f1, f2 = pair(xp + x1, xq - x1), pair(xp + x2, xq - x2)
     while b - a > tol:
         if f1 <= f2:
             b, x2, f2 = x2, x1, f1
             x1 = b - _GOLDEN * (b - a)
-            f1 = g(x1)
+            f1 = pair(xp + x1, xq - x1)
         else:
             a, x1, f1 = x1, x2, f2
             x2 = a + _GOLDEN * (b - a)
-            f2 = g(x2)
+            f2 = pair(xp + x2, xq - x2)
     t = (a + b) / 2.0
-    best = np.array(row)
-    best[p] = min(max(best[p] + t, 0.0), 1.0)
-    best[q] = min(max(best[q] - t, 0.0), 1.0)
-    if fn(best) <= fn(row):
-        return best
-    return row
+    bp = min(max(xp + t, 0.0), 1.0)
+    bq = min(max(xq - t, 0.0), 1.0)
+    if pair(bp, bq) < pair(xp, xq):
+        row[p], row[q] = bp, bq
 
 
 def numeric_best_response(i: int, alloc: Allocation, config: SystemConfig,
@@ -108,10 +112,15 @@ def numeric_best_response(i: int, alloc: Allocation, config: SystemConfig,
 
     Small node counts (m <= 6) are seeded by enumerating a simplex lattice
     (the lattice is coarsened automatically when a full grid at the given
-    resolution would not be enumerable); the seed is then refined by
-    repeated pairwise mass-moving line searches, which converge to the
-    global optimum because the row objective is strictly convex on the
-    simplex.  Larger instances skip the lattice and descend from uniform.
+    resolution would not be enumerable, and is built once per node count
+    and refinement); the seed is then refined by sweeps of pairwise
+    mass-moving golden-section searches, which converge to the global
+    optimum because the row objective is strictly convex on the simplex.
+    Larger instances skip the lattice and descend from uniform.
+
+    Each line search evaluates only the two availability reciprocals its
+    move changes, on Python floats, and a move is kept only when it
+    strictly lowers them, so equal-valued jitter never counts as progress.
 
     A scheduler with zero arrival rate has a flat objective; its current
     row is returned unchanged.
@@ -120,16 +129,14 @@ def numeric_best_response(i: int, alloc: Allocation, config: SystemConfig,
     lam_i = config.schedulers[i].lam
     if lam_i == 0.0:
         return np.array(alloc.entries[i])
-
-    fn = _row_objective_fn(i, alloc, config)
-
     if m == 1:
         return np.ones(1)
+
+    lam = config.arrival_rates()
+    weights = config.load_weights()
+    others = alloc.entries.T @ lam - lam[i] * alloc.entries[i]
     if m <= 6:
         lattice = _simplex_lattice(m, _grid_levels(m, resolution))
-        lam = config.arrival_rates()
-        weights = config.load_weights()
-        others = alloc.entries.T @ lam - lam[i] * alloc.entries[i]
         avail = 1.0 - (others + lam_i * lattice) * weights
         feasible = (avail > 0.0).all(axis=1)
         values = np.full(lattice.shape[0], np.inf)
@@ -137,16 +144,19 @@ def numeric_best_response(i: int, alloc: Allocation, config: SystemConfig,
         row = np.array(lattice[int(np.argmin(values))])
     else:
         row = np.full(m, 1.0 / m)
-    if not math.isfinite(fn(row)):
+    avail = 1.0 - (others + lam_i * row) * weights
+    if (avail <= 0.0).any() or (avail > 1.0).any():
         row = np.full(m, 1.0 / m)
 
     tol = min(resolution, 1e-6) * 1e-3
+    others, weights = others.tolist(), weights.tolist()
     for _ in range(500):
-        before = np.array(row)
+        before = row
+        trial = row.tolist()
         for p in range(m):
             for q in range(p + 1, m):
-                row = _line_search(fn, row, p, q, tol)
-        row = np.maximum(row, 0.0)
+                _line_search(trial, p, q, others, weights, lam_i, tol)
+        row = np.maximum(trial, 0.0)
         row /= row.sum()
         if np.max(np.abs(row - before)) < 1e-10:
             break

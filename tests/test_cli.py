@@ -2,11 +2,15 @@
 
 import csv
 import json
+from pathlib import Path
 
 import pytest
 
 from relsched import ParseError, ValidationError, cli
 from relsched.cli import VARY, _sweep_values, load_config, main, parse_range
+
+
+PRESET_FILE = Path(__file__).parent / "golden" / "table1-table2.json"
 
 
 def write_json(tmp_path, payload, name="config.json"):
@@ -233,6 +237,42 @@ class TestConfigBoundary:
                      "--range", "0.02:0.06:0.02", "--out", str(out)]) == 0
         flags = [row[-1] for row in read_csv(out)[1:]]
         assert flags == ["1", "0", "0"]
+
+    @pytest.mark.parametrize("command,sweep_range", [
+        ("sweep-nodes", "14:17:1"),
+        ("sweep-schedulers", "0:11:11"),
+    ])
+    def test_truncation_beyond_file_is_infeasible(self, command, sweep_range,
+                                                  tmp_path, capsys):
+        # the file is the preset written out, so every row must match the
+        # preset sweep, including feasible=0 where the count is 0 or larger
+        # than the instance
+        by_file, by_preset = tmp_path / "file.csv", tmp_path / "preset.csv"
+        assert main([command, "--config", str(PRESET_FILE), "--range",
+                     sweep_range, "--out", str(by_file)]) == 0
+        assert main([command, "--preset", "table1-table2", "--range",
+                     sweep_range, "--out", str(by_preset)]) == 0
+        rows = read_csv(by_file)
+        assert rows == read_csv(by_preset)
+        assert "0" in [row[-1] for row in rows[1:]]
+
+    def test_direct_rates_survive_overrides(self, tmp_path, capsys):
+        # an override re-derives rates from phi; a scheduler given only a
+        # direct rate keeps it instead of dropping to phi = 0
+        path = write_json(tmp_path, {
+            "rho": 0.5,
+            "nodes": [
+                {"mu": 0.01, "mu_prime": 0.001, "gamma": 500, "beta1": 100},
+                {"mu": 0.02, "mu_prime": 0.002, "gamma": 250, "beta1": 50},
+            ],
+            "schedulers": [{"phi": 0.01}, {"lambda": 0.004}],
+        })
+        outputs = []
+        for extra in ([], ["--epsilon", "1e-6"]):
+            assert main(["solve", "--config", str(path), *extra]) == 0
+            out = capsys.readouterr().out
+            outputs.append([w for w in out.split() if w.startswith("objective=")])
+        assert outputs[0] and outputs[0] == outputs[1]
 
     def test_sweep_reads_config_once(self, tmp_path, monkeypatch, capsys):
         path = write_json(tmp_path, GOOD_CONFIG)

@@ -51,6 +51,26 @@ class TestNodeParams:
         with pytest.raises(ValidationError):
             NodeParams(**kwargs)
 
+    GOOD_NODE = dict(mu=0.02, mu_prime=0.002, gamma=250.0, beta1=50.0)
+    GOOD_SCHEDULER = dict(phi=0.01, lam=0.004)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("cls,name", [
+        *((NodeParams, name) for name in GOOD_NODE),
+        *((SchedulerParams, name) for name in GOOD_SCHEDULER),
+    ])
+    def test_rejects_non_finite_fields(self, cls, name, value):
+        good = self.GOOD_NODE if cls is NodeParams else self.GOOD_SCHEDULER
+        with pytest.raises(ValidationError, match=name):
+            cls(**dict(good, **{name: value}))
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    @pytest.mark.parametrize("name", ["mu", "mu_prime", "gamma", "beta1"])
+    def test_from_rate_rejects_non_finite(self, name, value):
+        kwargs = {"mu": 0.02, name: value}
+        with pytest.raises(ValidationError):
+            NodeParams.from_rate(kwargs.pop("mu"), **kwargs)
+
 
 class TestAllocation:
     def test_rows_must_hit_simplex(self):

@@ -1,5 +1,7 @@
 """Numeric-minimiser and traffic-simulation oracles."""
 
+from itertools import combinations
+
 import numpy as np
 import pytest
 
@@ -13,7 +15,41 @@ from relsched import (
     solve,
     traffic_empirical_rates,
 )
+from relsched.oracle import _simplex_lattice
 from relsched.presets import preset
+
+
+def combinations_lattice(m, levels):
+    """The lattice as first enumerated, one cut set at a time: the
+    reference order for argmin ties."""
+    points = []
+    for cuts in combinations(range(levels + m - 1), m - 1):
+        prev = -1
+        comp = []
+        for c in cuts:
+            comp.append(c - prev - 1)
+            prev = c
+        comp.append(levels + m - 2 - prev)
+        points.append(comp)
+    return np.array(points, dtype=float) / levels
+
+
+class TestSimplexLattice:
+    @pytest.mark.parametrize("m,levels", [
+        (1, 1), (1, 7), (2, 1), (2, 1000), (3, 1), (3, 445), (4, 81),
+        (5, 35), (6, 23), (6, 2),
+    ])
+    def test_matches_combinations_enumeration(self, m, levels):
+        lattice = _simplex_lattice(m, levels)
+        expected = combinations_lattice(m, levels)
+        assert lattice.shape == expected.shape
+        assert lattice.dtype == expected.dtype
+        assert lattice.tobytes() == expected.tobytes()
+
+    def test_built_once_and_read_only(self):
+        lattice = _simplex_lattice(4, 10)
+        assert _simplex_lattice(4, 10) is lattice
+        assert not lattice.flags.writeable
 
 
 class TestNumericBestResponse:
@@ -43,6 +79,20 @@ class TestNumericBestResponse:
         closed = best_response_row(0, alloc, table12)
         numeric = numeric_best_response(0, alloc, table12)
         assert np.max(np.abs(closed.row - numeric)) < 1e-4
+
+
+@pytest.mark.parametrize("name", ["table1-table2", "table1-table3"])
+def test_full_preset_equilibrium_matches_closed_form(name):
+    # m = 15 takes the descent path; the criterion-6 tolerances apply
+    config = preset(name)
+    alloc = solve(config).allocation
+    for i in range(config.n_schedulers):
+        closed = best_response_row(i, alloc, config)
+        numeric = numeric_best_response(i, alloc, config)
+        assert np.max(np.abs(closed.row - numeric)) < 1e-4
+    ok, worst = nash_check(alloc, config, tolerance=1e-6)
+    assert ok
+    assert worst <= 1e-6
 
 
 class TestNashCheck:
