@@ -5,6 +5,7 @@ what it wrote with the expected files under ``tests/golden/``:
 ``<label>.txt`` holds ``exit=<code>`` followed by stdout, in which the
 working directory is masked so that only file names remain, and
 ``<label>.csv`` holds the CSV the case wrote (absent when it wrote none).
+An argument ending in ``.json`` names a config file in ``tests/golden/``.
 
 The cases are the paper's experiments as the benchmark runs them, plus
 the paths those leave out: the default artifact name, the single-pass
@@ -26,8 +27,8 @@ import pytest
 from relsched.cli import main
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
-CONFIG = "{config}"  # tests/golden/table1-table2.json, the preset as a file
-OUT = "{out}"        # out.csv in the working directory
+CONFIG = "table1-table2.json"  # the preset as a file
+OUT = "{out}"  # out.csv in the working directory
 
 PRESETS = ("table1-table2", "table1-table3", "table4-table5",
            "table6-table7", "table6-table7-n15")
@@ -71,8 +72,9 @@ CASES = {
                               "--vary", "schedulers", "--range", "5:8:1",
                               "--rho", "0.3", "--epsilon", "1e-9",
                               "--out", OUT),
-    "solve.not-converged": ("solve", "--preset", "table1-table2",
-                            "--epsilon", "-1", "--out", OUT),
+    # table1-table2 with max_cycles 1 and epsilon_threshold 0
+    "solve.not-converged": ("solve", "--config", "solve.not-converged.json",
+                            "--out", OUT),
     "oracle-check": ("oracle-check", "--preset", "table1-table2",
                      "--horizon", "1e6", "--out", OUT),
 }
@@ -80,7 +82,7 @@ CASES = {
 
 def run_case(label: str, workdir: Path) -> tuple[str, bytes | None]:
     """Run one case in workdir; return (exit line + stdout, CSV bytes)."""
-    argv = [str(GOLDEN / "table1-table2.json") if a == CONFIG
+    argv = [str(GOLDEN / a) if a.endswith(".json")
             else str(workdir / "out.csv") if a == OUT else a
             for a in CASES[label]]
     stdout = io.StringIO()
