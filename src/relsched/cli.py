@@ -119,6 +119,9 @@ def _read_config(path) -> dict:
         ))
 
     epsilon = field(raw, "epsilon_threshold", "config")
+    if epsilon is not None and epsilon < 0:
+        raise ValidationError(
+            f"{path}: field 'epsilon_threshold' of config must be >= 0")
     max_cycles = field(raw, "max_cycles", "config", int)
     return dict(
         nodes=tuple(nodes),
@@ -154,7 +157,14 @@ def _check_stability(config: SystemConfig) -> None:
 
 
 def _source(args) -> dict | None:
-    """A --config file parsed once per command; None for a --preset."""
+    """A --config file parsed once per command; None for a --preset.
+
+    The file's fields and --epsilon are checked here, before any point is
+    solved, so a sweep given a bad value exits 2 instead of flagging every
+    point infeasible.
+    """
+    if args.epsilon is not None and not args.epsilon >= 0.0:
+        raise ValidationError(f"--epsilon must be >= 0, got {args.epsilon}")
     return None if args.preset is not None else _read_config(args.config)
 
 

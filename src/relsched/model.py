@@ -184,6 +184,9 @@ class SystemConfig:
             raise ValidationError(f"rho must be in (0, 1), got {self.rho}")
         if self.max_cycles < 1:
             raise ValidationError("max_cycles must be >= 1")
+        if not self.epsilon_threshold >= 0.0:
+            raise ValidationError(
+                f"epsilon_threshold must be >= 0, got {self.epsilon_threshold}")
         for i, s in enumerate(self.schedulers):
             if s.lam is None:
                 raise ValidationError(

@@ -2,12 +2,13 @@
 
 Three checkers that deliberately avoid the closed-form solver's algebra:
 
-* a numeric minimiser of one scheduler's row objective (grid enumeration
-  over the simplex refined by pairwise line searches), used to validate
-  the closed-form best response.  The lattice is built once per node
-  count and refinement; each line search moves mass between two nodes
-  and so evaluates only their two availability reciprocals, and keeps a
-  move only when it strictly lowers them;
+* a numeric minimiser of one scheduler's row objective (sweeps of
+  pairwise line searches descending from the uniform row, or from the
+  residual-capacity row when uniform would overload a node), used to
+  validate the closed-form best response.  Each line search moves mass
+  between two nodes, is clipped in closed form to the moves that keep
+  both availabilities positive, evaluates only their two availability
+  reciprocals, and keeps a move only when it strictly lowers them;
 * an equilibrium checker that asks whether any scheduler could gain by
   switching to its numerically optimised row;
 * a Monte-Carlo splitter that draws actual Poisson traffic and routes it
@@ -23,58 +24,28 @@ simulation-checked.
 from __future__ import annotations
 
 import math
-from functools import lru_cache
 
 import numpy as np
 
 from .model import Allocation, SystemConfig, objective
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
-_MAX_GRID_POINTS = 100_000
-
-
-def _grid_levels(m: int, resolution: float) -> int:
-    """Largest grid refinement whose simplex lattice stays enumerable."""
-    levels = max(1, round(1.0 / resolution))
-    while levels > 1 and math.comb(levels + m - 1, m - 1) > _MAX_GRID_POINTS:
-        levels -= 1
-    return levels
-
-
-@lru_cache(maxsize=2)
-def _simplex_lattice(m: int, levels: int) -> np.ndarray:
-    """All length-m nonnegative integer compositions of `levels`, scaled to 1.
-
-    Rows come in lexicographic order of their first m-1 parts, which is
-    the order `itertools.combinations` gives the cut positions, so argmin
-    ties resolve as they always have.  Each pass appends one part to every
-    prefix: a prefix with r units left spawns the r+1 children 0..r in
-    ascending order.  The result is cached per (m, levels) and read-only.
-    """
-    parts = np.zeros((1, 0), dtype=np.int64)
-    left = np.array([levels])
-    for _ in range(m - 1):
-        counts = left + 1
-        starts = np.cumsum(counts) - counts
-        first = np.arange(counts.sum()) - np.repeat(starts, counts)
-        parts = np.column_stack((np.repeat(parts, counts, axis=0), first))
-        left = np.repeat(left, counts) - first
-    lattice = np.column_stack((parts, left)) / levels
-    lattice.setflags(write=False)
-    return lattice
 
 
 def _line_search(row: list, p: int, q: int, others: list, weights: list,
-                 lam_i: float, tol: float) -> None:
+                 caps: list, lam_i: float, tol: float) -> None:
     """Golden-section minimisation along moving mass from node q to node p.
 
     A move along (p, q) changes only the availabilities of p and q, so the
     search minimises their two reciprocals alone; every other term of the
-    row objective is constant.  The row is updated in place only when the
-    move strictly lowers those two terms.
+    row objective is constant.  Both availabilities are linear in the move,
+    so the search interval is clipped in closed form to the moves that
+    keep both positive: caps[j] is the largest share node j can take
+    before its availability reaches zero.  The row is updated in place
+    only when the move strictly lowers those two terms.
     """
     xp, xq = row[p], row[q]
-    lo, hi = -xp, xq
+    lo, hi = max(-xp, xq - caps[q]), min(xq, caps[p] - xp)
     if hi - lo <= tol:
         return
     op, oq, wp, wq = others[p], others[q], weights[p], weights[q]
@@ -110,17 +81,18 @@ def numeric_best_response(i: int, alloc: Allocation, config: SystemConfig,
                           resolution: float = 1e-3) -> np.ndarray:
     """Minimise scheduler i's row objective without the closed form.
 
-    Small node counts (m <= 6) are seeded by enumerating a simplex lattice
-    (the lattice is coarsened automatically when a full grid at the given
-    resolution would not be enumerable, and is built once per node count
-    and refinement); the seed is then refined by sweeps of pairwise
-    mass-moving golden-section searches, which converge to the global
-    optimum because the row objective is strictly convex on the simplex.
-    Larger instances skip the lattice and descend from uniform.
+    Sweeps of pairwise mass-moving golden-section searches descend from
+    the uniform row; they converge to the global optimum because the row
+    objective is strictly convex on the simplex.  When the uniform row
+    would overload a node, the descent starts instead from the row
+    proportional to each node's residual capacity max(1/W_j - o_j, 0),
+    which is feasible whenever any row is.
 
-    Each line search evaluates only the two availability reciprocals its
-    move changes, on Python floats, and a move is kept only when it
-    strictly lowers them, so equal-valued jitter never counts as progress.
+    Each line search is clipped in closed form to the moves that keep
+    both of its nodes' availabilities positive, evaluates only the two
+    reciprocals its move changes, on Python floats, and keeps a move only
+    when it strictly lowers them, so equal-valued jitter never counts as
+    progress.  `resolution` sets the line-search tolerance.
 
     A scheduler with zero arrival rate has a flat objective; its current
     row is returned unchanged.
@@ -135,27 +107,21 @@ def numeric_best_response(i: int, alloc: Allocation, config: SystemConfig,
     lam = config.arrival_rates()
     weights = config.load_weights()
     others = alloc.entries.T @ lam - lam[i] * alloc.entries[i]
-    if m <= 6:
-        lattice = _simplex_lattice(m, _grid_levels(m, resolution))
-        avail = 1.0 - (others + lam_i * lattice) * weights
-        feasible = (avail > 0.0).all(axis=1)
-        values = np.full(lattice.shape[0], np.inf)
-        values[feasible] = np.sum(1.0 / avail[feasible], axis=1)
-        row = np.array(lattice[int(np.argmin(values))])
-    else:
-        row = np.full(m, 1.0 / m)
-    avail = 1.0 - (others + lam_i * row) * weights
-    if (avail <= 0.0).any() or (avail > 1.0).any():
-        row = np.full(m, 1.0 / m)
+    caps = (1.0 / weights - others) / lam_i
+    row = np.full(m, 1.0 / m)
+    if (caps <= row).any():
+        spare = np.maximum(caps, 0.0)
+        if spare.sum() > 0.0:  # else the others saturate every node
+            row = spare / spare.sum()
 
     tol = min(resolution, 1e-6) * 1e-3
-    others, weights = others.tolist(), weights.tolist()
+    others, weights, caps = others.tolist(), weights.tolist(), caps.tolist()
     for _ in range(500):
         before = row
         trial = row.tolist()
         for p in range(m):
             for q in range(p + 1, m):
-                _line_search(trial, p, q, others, weights, lam_i, tol)
+                _line_search(trial, p, q, others, weights, caps, lam_i, tol)
         row = np.maximum(trial, 0.0)
         row /= row.sum()
         if np.max(np.abs(row - before)) < 1e-10:

@@ -347,9 +347,32 @@ class TestMainExitCodes:
         path = write_json(tmp_path, payload)
         assert main(["solve", "--config", str(path)]) == 3
 
-    def test_unreachable_epsilon_is_3(self, capsys):
+    def test_unreachable_epsilon_is_3(self, tmp_path, capsys):
+        # a valid threshold that no single sweep meets
+        path = write_json(tmp_path, dict(GOOD_CONFIG, max_cycles=1))
+        assert main(["solve", "--config", str(path), "--epsilon", "0"]) == 3
+
+    @pytest.mark.parametrize("command", ["solve", "sweep-load"])
+    @pytest.mark.parametrize("source", ["--epsilon", "file", "both"])
+    def test_negative_epsilon_is_2(self, command, source, tmp_path, capsys):
+        # rejected before any point is solved: solve used to run
+        # max_cycles sweeps and exit 3, and a sweep flagged every point
+        # infeasible and exited 0
+        payload = dict(GOOD_CONFIG)
+        if source != "--epsilon":
+            payload["epsilon_threshold"] = -1e-9
+        argv = [command, "--config", str(write_json(tmp_path, payload)),
+                "--out", str(tmp_path / "out.csv")]
+        if source != "file":
+            argv += ["--epsilon", "-1"]
+        assert main(argv) == 2
+        assert "epsilon" in capsys.readouterr().err
+        assert not (tmp_path / "out.csv").exists()
+
+    def test_negative_epsilon_on_preset_is_2(self, capsys):
         assert main(["solve", "--preset", "table1-table2",
-                     "--epsilon", "-1"]) == 3
+                     "--epsilon", "-1"]) == 2
+        assert capsys.readouterr().err.startswith("error:")
 
     def test_compare_writes_default_artifact(self, tmp_path, monkeypatch,
                                              capsys):

@@ -126,6 +126,19 @@ class TestDeriveLambdas:
                            [NodeParams.from_rate(0.02)], rho)
 
 
+class TestSystemConfig:
+    @pytest.mark.parametrize("epsilon", [-1.0, -1e-300, float("nan")])
+    def test_rejects_bad_epsilon_threshold(self, epsilon):
+        # a negative threshold can never be met, so every solve would run
+        # max_cycles sweeps and raise NotConverged
+        with pytest.raises(ValidationError, match="epsilon_threshold"):
+            preset("table1-table2", epsilon_threshold=epsilon)
+
+    def test_zero_epsilon_threshold_allowed(self):
+        assert preset("table1-table2", epsilon_threshold=0.0
+                      ).epsilon_threshold == 0.0
+
+
 def with_rates(config, lambdas):
     """The config's nodes with schedulers at the given direct rates."""
     return build_config(

@@ -1,13 +1,15 @@
 """Numeric-minimiser and traffic-simulation oracles."""
 
-from itertools import combinations
-
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from relsched import (
     Allocation,
+    NodeParams,
+    SchedulerParams,
     best_response_row,
+    build_config,
     nash_check,
     node_arrivals,
     numeric_best_response,
@@ -15,41 +17,7 @@ from relsched import (
     solve,
     traffic_empirical_rates,
 )
-from relsched.oracle import _simplex_lattice
 from relsched.presets import preset
-
-
-def combinations_lattice(m, levels):
-    """The lattice as first enumerated, one cut set at a time: the
-    reference order for argmin ties."""
-    points = []
-    for cuts in combinations(range(levels + m - 1), m - 1):
-        prev = -1
-        comp = []
-        for c in cuts:
-            comp.append(c - prev - 1)
-            prev = c
-        comp.append(levels + m - 2 - prev)
-        points.append(comp)
-    return np.array(points, dtype=float) / levels
-
-
-class TestSimplexLattice:
-    @pytest.mark.parametrize("m,levels", [
-        (1, 1), (1, 7), (2, 1), (2, 1000), (3, 1), (3, 445), (4, 81),
-        (5, 35), (6, 23), (6, 2),
-    ])
-    def test_matches_combinations_enumeration(self, m, levels):
-        lattice = _simplex_lattice(m, levels)
-        expected = combinations_lattice(m, levels)
-        assert lattice.shape == expected.shape
-        assert lattice.dtype == expected.dtype
-        assert lattice.tobytes() == expected.tobytes()
-
-    def test_built_once_and_read_only(self):
-        lattice = _simplex_lattice(4, 10)
-        assert _simplex_lattice(4, 10) is lattice
-        assert not lattice.flags.writeable
 
 
 class TestNumericBestResponse:
@@ -73,12 +41,79 @@ class TestNumericBestResponse:
             numeric_val = objective(alloc.replace_row(i, numeric), config)
             assert numeric_val >= closed_val - 1e-6
 
-    def test_descent_path_used_beyond_grid_limit(self, table12):
-        # m = 15 skips the lattice seed but must still land on the optimum
+    def test_descent_from_uniform_reaches_optimum_at_full_size(self, table12):
+        # every m descends from the uniform row; m = 15 is the largest
+        # paper instance and must still land on the optimum
         alloc = Allocation.uniform(table12.n_schedulers, table12.n_nodes)
         closed = best_response_row(0, alloc, table12)
         numeric = numeric_best_response(0, alloc, table12)
         assert np.max(np.abs(closed.row - numeric)) < 1e-4
+
+
+def single_scheduler(mus, lam):
+    return build_config(nodes=[NodeParams.from_rate(mu) for mu in mus],
+                        schedulers=[SchedulerParams(phi=1.0, lam=lam)],
+                        rho=0.5)
+
+
+SLOW_NODES = {
+    2: ([0.1], [0.01], 0.03),
+    4: ([0.1] * 2, [0.01] * 2, 0.1),
+    8: ([0.2] * 6, [0.01] * 2, 0.3),
+}
+
+
+@pytest.mark.parametrize("slow", ["first", "last"])
+@pytest.mark.parametrize("m", sorted(SLOW_NODES))
+def test_uniform_infeasible_row(m, slow):
+    # the uniform row overloads the slow nodes, so the descent starts from
+    # the residual-capacity row and every line search stays feasible
+    fast, slow_mus, lam = SLOW_NODES[m]
+    config = single_scheduler(
+        slow_mus + fast if slow == "first" else fast + slow_mus, lam)
+    uniform = Allocation.uniform(1, m)
+    closed = best_response_row(0, uniform, config).row
+    numeric = numeric_best_response(0, uniform, config)
+    assert np.max(np.abs(closed - numeric)) < 1e-4
+    ok, worst = nash_check(Allocation(closed.reshape(1, -1)), config,
+                           tolerance=1e-6)
+    assert ok
+    assert worst <= 1e-6
+
+
+@st.composite
+def feasible_rows(draw):
+    """A single row's problem: load weights W, the others' loads o below
+    each node's capacity 1/W, and a rate below the total residual
+    capacity sum(1/W - o), as a config whose scheduler 0 owns the row and
+    whose scheduler k + 1 puts o_k on node k."""
+    m = draw(st.integers(min_value=2, max_value=12))
+    unit = st.floats(min_value=0.0, max_value=1.0)
+    weights = np.array([10.0 ** draw(st.floats(min_value=-1.0, max_value=2.0))
+                        for _ in range(m)])
+    others = np.array([0.95 * draw(unit) for _ in range(m)]) / weights
+    spare = (1.0 / weights - others).sum()
+    lam_i = spare * draw(st.floats(min_value=0.01, max_value=0.95))
+    config = build_config(
+        nodes=[NodeParams(mu=1.0, mu_prime=0.0, gamma=0.0, beta1=w)
+               for w in weights],
+        schedulers=[SchedulerParams(lam=lam_i)]
+        + [SchedulerParams(lam=o) for o in others],
+        rho=0.5,
+    )
+    return config, Allocation(np.vstack([np.full(m, 1.0 / m), np.eye(m)]))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(feasible_rows())
+def test_numeric_row_matches_closed_form(problem):
+    config, alloc = problem
+    closed = best_response_row(0, alloc, config).row
+    numeric = numeric_best_response(0, alloc, config)
+    assert np.max(np.abs(closed - numeric)) < 1e-4
+    closed_val = objective(alloc.replace_row(0, closed), config)
+    numeric_val = objective(alloc.replace_row(0, numeric), config)
+    assert numeric_val >= closed_val - 1e-9
 
 
 @pytest.mark.parametrize("name", ["table1-table2", "table1-table3"])
