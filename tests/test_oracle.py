@@ -42,8 +42,8 @@ class TestNumericBestResponse:
             assert numeric_val >= closed_val - 1e-6
 
     def test_descent_from_uniform_reaches_optimum_at_full_size(self, table12):
-        # every m descends from the uniform row; m = 15 is the largest
-        # paper instance and must still land on the optimum
+        # every m descends from the uniform row; the full 15 nodes must
+        # still land on the optimum
         alloc = Allocation.uniform(table12.n_schedulers, table12.n_nodes)
         closed = best_response_row(0, alloc, table12)
         numeric = numeric_best_response(0, alloc, table12)
