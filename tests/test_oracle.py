@@ -1,5 +1,8 @@
 """Numeric-minimiser and traffic-simulation oracles."""
 
+from itertools import combinations
+from math import comb
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -17,7 +20,48 @@ from relsched import (
     solve,
     traffic_empirical_rates,
 )
+from relsched.model import others_load_vector
 from relsched.presets import preset
+
+
+def combinations_lattice(m, levels):
+    """Every row with entries in multiples of 1/levels, enumerated one cut
+    set at a time: a brute-force reference for the descent."""
+    points = []
+    for cuts in combinations(range(levels + m - 1), m - 1):
+        prev = -1
+        comp = []
+        for c in cuts:
+            comp.append(c - prev - 1)
+            prev = c
+        comp.append(levels + m - 2 - prev)
+        points.append(comp)
+    return np.array(points, dtype=float) / levels
+
+
+class TestSimplexLattice:
+    @pytest.mark.parametrize("m,levels", [
+        (1, 1), (1, 7), (2, 1), (2, 1000), (3, 1), (3, 445), (4, 81),
+        (5, 35), (6, 23), (6, 2),
+    ])
+    def test_matches_combinations_enumeration(self, m, levels):
+        # on unequal nodes that can each take the whole rate, the descent
+        # must match or beat every point of an exhaustive simplex lattice
+        # of up to ~1e5 rows
+        lattice = combinations_lattice(m, levels)
+        assert lattice.shape == (comb(levels + m - 1, m - 1), m)
+        assert np.allclose(lattice.sum(axis=1), 1.0)
+        mus = [0.02, 0.04, 0.03, 0.015, 0.035, 0.025][:m]
+        config = single_scheduler(mus, 0.009)
+        alloc = Allocation.uniform(1, m)
+        lam_i = config.schedulers[0].lam
+        avail = 1.0 - ((others_load_vector(0, alloc, config)
+                        + lam_i * lattice) * config.load_weights())
+        assert ((avail > 0.0) & (avail <= 1.0)).all()
+        best = np.sum(1.0 / avail, axis=1).min()
+        numeric = numeric_best_response(0, alloc, config)
+        assert numeric.shape == (m,)
+        assert objective(alloc.replace_row(0, numeric), config) <= best + 1e-9
 
 
 class TestNumericBestResponse:
@@ -41,9 +85,9 @@ class TestNumericBestResponse:
             numeric_val = objective(alloc.replace_row(i, numeric), config)
             assert numeric_val >= closed_val - 1e-6
 
-    def test_descent_from_uniform_reaches_optimum_at_full_size(self, table12):
-        # every m descends from the uniform row; the full 15 nodes must
-        # still land on the optimum
+    def test_descent_path_used_beyond_grid_limit(self, table12):
+        # no node count takes a lattice seed any more; the full 15 nodes,
+        # beyond the old grid limit, must still descend to the optimum
         alloc = Allocation.uniform(table12.n_schedulers, table12.n_nodes)
         closed = best_response_row(0, alloc, table12)
         numeric = numeric_best_response(0, alloc, table12)
