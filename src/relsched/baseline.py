@@ -26,7 +26,7 @@ def _balanced_row(i: int, others: np.ndarray, mu: np.ndarray) -> np.ndarray:
     every scheduler except i."""
     # A node saturated by the others gets no share rather than a negative one.
     residual = np.maximum(mu - others, 0.0)
-    total = residual.sum()
+    total = np.add.reduce(residual)
     if total <= 0.0:
         raise AllNodesSaturated(
             f"no node has spare capacity for scheduler {i}"

@@ -27,6 +27,14 @@ and the fraction given to an active node is
 A node receives traffic exactly when alpha is at least theta_j.  A
 nonpositive multiplier denominator means the candidate active set cannot
 absorb the scheduler's whole stream.
+
+Only the sizes with R_d > 1 have a multiplier, and they form a suffix of
+the ranking, found by one binary search (searchsorted) on R.  R is
+monotone: each term (1 - W_j*o_j)/(W_j*lam_i) is positive on a node with
+headroom, and a floating-point running sum of nonnegative terms never
+decreases, since rounding is monotone.  The multipliers are computed on
+that suffix alone.  Nodes the others saturate (no headroom) get an
+infinite marginal, sort last and are cut off before R is formed.
 """
 from __future__ import annotations
 
@@ -64,52 +72,51 @@ def _best_row(i: int, lam_i: float, others: np.ndarray,
     costs O(m log m) whatever the number of schedulers.
     """
     headroom = 1.0 - others * weights
-    usable = np.flatnonzero(headroom > 0.0)
-    if usable.size == 0:
+    usable = headroom > 0.0
+    count = int(np.count_nonzero(usable))
+    if count == 0:
         raise NoFeasibleResponse(
             f"all nodes are saturated by schedulers other than {i}"
         )
-
-    row = np.zeros(others.size)
     if lam_i == 0.0:
         # Objective is flat in this row; spread it uniformly over the
         # usable nodes for a deterministic result.
-        row[usable] = 1.0 / usable.size
-        return row, int(usable.size), 0.0
+        return usable / count, count, 0.0
 
-    marginals = weights[usable] * lam_i / headroom[usable] ** 2
-    sort = np.argsort(marginals, kind="stable")
-    order = usable[sort]
-    theta_sorted = marginals[sort]
+    wl = weights * lam_i
+    if count < others.size:
+        # Saturated nodes sort last on an infinite marginal and are cut off.
+        marginals = np.full(others.size, np.inf)
+        np.divide(wl, headroom ** 2, out=marginals, where=usable)
+    else:
+        marginals = wl / headroom ** 2
+    order = marginals.argsort(kind="stable")[:count]
+    theta_sorted = marginals[order]
+    h_sorted = headroom[order]
+    wl_sorted = wl[order]
+    inv_sqrt_w = (1.0 / np.sqrt(weights[order])).cumsum()
+    spare = (h_sorted / wl_sorted).cumsum()
 
-    w_sorted = weights[order]
-    inv_sqrt_w = (1.0 / np.sqrt(w_sorted)).cumsum()
-    spare = (headroom[order] / (w_sorted * lam_i)).cumsum()
-
-    # Multiplier of every candidate size d = 1..len(order) at once.  A
-    # candidate whose spare capacity cannot absorb the stream
-    # (spare - 1 <= 0) gets -inf and is never accepted.
-    denom = spare - 1.0
-    absorbs = denom > 0.0
-    alphas = np.full(order.size, -np.inf)
-    alphas[absorbs] = (inv_sqrt_w[absorbs] / denom[absorbs]) ** 2 / lam_i
+    # Only sizes whose spare capacity absorbs the stream (spare > 1) have
+    # a multiplier; spare is monotone, so they form a suffix.
+    k = int(spare.searchsorted(1.0, side="right"))
+    alphas = (inv_sqrt_w[k:] / (spare[k:] - 1.0)) ** 2 / lam_i
     # Every fraction is >= 0 iff alpha >= the largest active marginal;
     # equality puts the boundary node at exactly zero and is accepted.
     # The largest accepted size is the water-filling solution.
-    accepted = np.flatnonzero(alphas >= theta_sorted)
+    accepted = (alphas >= theta_sorted[k:]).nonzero()[0]
     if accepted.size == 0:
         raise NoFeasibleResponse(
             f"no active-set size admits a feasible row for scheduler {i}"
         )
-    d = int(accepted[-1]) + 1
-    alpha = float(alphas[d - 1])
-    active = order[:d]
-    w_active = weights[active]
-    vals = (headroom[active] - np.sqrt(w_active * lam_i / alpha)) / (
-        w_active * lam_i)
+    d = k + int(accepted[-1]) + 1
+    alpha = float(alphas[d - 1 - k])
+    wl_active = wl_sorted[:d]
+    vals = (h_sorted[:d] - np.sqrt(wl_active / alpha)) / wl_active
     # Accepted sets guarantee values in [0, 1]; strip a few ulp of
     # rounding noise at the boundaries.
-    row[active] = np.minimum(np.maximum(vals, 0.0), 1.0)
+    row = np.zeros(others.size)
+    row[order[:d]] = np.minimum(np.maximum(vals, 0.0), 1.0)
     return row, d, alpha
 
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import math
 import sys
@@ -159,10 +160,12 @@ def _check_stability(config: SystemConfig) -> None:
 def _source(args) -> dict | None:
     """A --config file parsed once per command; None for a --preset.
 
-    The file's fields and --epsilon are checked here, before any point is
-    solved, so a sweep given a bad value exits 2 instead of flagging every
-    point infeasible.
+    The file's fields, --rho and --epsilon are checked here, before any
+    point is solved, so a sweep given a bad value exits 2 instead of
+    flagging every point infeasible.
     """
+    if args.rho is not None and not 0.0 < args.rho < 1.0:
+        raise ValidationError(f"--rho must be in (0, 1), got {args.rho}")
     if args.epsilon is not None and not args.epsilon >= 0.0:
         raise ValidationError(f"--epsilon must be >= 0, got {args.epsilon}")
     return None if args.preset is not None else _read_config(args.config)
@@ -451,9 +454,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser main() uses, built once per process: parsing reads it
+    and writes every value into a fresh namespace."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except RelschedError as exc:

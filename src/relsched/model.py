@@ -113,8 +113,8 @@ class SchedulerParams:
 @dataclass(frozen=True)
 class Allocation:
     """Task-slicing matrix: entry (i, j) is the fraction of scheduler i's
-    stream sent to node j.  Entries are nonnegative and every row sums to 1
-    within ROW_SUM_TOL; the wrapped array is read-only."""
+    stream sent to node j.  Entries are finite and nonnegative and every
+    row sums to 1 within ROW_SUM_TOL; the wrapped array is read-only."""
 
     entries: np.ndarray
 
@@ -122,10 +122,13 @@ class Allocation:
         entries = np.array(self.entries, dtype=float)
         if entries.ndim != 2:
             raise ValidationError("allocation must be a 2-D matrix")
-        if (entries < 0).any():
-            bad = np.argwhere(entries < 0)[0]
+        # NaN fails the test; an infinite entry fails its row's sum.
+        valid = entries >= 0.0
+        if not valid.all():
+            i, j = np.argwhere(~valid)[0]
             raise ValidationError(
-                f"allocation entry ({bad[0]}, {bad[1]}) is negative"
+                f"allocation entry ({i}, {j}) is {float(entries[i, j])!r}, "
+                "expected a finite number >= 0"
             )
         sums = entries.sum(axis=1)
         off = np.abs(sums - 1.0) > ROW_SUM_TOL
@@ -321,7 +324,7 @@ def objective(alloc, config: SystemConfig) -> float:
 def _objective_of_loads(delta: np.ndarray, weights: np.ndarray) -> float:
     """Objective from the node loads delta_j = sum_i lam_i a_ij; the sweep
     loop calls it directly with the load vector it already holds."""
-    return float(np.sum(1.0 / _nonzero_availability(delta, weights)))
+    return float(np.add.reduce(1.0 / _nonzero_availability(delta, weights)))
 
 
 def others_load_vector(i: int, alloc: Allocation,
@@ -373,18 +376,15 @@ def validate_config(alloc, config: SystemConfig) -> ValidationReport:
     mu = config.service_rates()
     weights = config.load_weights()
 
-    row_bad = tuple(
-        int(i) for i in range(entries.shape[0])
-        if (entries[i] < 0).any()
-        or abs(float(entries[i].sum()) - 1.0) > ROW_SUM_TOL
-    )
+    # Written so that a NaN entry fails both tests.
+    row_ok = (entries >= 0.0).all(axis=1) & (
+        np.abs(entries.sum(axis=1) - 1.0) <= ROW_SUM_TOL)
+    row_bad = tuple(np.flatnonzero(~row_ok).tolist())
     total_ok = float(lam.sum()) < float(mu.sum())
     deltas = entries.T @ lam
-    node_bad = tuple(int(j) for j in np.nonzero(deltas >= mu)[0])
+    node_bad = tuple(np.flatnonzero(deltas >= mu).tolist())
     avail = 1.0 - deltas * weights
-    avail_bad = tuple(
-        int(j) for j in np.nonzero((avail < 0.0) | (avail > 1.0))[0]
-    )
+    avail_bad = tuple(np.flatnonzero((avail < 0.0) | (avail > 1.0)).tolist())
 
     return ValidationReport(checks=(
         CheckResult("row-simplex", not row_bad, row_bad),

@@ -73,15 +73,23 @@ REFERENCE_GAPS = {
     "table1-table3": 0.0094,
 }
 
+
+def _records(phis, mus, rho):
+    """A preset's scheduler and node records, built once at import: they
+    are immutable, so every preset() call shares (a prefix of) them."""
+    return (tuple(SchedulerParams(phi=phi) for phi in phis),
+            tuple(NodeParams.from_rate(mu) for mu in mus), rho)
+
+
 _PRESETS = {
-    # name: (phi table, mu table, default rho)
-    "table1-table2": (TABLE1_PHI, TABLE2_MU, 0.5),
-    "table1-table3": (TABLE1_PHI, TABLE3_MU, 0.5),
-    "table4-table5": (TABLE5_PHI, TABLE4_MU, 0.6),
+    # name: (scheduler records, node records, default rho)
+    "table1-table2": _records(TABLE1_PHI, TABLE2_MU, 0.5),
+    "table1-table3": _records(TABLE1_PHI, TABLE3_MU, 0.5),
+    "table4-table5": _records(TABLE5_PHI, TABLE4_MU, 0.6),
     # The node-sweep text says 15 schedulers while its weight table lists
     # 10; both readings are exposed, with the as-printed table the default.
-    "table6-table7": (TABLE7_PHI, TABLE6_MU, 0.6),
-    "table6-table7-n15": (TABLE5_PHI[:15], TABLE6_MU, 0.6),
+    "table6-table7": _records(TABLE7_PHI, TABLE6_MU, 0.6),
+    "table6-table7-n15": _records(TABLE5_PHI[:15], TABLE6_MU, 0.6),
 }
 
 PRESET_NAMES = tuple(_PRESETS)
@@ -96,20 +104,21 @@ def preset(name: str, rho: float | None = None,
         raise ValidationError(
             f"unknown preset {name!r}; available: {', '.join(PRESET_NAMES)}"
         )
-    phis, mus, default_rho = _PRESETS[name]
+    schedulers, nodes, default_rho = _PRESETS[name]
     if n_schedulers is not None:
-        if not 1 <= n_schedulers <= len(phis):
+        if not 1 <= n_schedulers <= len(schedulers):
             raise ValidationError(
-                f"preset {name} supports 1..{len(phis)} schedulers"
+                f"preset {name} supports 1..{len(schedulers)} schedulers"
             )
-        phis = phis[:n_schedulers]
+        schedulers = schedulers[:n_schedulers]
     if n_nodes is not None:
-        if not 1 <= n_nodes <= len(mus):
-            raise ValidationError(f"preset {name} supports 1..{len(mus)} nodes")
-        mus = mus[:n_nodes]
+        if not 1 <= n_nodes <= len(nodes):
+            raise ValidationError(
+                f"preset {name} supports 1..{len(nodes)} nodes")
+        nodes = nodes[:n_nodes]
     return build_config(
-        nodes=[NodeParams.from_rate(mu) for mu in mus],
-        schedulers=[SchedulerParams(phi=phi) for phi in phis],
+        nodes=nodes,
+        schedulers=schedulers,
         rho=default_rho if rho is None else rho,
         epsilon_threshold=epsilon_threshold,
         max_cycles=max_cycles,

@@ -374,6 +374,38 @@ class TestMainExitCodes:
                      "--epsilon", "-1"]) == 2
         assert capsys.readouterr().err.startswith("error:")
 
+    @pytest.mark.parametrize("rho", ["1.5", "0", "nan"])
+    def test_out_of_range_rho_on_sweep_is_2(self, rho, tmp_path, capsys):
+        # rejected before any point is solved: a sweep that does not vary
+        # rho flagged every point infeasible and exited 0
+        out = tmp_path / "nodes.csv"
+        assert main(["sweep-nodes", "--preset", "table6-table7", "--rho",
+                     rho, "--range", "10:12:1", "--out", str(out)]) == 2
+        assert "--rho" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_parser_reuse_leaks_nothing(self, tmp_path, capsys):
+        """main() builds its parser once per process; what one command
+        parses must not become a default of the next."""
+        assert cli.build_parser() is not cli.build_parser()
+
+        def run(*argv):
+            out = tmp_path / "out.csv"
+            assert main([*argv, "--out", str(out)]) == 0
+            return capsys.readouterr().out, out.read_bytes()
+
+        compare = ("compare", "--preset", "table1-table2")
+        fairness = ("fairness", "--preset", "table1-table2",
+                    "--range", "0.4:0.5:0.1")
+        first = run(*compare), run(*fairness)
+        run(*compare, "--rho", "0.3", "--epsilon", "1e-9",
+            "--bsa-single-pass")
+        run("fairness", "--preset", "table6-table7", "--vary", "nodes",
+            "--range", "10:11:1", "--rho", "0.3")
+        run("sweep-nodes", "--preset", "table6-table7", "--range", "10:11:1",
+            "--epsilon", "1e-9")
+        assert (run(*compare), run(*fairness)) == first
+
     def test_compare_writes_default_artifact(self, tmp_path, monkeypatch,
                                              capsys):
         monkeypatch.chdir(tmp_path)

@@ -2,13 +2,16 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from relsched import (
     Allocation,
+    AvailabilityOutOfRange,
     NodeParams,
     NotConverged,
     SchedulerParams,
     best_response_row,
+    bsa_solve,
     build_config,
     node_arrivals,
     objective,
@@ -147,3 +150,64 @@ class TestObjectiveAllSchedulers:
         )
         assert objective_all_schedulers(Allocation.uniform(2, 3), config) == \
             [3.0, 3.0]
+
+
+@st.composite
+def instances(draw, feasible=True):
+    """1-12 schedulers on 1-15 nodes with processing rates in [0.005, 0.1]
+    and the default node fields.  A feasible instance offers 1-95 % of
+    what the uniform start can carry, m * min_j 1/W_j, so both solvers
+    start inside the feasible set.  An infeasible one offers 1.001-3
+    times the whole capacity sum_j 1/W_j, more than any allocation can
+    place (the margin keeps rounding from landing the total on the
+    feasible side)."""
+    n = draw(st.integers(min_value=1, max_value=12))
+    m = draw(st.integers(min_value=1, max_value=15))
+    nodes = [NodeParams.from_rate(mu) for mu in draw(st.lists(
+        st.floats(min_value=0.005, max_value=0.1), min_size=m, max_size=m))]
+    shares = np.array(draw(st.lists(
+        st.floats(min_value=0.1, max_value=1.0), min_size=n, max_size=n)))
+    capacity = 1.0 / np.array([node.load_weight for node in nodes])
+    if feasible:
+        total = draw(st.floats(min_value=0.01, max_value=0.95)) * (
+            m * capacity.min())
+    else:
+        total = draw(st.floats(min_value=1.001, max_value=3.0)) * (
+            capacity.sum())
+    rates = total * shares / shares.sum()
+    return build_config(
+        nodes=nodes,
+        schedulers=[SchedulerParams(lam=float(lam)) for lam in rates],
+        rho=0.5,
+    )
+
+
+class TestSolverProperties:
+    """Both solvers on random instances: the game's loads are optimal (one
+    marginal W_j/A_j**2 on every loaded node), the baseline does no better,
+    and both place the whole stream."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(instances())
+    def test_feasible_instance(self, config):
+        game, balanced = solve(config), bsa_solve(config)
+        # Where the baseline also reaches the optimum (twin nodes, say),
+        # the game's closed-form rows can sit a few ulp off it: 2 nodes
+        # gave 4.000000000000002 against 4.0.
+        assert game.objective <= balanced.objective * (1.0 + 1e-12)
+        total = float(config.arrival_rates().sum())
+        for report in (game, balanced):
+            loads = node_arrivals(report.allocation, config)
+            assert abs(float(loads.sum()) - total) <= 1e-9 * total
+        weights = config.load_weights()
+        loads = node_arrivals(game.allocation, config)
+        marginal = (weights / (1.0 - loads * weights) ** 2)[loads > 0.0]
+        assert (marginal.max() - marginal.min()) / marginal.min() <= 1e-9
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(instances(feasible=False))
+    def test_infeasible_instance_raises(self, config):
+        # The uniform start already overloads the node of least 1/W_j.
+        for run in (solve, bsa_solve):
+            with pytest.raises(AvailabilityOutOfRange):
+                run(config)

@@ -79,6 +79,11 @@ class TestAllocation:
         with pytest.raises(ValidationError):
             Allocation(np.array([[1.5, -0.5]]))
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_entries(self, value):
+        with pytest.raises(ValidationError):
+            Allocation(np.array([[value, 1.0]]))
+
     def test_row_sum_tolerance(self):
         Allocation(np.array([[0.5, 0.5 + 5e-10]]))
         with pytest.raises(ValidationError):
@@ -335,6 +340,13 @@ class TestValidateConfig:
         report = validate_config(np.array([[0.6, 0.6]]), two_node_config)
         by_name = {c.name: c for c in report.checks}
         assert not by_name["row-simplex"].passed
+        assert by_name["row-simplex"].offending == (0,)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_row_flagged(self, two_node_config, value):
+        report = validate_config(np.array([[value, 1.0]]), two_node_config)
+        by_name = {c.name: c for c in report.checks}
+        assert not report.all_passed
         assert by_name["row-simplex"].offending == (0,)
 
     def test_overloaded_node_flagged_with_index(self):

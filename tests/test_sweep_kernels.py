@@ -6,11 +6,15 @@ the plain versions it replaced: a descending scalar search over active-set
 sizes, and a sweep that recomputes every load for every row.
 """
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from relsched import (
     PRESET_NAMES,
+    AllNodesSaturated,
     Allocation,
     AvailabilityOutOfRange,
     NodeParams,
@@ -243,6 +247,55 @@ class TestActiveSetSearch:
         weights = np.array([0.25])
         others = np.array([3.0])  # spare capacity exactly 1: degenerate
         assert assert_same_response(1.0, others, weights) is None
+
+
+@st.composite
+def row_problems(draw):
+    """One row of 1-40 nodes: load weights spread over a decade, headroom
+    1 - W_j*o_j that is positive except on a random set of nodes the other
+    schedulers saturate (headroom exactly zero or negative), and a rate
+    from zero to a quarter beyond what the usable nodes can absorb,
+    including exactly what they can."""
+    m = draw(st.integers(min_value=1, max_value=40))
+    weights = np.array(draw(st.lists(
+        st.floats(min_value=25.0, max_value=250.0), min_size=m, max_size=m)))
+    headroom = np.array(draw(st.lists(
+        st.floats(min_value=1e-6, max_value=1.0), min_size=m, max_size=m)))
+    saturated = sorted(draw(st.sets(st.integers(min_value=0,
+                                                max_value=m - 1))))
+    headroom[saturated] = draw(st.sampled_from([0.0, -0.25]))
+    others = (1.0 - headroom) / weights
+    capacity = float(np.sum(np.maximum(1.0 - others * weights, 0.0)
+                            / weights))
+    share = draw(st.sampled_from([None, 1.0, 0.0]))
+    if share is None:
+        share = draw(st.floats(min_value=1e-9, max_value=1.25))
+    return share * capacity, others, weights
+
+
+class TestRowKernelProperties:
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(row_problems())
+    def test_best_row_matches_loop(self, problem):
+        assert_same_response(*problem)
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(row_problems())
+    def test_balanced_row_is_the_plain_formula(self, problem):
+        """max(mu - others, 0) / its sum, with the sum taken exactly."""
+        _, others, weights = problem
+        mu = 1.0 / weights
+        residual = [max(a - b, 0.0) for a, b in zip(mu.tolist(),
+                                                   others.tolist())]
+        total = math.fsum(residual)
+        if total <= 0.0:
+            with pytest.raises(AllNodesSaturated):
+                _balanced_row(0, others, mu)
+            return
+        row = _balanced_row(0, others, mu)
+        expected = np.array(residual) / total
+        assert (row == 0.0).tolist() == (expected == 0.0).tolist()
+        np.testing.assert_allclose(row, expected, rtol=1e-14, atol=0.0)
 
 
 class TestSweepLoop:
