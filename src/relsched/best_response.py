@@ -84,12 +84,9 @@ def _best_row(i: int, lam_i: float, others: np.ndarray,
         return usable / count, count, 0.0
 
     wl = weights * lam_i
-    if count < others.size:
-        # Saturated nodes sort last on an infinite marginal and are cut off.
-        marginals = np.full(others.size, np.inf)
-        np.divide(wl, headroom ** 2, out=marginals, where=usable)
-    else:
-        marginals = wl / headroom ** 2
+    # Saturated nodes sort last on an infinite marginal and are cut off.
+    marginals = np.full(others.size, np.inf)
+    np.divide(wl, headroom ** 2, out=marginals, where=usable)
     order = marginals.argsort(kind="stable")[:count]
     theta_sorted = marginals[order]
     h_sorted = headroom[order]

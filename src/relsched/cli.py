@@ -35,6 +35,7 @@ from .model import (
     SchedulerParams,
     SystemConfig,
     build_config,
+    check_rho,
     node_arrivals,
     validate_config,
 )
@@ -164,8 +165,8 @@ def _source(args) -> dict | None:
     point is solved, so a sweep given a bad value exits 2 instead of
     flagging every point infeasible.
     """
-    if args.rho is not None and not 0.0 < args.rho < 1.0:
-        raise ValidationError(f"--rho must be in (0, 1), got {args.rho}")
+    if args.rho is not None:
+        check_rho(args.rho, "--rho")
     if args.epsilon is not None and not args.epsilon >= 0.0:
         raise ValidationError(f"--epsilon must be >= 0, got {args.epsilon}")
     return None if args.preset is not None else _read_config(args.config)

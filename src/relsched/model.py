@@ -39,6 +39,12 @@ def _require_finite(params) -> None:
             raise ValidationError(f"{name} must be finite, got {value}")
 
 
+def check_rho(rho: float, name: str = "rho") -> None:
+    """Reject an overall system load outside the open interval (0, 1)."""
+    if not 0.0 < rho < 1.0:
+        raise ValidationError(f"{name} must be in (0, 1), got {rho}")
+
+
 @dataclass(frozen=True)
 class NodeParams:
     """Queueing and reliability parameters of one compute node.
@@ -183,8 +189,7 @@ class SystemConfig:
             raise ValidationError("at least one node required")
         if len(self.schedulers) < 1:
             raise ValidationError("at least one scheduler required")
-        if not 0.0 < self.rho < 1.0:
-            raise ValidationError(f"rho must be in (0, 1), got {self.rho}")
+        check_rho(self.rho)
         if self.max_cycles < 1:
             raise ValidationError("max_cycles must be >= 1")
         if not self.epsilon_threshold >= 0.0:
@@ -239,8 +244,7 @@ def derive_lambdas(schedulers, nodes, rho: float) -> list[float]:
     The relative weights are applied as given; they are not normalised to
     sum to 1.
     """
-    if not 0.0 < rho < 1.0:
-        raise ValidationError(f"rho must be in (0, 1), got {rho}")
+    check_rho(rho)
     total_mu = float(sum(node.mu for node in nodes))
     return [s.phi * rho * total_mu for s in schedulers]
 
