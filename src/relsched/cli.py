@@ -247,6 +247,8 @@ def parse_range(text: str) -> tuple[float, float, float]:
         lo, hi, step = (float(p) for p in parts)
     except ValueError as exc:
         raise ValidationError(f"range must be numeric, got {text!r}") from exc
+    if not all(math.isfinite(v) for v in (lo, hi, step)):
+        raise ValidationError(f"range must be finite, got {text!r}")
     if hi < lo:
         raise ValidationError(f"range upper bound below lower: {text!r}")
     return lo, hi, step

@@ -2,12 +2,13 @@
 
 Starting from the uniform allocation, schedulers take turns replacing
 their row with the closed-form best response, each update visible to the
-next scheduler within the same sweep.  The sweep loop keeps the node load
-vector current by a rank-1 update after each row and resynchronises it
-exactly once per sweep, so a sweep costs O(n*m log m) rather than
-recomputing every load for every row.  The loop stops when the objective
-changes by no more than the configured threshold between sweeps.  At least
-one sweep always runs.
+next scheduler within the same sweep.  The sweep keeps the node load
+vector current by a rank-1 update after each row, and the loop around it
+resynchronises the loads exactly once per sweep, so a sweep costs
+O(n*m log m) rather than recomputing every load for every row.  The loop
+stops when the objective changes by no more than the configured threshold
+between sweeps.  At least one sweep always runs.  The balanced baseline
+runs the same loop with a sweep of its own (see baseline.py).
 """
 
 from __future__ import annotations
@@ -51,19 +52,49 @@ def fixed_point_iteration(config: SystemConfig, respond,
 
     others is the per-node load of every scheduler except i.  Rows are
     written back immediately, so later schedulers in a sweep see earlier
-    updates.  The loop holds the node load vector itself and keeps it
-    current with one rank-1 update per row, so a sweep costs n row kernels
-    plus O(n*m).  It recomputes the loads exactly once per sweep, which
-    also gives that sweep's objective, so rounding drift never outlives a
-    sweep.  Raises NotConverged (with the partial report) when the cycle
-    cap is hit first.
+    updates.  Each sweep is run by _row_sweep; the convergence test, the
+    cycle cap and the report are those of _sweep_until_stable.
+    """
+    return _sweep_until_stable(config, _row_sweep(respond, config),
+                               initial, single_pass)
+
+
+def _row_sweep(respond, config: SystemConfig):
+    """A sweep(entries, delta) that replaces the rows one at a time.
+
+    It holds the node load vector, starting from the sweep's delta, and
+    keeps it current with one rank-1 update per row, so a sweep costs n
+    row kernels plus O(n*m).
+    """
+    rates = config.arrival_rates().tolist()
+
+    def sweep(entries: np.ndarray, delta: np.ndarray) -> None:
+        for i, lam_i in enumerate(rates):
+            others = delta - lam_i * entries[i]
+            row = respond(i, lam_i, others)
+            entries[i] = row
+            delta = others + lam_i * row
+
+    return sweep
+
+
+def _sweep_until_stable(config: SystemConfig, sweep,
+                        initial: Allocation | None,
+                        single_pass: bool) -> EquilibriumReport:
+    """The one convergence loop of both solvers.
+
+    sweep(entries, delta) advances every row of entries in place by one
+    sweep, given the node loads delta = entries.T @ lam at its start.  The
+    loop recomputes the loads exactly once per sweep, which also gives that
+    sweep's objective, so rounding drift never outlives a sweep.  Raises
+    NotConverged (with the partial report) when the cycle cap is hit first.
     """
     n, m = config.n_schedulers, config.n_nodes
     if initial is None:
-        initial = Allocation.uniform(n, m)
-    entries = np.array(initial.entries)
+        entries = np.full((n, m), 1.0 / m)
+    else:
+        entries = np.array(initial.entries)
     lam = config.arrival_rates()
-    rates = lam.tolist()
     weights = config.load_weights()
 
     delta = entries.T @ lam
@@ -72,11 +103,7 @@ def fixed_point_iteration(config: SystemConfig, respond,
     cycles = 0
     while True:
         former = latter
-        for i, lam_i in enumerate(rates):
-            others = delta - lam_i * entries[i]
-            row = respond(i, lam_i, others)
-            entries[i] = row
-            delta = others + lam_i * row
+        sweep(entries, delta)
         cycles += 1
         delta = entries.T @ lam
         latter = _objective_of_loads(delta, weights)

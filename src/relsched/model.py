@@ -200,6 +200,12 @@ class SystemConfig:
                 raise ValidationError(
                     f"scheduler {i} has no arrival rate; derive it first"
                 )
+        # Built once: every solver, check and objective reads them.
+        # dataclasses.replace runs __post_init__ again, so they follow it.
+        _freeze_array(self, "_lam", [s.lam for s in self.schedulers])
+        _freeze_array(self, "_mu", [node.mu for node in self.nodes])
+        _freeze_array(self, "_weights",
+                      [node.load_weight for node in self.nodes])
 
     @property
     def n_nodes(self) -> int:
@@ -210,13 +216,23 @@ class SystemConfig:
         return len(self.schedulers)
 
     def arrival_rates(self) -> np.ndarray:
-        return np.array([s.lam for s in self.schedulers], dtype=float)
+        """lam_i of every scheduler, as a read-only array."""
+        return self._lam
 
     def service_rates(self) -> np.ndarray:
-        return np.array([node.mu for node in self.nodes], dtype=float)
+        """mu_j of every node, as a read-only array."""
+        return self._mu
 
     def load_weights(self) -> np.ndarray:
-        return np.array([node.load_weight for node in self.nodes], dtype=float)
+        """W_j of every node, as a read-only array."""
+        return self._weights
+
+
+def _freeze_array(owner, name: str, values) -> None:
+    """Attach values to a frozen instance as a read-only float array."""
+    array = np.array(values, dtype=float)
+    array.setflags(write=False)
+    object.__setattr__(owner, name, array)
 
 
 @dataclass(frozen=True)

@@ -81,7 +81,10 @@ class TestParseRange:
     def test_parses_triplet(self):
         assert parse_range("0.1:0.9:0.1") == (0.1, 0.9, 0.1)
 
-    @pytest.mark.parametrize("text", ["0.1:0.9", "a:b:c", "0.9:0.1:0.1"])
+    @pytest.mark.parametrize("text", [
+        "0.1:0.9", "a:b:c", "0.9:0.1:0.1",
+        "nan:0.5:0.1", "0.1:inf:0.1", "0.1:0.5:nan", "-inf:0.5:0.1",
+    ])
     def test_rejects_malformed(self, text):
         with pytest.raises(ValidationError):
             parse_range(text)
@@ -368,6 +371,16 @@ class TestMainExitCodes:
         assert main(argv) == 2
         assert "epsilon" in capsys.readouterr().err
         assert not (tmp_path / "out.csv").exists()
+
+    @pytest.mark.parametrize("text", ["nan:0.5:0.1", "0.1:inf:0.1",
+                                      "0.1:0.5:nan"])
+    def test_non_finite_range_is_2(self, text, tmp_path, capsys):
+        # each used to end in a ValueError or OverflowError traceback
+        out = tmp_path / "out.csv"
+        assert main(["sweep-load", "--preset", "table1-table2",
+                     "--range", text, "--out", str(out)]) == 2
+        assert "range must be finite" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_negative_epsilon_on_preset_is_2(self, capsys):
         assert main(["solve", "--preset", "table1-table2",

@@ -1,5 +1,7 @@
 """Formula-level tests: frozen hand-computed values plus model invariants."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -142,6 +144,31 @@ class TestSystemConfig:
     def test_zero_epsilon_threshold_allowed(self):
         assert preset("table1-table2", epsilon_threshold=0.0
                       ).epsilon_threshold == 0.0
+
+    def test_rate_arrays_are_read_only_per_record_values(self, table12):
+        arrays = {
+            "arrival_rates": [s.lam for s in table12.schedulers],
+            "service_rates": [node.mu for node in table12.nodes],
+            "load_weights": [node.load_weight for node in table12.nodes],
+        }
+        for method, expected in arrays.items():
+            array = getattr(table12, method)()
+            assert array.dtype == float
+            assert array.tolist() == expected
+            assert getattr(table12, method)() is array
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 0.0
+
+    def test_rate_arrays_follow_replace(self, table12):
+        nodes = table12.nodes[:3]
+        schedulers = (SchedulerParams(lam=0.001), SchedulerParams(lam=0.002))
+        changed = dataclasses.replace(table12, nodes=nodes,
+                                      schedulers=schedulers)
+        assert changed.arrival_rates().tolist() == [0.001, 0.002]
+        assert changed.service_rates().tolist() == [n.mu for n in nodes]
+        assert changed.load_weights().tolist() == [
+            n.load_weight for n in nodes]
+        assert not changed.load_weights().flags.writeable
 
 
 def with_rates(config, lambdas):

@@ -3,10 +3,12 @@
 The solvers keep the node load vector current by rank-1 updates and search
 the active set in one vectorised pass.  These tests hold that machinery to
 the plain versions it replaced: a descending scalar search over active-set
-sizes, and a sweep that recomputes every load for every row.
+sizes, and a sweep that recomputes every load for every row.  The balanced
+baseline's prefix-scan sweep is held to the row-by-row sweep it replaces.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -20,6 +22,7 @@ from relsched import (
     NodeParams,
     NoFeasibleResponse,
     NotConverged,
+    RelschedError,
     SchedulerParams,
     bsa_solve,
     build_config,
@@ -27,6 +30,7 @@ from relsched import (
     objective,
     solve,
 )
+from relsched import baseline
 from relsched.baseline import _balanced_row
 from relsched.best_response import _best_row
 from relsched.equilibrium import fixed_point_iteration
@@ -353,6 +357,116 @@ class TestSweepLoop:
                                 single_pass=True)
         assert got.value.node == want.value.node == 1
         assert got.value.value == pytest.approx(want.value.value, rel=1e-12)
+
+
+@st.composite
+def balanced_instances(draw):
+    """1-12 schedulers, some with rate zero, on 1-10 nodes whose W_j*mu_j
+    is 1.0001, 1.05, 1.5 or 3, carrying up to 97 % of the largest total
+    rate the uniform start keeps feasible, m * min_j 1/W_j (so also at
+    most 97 % of the pool's capacity sum_j 1/W_j)."""
+    m = draw(st.integers(min_value=1, max_value=10))
+    n = draw(st.integers(min_value=1, max_value=12))
+    mu = np.array(draw(st.lists(st.floats(min_value=0.005, max_value=0.1),
+                                min_size=m, max_size=m)))
+    ratio = np.array(draw(st.lists(st.sampled_from([1.0001, 1.05, 1.5, 3.0]),
+                                   min_size=m, max_size=m)))
+    share = np.array(draw(st.lists(
+        st.one_of(st.just(0.0), st.floats(min_value=0.01, max_value=1.0)),
+        min_size=n, max_size=n)))
+    utilisation = draw(st.floats(min_value=0.01, max_value=0.97))
+    if share.sum() > 0.0:
+        share *= utilisation * m * np.min(mu / ratio) / share.sum()
+    return build_config(
+        nodes=[NodeParams(mu=float(a), mu_prime=0.0, gamma=0.0,
+                          beta1=float(b / a)) for a, b in zip(mu, ratio)],
+        schedulers=[SchedulerParams(lam=float(x)) for x in share],
+        rho=0.5,
+    )
+
+
+def assert_balanced_matches_rows(config, single_pass=False):
+    """bsa_solve against the per-row reference loop: the same cycles and
+    loads within LOAD_RTOL, or the same error from both."""
+    try:
+        report = bsa_solve(config, single_pass=single_pass)
+    except RelschedError as exc:
+        with pytest.raises(type(exc)):
+            reference_iteration(config, balanced_response(config),
+                                single_pass=single_pass)
+        return None
+    entries, trace = reference_iteration(config, balanced_response(config),
+                                         single_pass=single_pass)
+    assert report.cycles == len(trace)
+    np.testing.assert_allclose(
+        node_arrivals(report.allocation, config),
+        entries.T @ config.arrival_rates(), rtol=LOAD_RTOL, atol=0.0)
+    return report
+
+
+def underflow_config():
+    """600 schedulers on 4 equal nodes with W*mu = 1.00001 at 99.999 % of
+    capacity: the scan's running product of s/(s + lam_i) falls to about
+    exp(-2660), far below the smallest double."""
+    capacity = 4 / 1.00001
+    return build_config(
+        nodes=[NodeParams(mu=1.0, mu_prime=0.0, gamma=0.0, beta1=1.00001)] * 4,
+        schedulers=[SchedulerParams(lam=0.99999 * capacity / 600)] * 600,
+        rho=0.5,
+    )
+
+
+def count_balanced_rows(monkeypatch):
+    calls = []
+
+    def counted(i, others, mu):
+        calls.append(i)
+        return _balanced_row(i, others, mu)
+
+    monkeypatch.setattr(baseline, "_balanced_row", counted)
+    return calls
+
+
+class TestBalancedScan:
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(balanced_instances(), st.booleans())
+    def test_matches_row_by_row_sweeps(self, config, single_pass):
+        assert_balanced_matches_rows(config, single_pass)
+
+    @pytest.mark.parametrize("name", SWEEP_CASES)
+    def test_unsaturated_sweeps_make_no_row_calls(self, name, monkeypatch):
+        calls = count_balanced_rows(monkeypatch)
+        assert bsa_solve(sweep_config(name)).cycles >= 1
+        assert calls == []
+
+    def test_saturating_start_runs_row_by_row(self, monkeypatch):
+        """W*mu = 0.8 on node 1: the uniform start loads it with 0.22,
+        beyond its service rate 0.2 but inside its availability range."""
+        config = build_config(
+            nodes=[NodeParams(mu=1.0, mu_prime=0.0, gamma=0.0, beta1=0.1),
+                   NodeParams(mu=0.2, mu_prime=0.0, gamma=0.0, beta1=4.0)],
+            schedulers=[SchedulerParams(lam=0.22)] * 2,
+            rho=0.5,
+        )
+        calls = count_balanced_rows(monkeypatch)
+        assert assert_balanced_matches_rows(config, single_pass=True)
+        assert calls == [0, 1]
+
+    def test_underflowing_product_runs_row_by_row(self, monkeypatch):
+        config = underflow_config()
+        lam = config.arrival_rates()
+        spare = config.service_rates() - lam.sum() / config.n_nodes
+        assert (spare > 0.0).all()
+        s = spare.sum()
+        assert np.sum(np.log(s / (s + lam))) < -2000.0
+        calls = count_balanced_rows(monkeypatch)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = assert_balanced_matches_rows(config)
+        assert len(calls) == config.n_schedulers
+        assert report.cycles == 1
+        assert report.objective == pytest.approx(400000.0000151431,
+                                                 rel=1e-9)
 
 
 def overload_config(lam):
