@@ -16,7 +16,6 @@ import functools
 import json
 import math
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -35,14 +34,18 @@ from .model import (
     SchedulerParams,
     SystemConfig,
     build_config,
+    check_epsilon,
+    check_max_cycles,
     check_rho,
     node_arrivals,
     validate_config,
 )
-from .presets import PRESET_NAMES, preset
+from .presets import _PRESETS, PRESET_NAMES
 
 _CSV_DIGITS = ".12g"
 _SUMMARY_DIGITS = ".6g"
+# The paper's sweeps have at most 16 points; far more means a typo'd step.
+_MAX_SWEEP_POINTS = 10_000
 
 # Swept variable -> (CSV column, default LO:HI:STEP).
 VARY = {
@@ -53,12 +56,12 @@ VARY = {
 
 
 def _read_config(path) -> dict:
-    """Parse a JSON instance file into build_config keyword arguments.
+    """Parse a JSON instance file into build_config keyword arguments:
+    nodes, schedulers and rho, plus epsilon_threshold and max_cycles if set.
 
     Every value is type-checked here: numbers must be finite and not
     booleans, and a JSON null is rejected like any other wrong type.
-    Feasibility is left to the caller, which may first override the load
-    or truncate the instance.
+    Ranges and feasibility are left to _source and _instance.
     """
     path = Path(path)
     try:
@@ -75,6 +78,7 @@ def _read_config(path) -> dict:
         raise ParseError(f"{path}: top level must be an object")
 
     def field(obj, key, where, kinds=(int, float)):
+        """obj[key] type-checked, a number as a float; None if absent."""
         if key not in obj:
             return None
         value = obj[key]
@@ -82,7 +86,7 @@ def _read_config(path) -> dict:
             raise ParseError(f"{path}: field {key!r} of {where} has wrong type")
         if isinstance(value, float) and not math.isfinite(value):
             raise ParseError(f"{path}: field {key!r} of {where} is not finite")
-        return value
+        return float(value) if kinds == (int, float) else value
 
     rho = field(raw, "rho", "config")
     if rho is None:
@@ -102,7 +106,7 @@ def _read_config(path) -> dict:
         if mu is None:
             raise ParseError(f"{path}: node {k} is missing 'mu'")
         nodes.append(NodeParams.from_rate(
-            float(mu),
+            mu,
             mu_prime=field(entry, "mu_prime", f"node {k}"),
             gamma=field(entry, "gamma", f"node {k}"),
             beta1=field(entry, "beta1", f"node {k}"),
@@ -113,25 +117,14 @@ def _read_config(path) -> dict:
         if not isinstance(entry, dict):
             raise ParseError(f"{path}: scheduler {k} must be an object")
         phi = field(entry, "phi", f"scheduler {k}") or 0.0
-        lam = field(entry, "lambda", f"scheduler {k}")
-        if lam is None:
-            lam = field(entry, "lam", f"scheduler {k}")
-        schedulers.append(SchedulerParams(
-            phi=float(phi), lam=None if lam is None else float(lam)
-        ))
+        lam = field(entry, "lambda" if "lambda" in entry else "lam",
+                    f"scheduler {k}")
+        schedulers.append(SchedulerParams(phi=phi, lam=lam))
 
-    epsilon = field(raw, "epsilon_threshold", "config")
-    if epsilon is not None and epsilon < 0:
-        raise ValidationError(
-            f"{path}: field 'epsilon_threshold' of config must be >= 0")
-    max_cycles = field(raw, "max_cycles", "config", int)
-    return dict(
-        nodes=tuple(nodes),
-        schedulers=tuple(schedulers),
-        rho=float(rho),
-        epsilon_threshold=1e-6 if epsilon is None else float(epsilon),
-        max_cycles=1000 if max_cycles is None else max_cycles,
-    )
+    records = dict(nodes=tuple(nodes), schedulers=tuple(schedulers), rho=rho,
+                   epsilon_threshold=field(raw, "epsilon_threshold", "config"),
+                   max_cycles=field(raw, "max_cycles", "config", int))
+    return {key: value for key, value in records.items() if value is not None}
 
 
 def load_config(path) -> SystemConfig:
@@ -158,54 +151,60 @@ def _check_stability(config: SystemConfig) -> None:
                               report=report)
 
 
-def _source(args) -> dict | None:
-    """A --config file parsed once per command; None for a --preset.
+def _source(args) -> dict:
+    """The records every point of a command starts from, read once: the
+    preset's or the file's build_config arguments, with --rho and
+    --epsilon in place of the values they override.
 
-    The file's fields, --rho and --epsilon are checked here, before any
-    point is solved, so a sweep given a bad value exits 2 instead of
-    flagging every point infeasible.
+    The values every point shares are range-checked here, before any point
+    is solved, so a sweep given a bad one exits 2 instead of flagging every
+    point infeasible.  A sweep over rho replaces rho at every point, so
+    only an explicit --rho is checked then.
     """
+    if args.preset is not None:
+        schedulers, nodes, rho = _PRESETS[args.preset]
+        source = dict(nodes=nodes, schedulers=schedulers, rho=rho)
+    else:
+        source = _read_config(args.config)
     if args.rho is not None:
         check_rho(args.rho, "--rho")
-    if args.epsilon is not None and not args.epsilon >= 0.0:
-        raise ValidationError(f"--epsilon must be >= 0, got {args.epsilon}")
-    return None if args.preset is not None else _read_config(args.config)
+        source["rho"] = args.rho
+    elif getattr(args, "vary", None) != "rho":
+        check_rho(source["rho"])
+    if args.epsilon is not None:
+        check_epsilon(args.epsilon, "--epsilon")
+        source["epsilon_threshold"] = args.epsilon
+    elif "epsilon_threshold" in source:
+        check_epsilon(source["epsilon_threshold"])
+    if "max_cycles" in source:
+        check_max_cycles(source["max_cycles"])
+    return source
 
 
-def _instance(args, source: dict | None, rho: float | None = None,
+def _instance(args, source: dict, rho: float | None = None,
               schedulers: int | None = None,
               nodes: int | None = None) -> SystemConfig:
-    """The instance at one point, with --rho, --epsilon and the point's
-    value applied and its stability checked once.
+    """The instance at one point: the source cut to its first n schedulers
+    or m nodes (fewer than one or more than it holds is a ValidationError),
+    at the point's rho, built and checked for stability once.
 
     A config file keeps its own rates when nothing is overridden.
-    Otherwise every scheduler with a positive relative weight has its rate
-    re-derived from that weight; a scheduler given only a direct rate
-    keeps it.  A file is truncated to its first n schedulers or m nodes,
-    and asking for fewer than one or more than the file holds is a
-    ValidationError, as it is for a preset.
+    Otherwise a scheduler with a positive relative weight has its rate
+    re-derived from it; one given only a direct rate keeps that rate.
     """
-    rho = args.rho if rho is None else rho
-    if source is None:
-        config = preset(args.preset, rho=rho, n_schedulers=schedulers,
-                        n_nodes=nodes)
-    else:
-        kwargs = dict(source)
-        for key, count in (("nodes", nodes), ("schedulers", schedulers)):
-            if count is None:
-                continue
-            if not 1 <= count <= len(kwargs[key]):
-                raise ValidationError(
-                    f"config file supports 1..{len(kwargs[key])} {key}")
-            kwargs[key] = kwargs[key][:count]
-        if (rho, args.epsilon, schedulers, nodes) != (None,) * 4:
-            kwargs["schedulers"] = [SchedulerParams(phi=s.phi) if s.phi > 0
-                                    else s for s in kwargs["schedulers"]]
-        if rho is not None:
-            kwargs["rho"] = rho
-        config = build_config(**kwargs)
-    if args.epsilon is not None:
-        config = replace(config, epsilon_threshold=args.epsilon)
+    records = dict(source)
+    for key, count in (("schedulers", schedulers), ("nodes", nodes)):
+        if count is not None and not 1 <= count <= len(records[key]):
+            raise ValidationError(
+                f"instance supports 1..{len(records[key])} {key}")
+        records[key] = records[key][:count]
+    if rho is not None:
+        records["rho"] = rho
+    if (args.rho, args.epsilon, rho, schedulers, nodes) != (None,) * 5:
+        records["schedulers"] = [
+            SchedulerParams(phi=s.phi) if s.phi > 0 and s.lam is not None
+            else s for s in records["schedulers"]]
+    config = build_config(**records)
     _check_stability(config)
     return config
 
@@ -228,9 +227,16 @@ def write_csv(path, header, rows) -> Path:
 
 
 def _sweep_values(sweep_range, integer: bool) -> list:
+    """Points of an inclusive LO:HI:STEP range, whole numbers if integer."""
     lo, hi, step = sweep_range
     if step <= 0:
         raise ValidationError(f"sweep step must be positive, got {step}")
+    if integer and not all(float(v).is_integer() for v in sweep_range):
+        raise ValidationError(
+            f"a count sweep needs whole numbers, got {lo:g}:{hi:g}:{step:g}")
+    if (hi - lo) / step >= _MAX_SWEEP_POINTS:
+        raise ValidationError(
+            f"sweep range has more than {_MAX_SWEEP_POINTS} points")
     count = int(round((hi - lo) / step))
     values = [round(lo + k * step, 12) for k in range(count + 1)]
     values = [v for v in values if v <= hi + 1e-12]
@@ -362,6 +368,8 @@ def _cmd_oracle_check(args) -> int:
     if not (math.isfinite(args.horizon) and args.horizon > 0):
         raise ValidationError(
             f"horizon must be positive and finite, got {args.horizon}")
+    if args.seed < 0:
+        raise ValidationError(f"seed must be >= 0, got {args.seed}")
     config = _instance(args, _source(args))
     report = equilibrium.solve(config)
     ok, worst = oracle.nash_check(report.allocation, config)
@@ -445,7 +453,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--rho", type=float, default=None,
                        help="override the system load")
         p.add_argument("--epsilon", type=float, default=None,
-                       help="convergence threshold (default 1e-6)")
+                       help="convergence threshold (default "
+                            f"{SystemConfig.epsilon_threshold:g})")
         p.add_argument("--out", metavar="PATH", default=None,
                        help="CSV output path"
                             + (f" (default {artifact})" if artifact else ""))

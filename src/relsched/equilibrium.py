@@ -45,26 +45,15 @@ class EquilibriumReport:
     converged: bool
 
 
-def fixed_point_iteration(config: SystemConfig, respond,
-                          initial: Allocation | None = None,
-                          single_pass: bool = False) -> EquilibriumReport:
-    """Shared sweep loop: respond(i, lam_i, others) -> new row for scheduler i.
+def _row_sweep(respond, config: SystemConfig):
+    """A sweep(entries, delta) that replaces the rows one at a time with
+    respond(i, lam_i, others), the new row of scheduler i.
 
     others is the per-node load of every scheduler except i.  Rows are
     written back immediately, so later schedulers in a sweep see earlier
-    updates.  Each sweep is run by _row_sweep; the convergence test, the
-    cycle cap and the report are those of _sweep_until_stable.
-    """
-    return _sweep_until_stable(config, _row_sweep(respond, config),
-                               initial, single_pass)
-
-
-def _row_sweep(respond, config: SystemConfig):
-    """A sweep(entries, delta) that replaces the rows one at a time.
-
-    It holds the node load vector, starting from the sweep's delta, and
-    keeps it current with one rank-1 update per row, so a sweep costs n
-    row kernels plus O(n*m).
+    updates.  The sweep holds the node load vector, starting from the
+    sweep's delta, and keeps it current with one rank-1 update per row, so
+    a sweep costs n row kernels plus O(n*m).
     """
     rates = config.arrival_rates().tolist()
 
@@ -143,11 +132,10 @@ def solve(config: SystemConfig,
     response to the others, i.e. no scheduler can improve unilaterally.
     """
     weights = config.load_weights()
-
-    def respond(i, lam_i, others):
-        return _best_row(i, lam_i, others, weights)[0]
-
-    return fixed_point_iteration(config, respond, initial=initial)
+    sweep = _row_sweep(
+        lambda i, lam_i, others: _best_row(i, lam_i, others, weights)[0],
+        config)
+    return _sweep_until_stable(config, sweep, initial, single_pass=False)
 
 
 def objective_all_schedulers(alloc: Allocation,

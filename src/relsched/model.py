@@ -45,6 +45,18 @@ def check_rho(rho: float, name: str = "rho") -> None:
         raise ValidationError(f"{name} must be in (0, 1), got {rho}")
 
 
+def check_epsilon(epsilon: float, name: str = "epsilon_threshold") -> None:
+    """Reject a negative or NaN convergence threshold."""
+    if not epsilon >= 0.0:
+        raise ValidationError(f"{name} must be >= 0, got {epsilon}")
+
+
+def check_max_cycles(max_cycles: int) -> None:
+    """Reject a sweep cap below one: at least one sweep always runs."""
+    if not max_cycles >= 1:
+        raise ValidationError(f"max_cycles must be >= 1, got {max_cycles}")
+
+
 @dataclass(frozen=True)
 class NodeParams:
     """Queueing and reliability parameters of one compute node.
@@ -190,11 +202,8 @@ class SystemConfig:
         if len(self.schedulers) < 1:
             raise ValidationError("at least one scheduler required")
         check_rho(self.rho)
-        if self.max_cycles < 1:
-            raise ValidationError("max_cycles must be >= 1")
-        if not self.epsilon_threshold >= 0.0:
-            raise ValidationError(
-                f"epsilon_threshold must be >= 0, got {self.epsilon_threshold}")
+        check_epsilon(self.epsilon_threshold)
+        check_max_cycles(self.max_cycles)
         for i, s in enumerate(self.schedulers):
             if s.lam is None:
                 raise ValidationError(
@@ -270,20 +279,13 @@ def build_config(nodes, schedulers, rho: float,
                  max_cycles: int = 1000) -> SystemConfig:
     """Assemble a SystemConfig, deriving any missing arrival rates from the
     relative weights.  Derivation overwrites nothing that was set directly."""
-    nodes = tuple(nodes)
-    schedulers = tuple(schedulers)
+    nodes, schedulers = tuple(nodes), tuple(schedulers)
     lams = derive_lambdas(schedulers, nodes, rho)
     filled = tuple(
         s if s.lam is not None else SchedulerParams(phi=s.phi, lam=lam)
         for s, lam in zip(schedulers, lams)
     )
-    return SystemConfig(
-        nodes=nodes,
-        schedulers=filled,
-        rho=rho,
-        epsilon_threshold=epsilon_threshold,
-        max_cycles=max_cycles,
-    )
+    return SystemConfig(nodes, filled, rho, epsilon_threshold, max_cycles)
 
 
 def node_arrivals(alloc: Allocation, config: SystemConfig) -> np.ndarray:

@@ -27,9 +27,11 @@ import math
 
 import numpy as np
 
-from .model import Allocation, SystemConfig, objective
+from .model import Allocation, SystemConfig, objective, others_load_vector
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+# Width at which a pair line search stops, in units of row share.
+_LINE_TOL = 1e-9
 
 
 def _line_search(row: list, p: int, q: int, others: list, weights: list,
@@ -77,8 +79,8 @@ def _line_search(row: list, p: int, q: int, others: list, weights: list,
         row[p], row[q] = bp, bq
 
 
-def numeric_best_response(i: int, alloc: Allocation, config: SystemConfig,
-                          resolution: float = 1e-3) -> np.ndarray:
+def numeric_best_response(i: int, alloc: Allocation,
+                          config: SystemConfig) -> np.ndarray:
     """Minimise scheduler i's row objective without the closed form.
 
     Sweeps of pairwise mass-moving golden-section searches descend from
@@ -92,7 +94,7 @@ def numeric_best_response(i: int, alloc: Allocation, config: SystemConfig,
     both of its nodes' availabilities positive, evaluates only the two
     reciprocals its move changes, on Python floats, and keeps a move only
     when it strictly lowers them, so equal-valued jitter never counts as
-    progress.  `resolution` sets the line-search tolerance.
+    progress.  Each search stops at width _LINE_TOL.
 
     A scheduler with zero arrival rate has a flat objective; its current
     row is returned unchanged.
@@ -104,9 +106,8 @@ def numeric_best_response(i: int, alloc: Allocation, config: SystemConfig,
     if m == 1:
         return np.ones(1)
 
-    lam = config.arrival_rates()
     weights = config.load_weights()
-    others = alloc.entries.T @ lam - lam[i] * alloc.entries[i]
+    others = others_load_vector(i, alloc, config)
     caps = (1.0 / weights - others) / lam_i
     row = np.full(m, 1.0 / m)
     if (caps <= row).any():
@@ -114,14 +115,14 @@ def numeric_best_response(i: int, alloc: Allocation, config: SystemConfig,
         if spare.sum() > 0.0:  # else the others saturate every node
             row = spare / spare.sum()
 
-    tol = min(resolution, 1e-6) * 1e-3
     others, weights, caps = others.tolist(), weights.tolist(), caps.tolist()
     for _ in range(500):
         before = row
         trial = row.tolist()
         for p in range(m):
             for q in range(p + 1, m):
-                _line_search(trial, p, q, others, weights, caps, lam_i, tol)
+                _line_search(trial, p, q, others, weights, caps, lam_i,
+                             _LINE_TOL)
         row = np.maximum(trial, 0.0)
         row /= row.sum()
         if np.max(np.abs(row - before)) < 1e-10:

@@ -89,6 +89,23 @@ class TestParseRange:
         with pytest.raises(ValidationError):
             parse_range(text)
 
+    def test_rejects_too_many_points(self):
+        # 80,001 points used to be built; a step of 1e-300 asked for
+        # about 4e299 and exhausted memory
+        for sweep_range in ((0.1, 0.9, 1e-5), (0.1, 0.5, 1e-300),
+                            (0.0, 1e308, 1e-308)):
+            with pytest.raises(ValidationError, match="points"):
+                _sweep_values(sweep_range, False)
+        assert len(_sweep_values((0.0, 0.9999, 1e-4), False)) == 10_000
+
+    @pytest.mark.parametrize("sweep_range", [
+        (10.4, 11.4, 0.5), (10.0, 12.0, 0.5), (10.0, 11.5, 1.0)])
+    def test_count_sweep_takes_whole_numbers(self, sweep_range):
+        # 10.4:11.4:0.5 used to give the counts 10, 11 and 11
+        with pytest.raises(ValidationError, match="whole numbers"):
+            _sweep_values(sweep_range, True)
+        assert _sweep_values(sweep_range, False)
+
 
 class TestExperimentSpec:
     """What each subcommand accepts, as the COMMANDS table builds it."""
@@ -313,6 +330,7 @@ class TestConfigBoundary:
         ("--horizon", "0", None),
         ("--horizon", "nan", None),
         ("--horizon", "inf", None),
+        ("--seed", "-1", None),
     ])
     def test_bad_input_is_exit_2(self, key, value, named, tmp_path, capsys):
         # each exits 2 with a message naming the bad value, where before
@@ -395,6 +413,55 @@ class TestMainExitCodes:
         assert main(["sweep-nodes", "--preset", "table6-table7", "--rho",
                      rho, "--range", "10:12:1", "--out", str(out)]) == 2
         assert "--rho" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ("sweep-nodes", "--range", "10:12:1"),
+        ("convergence", "--vary", "nodes", "--range", "10:11:1"),
+    ])
+    @pytest.mark.parametrize("key,value", [("max_cycles", 0), ("rho", 1.5)])
+    def test_bad_file_setting_on_scale_sweep_is_2(self, argv, key, value,
+                                                  tmp_path, capsys):
+        # every point shares the file's setting, so it is bad input, not
+        # an infeasible point: both used to write all-feasible=0 rows and
+        # exit 0, where solve on the same file exits 2
+        payload = json.loads(PRESET_FILE.read_text())
+        payload[key] = value
+        out = tmp_path / "out.csv"
+        assert main([*argv, "--config", str(write_json(tmp_path, payload)),
+                     "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and key in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ("sweep-load", "--range", "0.1:0.3:0.1"),
+        ("solve", "--rho", "0.5"),
+    ])
+    def test_file_rho_replaced_by_override_is_0(self, argv, tmp_path,
+                                                capsys):
+        # a sweep over rho and --rho each replace the file's rho, so its
+        # range is not checked
+        payload = dict(json.loads(PRESET_FILE.read_text()), rho=1.5)
+        out = tmp_path / "out.csv"
+        assert main([*argv, "--config", str(write_json(tmp_path, payload)),
+                     "--out", str(out)]) == 0
+        if argv[0] == "sweep-load":
+            assert [row[-1] for row in read_csv(out)[1:]] == ["1"] * 3
+
+    @pytest.mark.parametrize("command,text,message", [
+        ("sweep-load", "0.1:0.5:1e-300", "points"),
+        ("sweep-load", "0.1:0.9:1e-5", "points"),
+        ("sweep-nodes", "10.4:11.4:0.5", "whole numbers"),
+    ])
+    def test_unusable_range_is_2(self, command, text, message, tmp_path,
+                                 capsys):
+        # the first asked for about 4e299 points, the second ran 80,001
+        # and the third wrote the m = 11 row twice
+        out = tmp_path / "out.csv"
+        assert main([command, "--preset", "table6-table7", "--range", text,
+                     "--out", str(out)]) == 2
+        assert message in capsys.readouterr().err
         assert not out.exists()
 
     def test_parser_reuse_leaks_nothing(self, tmp_path, capsys):

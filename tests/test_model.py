@@ -141,6 +141,25 @@ class TestSystemConfig:
         with pytest.raises(ValidationError, match="epsilon_threshold"):
             preset("table1-table2", epsilon_threshold=epsilon)
 
+    @pytest.mark.parametrize("field,good,bad", [
+        ("rho", 0.5, 1.0),
+        ("epsilon_threshold", 0.0, float("nan")),
+        ("max_cycles", 1, 0),
+    ])
+    def test_each_setting_rule_is_the_configs(self, table12, field, good,
+                                              bad):
+        # the CLI checks a setting every sweep point shares with the same
+        # function SystemConfig calls, so the two cannot drift apart
+        from relsched.model import check_epsilon, check_max_cycles, check_rho
+        rule = {"rho": check_rho, "epsilon_threshold": check_epsilon,
+                "max_cycles": check_max_cycles}[field]
+        rule(good)
+        assert dataclasses.replace(table12, **{field: good})
+        for reject in (lambda: rule(bad),
+                       lambda: dataclasses.replace(table12, **{field: bad})):
+            with pytest.raises(ValidationError, match=field):
+                reject()
+
     def test_zero_epsilon_threshold_allowed(self):
         assert preset("table1-table2", epsilon_threshold=0.0
                       ).epsilon_threshold == 0.0

@@ -9,6 +9,7 @@ baseline's prefix-scan sweep is held to the row-by-row sweep it replaces.
 
 import math
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -30,10 +31,9 @@ from relsched import (
     objective,
     solve,
 )
-from relsched import baseline
+from relsched import baseline, equilibrium
 from relsched.baseline import _balanced_row
 from relsched.best_response import _best_row
-from relsched.equilibrium import fixed_point_iteration
 from relsched.presets import preset
 
 LOAD_RTOL = 1e-12
@@ -127,14 +127,14 @@ def hot_pool(seed, size, utilisation=0.85, max_cycles=1000):
 
 def visited_rows(config):
     """Every (lam_i, others) the game solver hands its row kernel."""
-    weights = config.load_weights()
     calls = []
 
-    def respond(i, lam_i, others):
+    def recording_best_row(i, lam_i, others, weights):
         calls.append((lam_i, others.copy()))
-        return _best_row(i, lam_i, others, weights)[0]
+        return _best_row(i, lam_i, others, weights)
 
-    fixed_point_iteration(config, respond)
+    with mock.patch.object(equilibrium, "_best_row", recording_best_row):
+        solve(config)
     return calls
 
 
