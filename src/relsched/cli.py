@@ -33,14 +33,13 @@ from .model import (
     NodeParams,
     SchedulerParams,
     SystemConfig,
-    build_config,
     check_epsilon,
     check_max_cycles,
     check_rho,
     node_arrivals,
     validate_config,
 )
-from .presets import _PRESETS, PRESET_NAMES
+from .presets import _PRESETS, PRESET_NAMES, build_instance
 
 _CSV_DIGITS = ".12g"
 _SUMMARY_DIGITS = ".6g"
@@ -56,8 +55,9 @@ VARY = {
 
 
 def _read_config(path) -> dict:
-    """Parse a JSON instance file into build_config keyword arguments:
-    nodes, schedulers and rho, plus epsilon_threshold and max_cycles if set.
+    """Parse a JSON instance file into the records build_instance takes,
+    as a preset holds them: nodes, schedulers and rho, plus
+    epsilon_threshold and max_cycles if set.
 
     Every value is type-checked here: numbers must be finite and not
     booleans, and a JSON null is rejected like any other wrong type.
@@ -135,40 +135,23 @@ def load_config(path) -> SystemConfig:
     missing rates are derived as phi * rho * (total mu).  Top-level keys:
     "rho" (required), "epsilon_threshold", "max_cycles".
     """
-    config = build_config(**_read_config(path))
-    _check_stability(config)
-    return config
-
-
-def _check_stability(config: SystemConfig) -> None:
-    """Reject instances that fail a stability check under the uniform start."""
-    report = validate_config(
-        Allocation.uniform(config.n_schedulers, config.n_nodes), config
-    )
-    if not report.all_passed:
-        names = ", ".join(c.name for c in report.failed())
-        raise ValidationError(f"infeasible instance; failed checks: {names}",
-                              report=report)
+    return _instance(_read_config(path))
 
 
 def _source(args) -> dict:
-    """The records every point of a command starts from, read once: the
-    preset's or the file's build_config arguments, with --rho and
-    --epsilon in place of the values they override.
+    """The records every point of a command is made from, read once: the
+    preset's or the file's, with --epsilon in place of the threshold.
+    --rho is not written in: it reaches build_instance as the point's load.
 
     The values every point shares are range-checked here, before any point
     is solved, so a sweep given a bad one exits 2 instead of flagging every
     point infeasible.  A sweep over rho replaces rho at every point, so
     only an explicit --rho is checked then.
     """
-    if args.preset is not None:
-        schedulers, nodes, rho = _PRESETS[args.preset]
-        source = dict(nodes=nodes, schedulers=schedulers, rho=rho)
-    else:
-        source = _read_config(args.config)
+    source = (dict(_PRESETS[args.preset]) if args.preset is not None
+              else _read_config(args.config))
     if args.rho is not None:
         check_rho(args.rho, "--rho")
-        source["rho"] = args.rho
     elif getattr(args, "vary", None) != "rho":
         check_rho(source["rho"])
     if args.epsilon is not None:
@@ -181,31 +164,18 @@ def _source(args) -> dict:
     return source
 
 
-def _instance(args, source: dict, rho: float | None = None,
-              schedulers: int | None = None,
-              nodes: int | None = None) -> SystemConfig:
-    """The instance at one point: the source cut to its first n schedulers
-    or m nodes (fewer than one or more than it holds is a ValidationError),
-    at the point's rho, built and checked for stability once.
-
-    A config file keeps its own rates when nothing is overridden.
-    Otherwise a scheduler with a positive relative weight has its rate
-    re-derived from it; one given only a direct rate keeps that rate.
-    """
-    records = dict(source)
-    for key, count in (("schedulers", schedulers), ("nodes", nodes)):
-        if count is not None and not 1 <= count <= len(records[key]):
-            raise ValidationError(
-                f"instance supports 1..{len(records[key])} {key}")
-        records[key] = records[key][:count]
-    if rho is not None:
-        records["rho"] = rho
-    if (args.rho, args.epsilon, rho, schedulers, nodes) != (None,) * 5:
-        records["schedulers"] = [
-            SchedulerParams(phi=s.phi) if s.phi > 0 and s.lam is not None
-            else s for s in records["schedulers"]]
-    config = build_config(**records)
-    _check_stability(config)
+def _instance(records: dict, rho=None, schedulers=None,
+              nodes=None) -> SystemConfig:
+    """The records' instance at one point; one that fails a stability check
+    under the uniform start is a ValidationError."""
+    config = build_instance(records, rho, schedulers, nodes)
+    report = validate_config(
+        Allocation.uniform(config.n_schedulers, config.n_nodes), config
+    )
+    if not report.all_passed:
+        names = ", ".join(c.name for c in report.failed())
+        raise ValidationError(f"infeasible instance; failed checks: {names}",
+                              report=report)
     return config
 
 
@@ -295,8 +265,8 @@ def _sweep(args, measure, columns) -> int:
     for value in _sweep_values(parse_range(args.range or default_range),
                                args.vary != "rho"):
         try:
-            measured = measure(_instance(args, source, **{args.vary: value}),
-                               args)
+            point = {"rho": args.rho, args.vary: value}
+            measured = measure(_instance(source, **point), args)
             rows.append((value, *(measured[c] for c in columns), 1))
         except RelschedError:
             rows.append((value, *[""] * len(columns), 0))
@@ -324,7 +294,7 @@ def _cmd_convergence(args) -> int:
     if args.range:
         return _sweep(args, lambda config, _: {
             "cycles": equilibrium.solve(config).cycles}, ("cycles",))
-    report = equilibrium.solve(_instance(args, _source(args)))
+    report = equilibrium.solve(_instance(_source(args), args.rho))
     print(f"converged={report.converged} cycles={report.cycles} "
           f"objective={report.objective:{_SUMMARY_DIGITS}}")
     return _write(args, ("cycle", "epsilon"),
@@ -333,7 +303,7 @@ def _cmd_convergence(args) -> int:
 
 
 def _cmd_solve(args) -> int:
-    config = _instance(args, _source(args))
+    config = _instance(_source(args), args.rho)
     report = equilibrium.solve(config)
     values = equilibrium.objective_all_schedulers(report.allocation, config)
     print(f"objective={report.objective:{_SUMMARY_DIGITS}} "
@@ -348,7 +318,7 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_compare(args) -> int:
-    config = _instance(args, _source(args))
+    config = _instance(_source(args), args.rho)
     game = equilibrium.solve(config)
     balanced = baseline.bsa_solve(config, single_pass=args.bsa_single_pass)
     recip_game = per_node_reciprocals(game.allocation, config)
@@ -365,12 +335,8 @@ def _cmd_compare(args) -> int:
 
 
 def _cmd_oracle_check(args) -> int:
-    if not (math.isfinite(args.horizon) and args.horizon > 0):
-        raise ValidationError(
-            f"horizon must be positive and finite, got {args.horizon}")
-    if args.seed < 0:
-        raise ValidationError(f"seed must be >= 0, got {args.seed}")
-    config = _instance(args, _source(args))
+    oracle.check_traffic(args.horizon, args.seed)  # exit 2 before a solve
+    config = _instance(_source(args), args.rho)
     report = equilibrium.solve(config)
     ok, worst = oracle.nash_check(report.allocation, config)
     print(f"nash_check={'PASS' if ok else 'FAIL'} "

@@ -31,12 +31,21 @@ from .errors import (
 ROW_SUM_TOL = 1e-9
 
 
+# The types a numeric record field may hold; bool, an int subclass, may not.
+_REAL = (float, int, np.floating, np.integer)
+
+
 def _require_finite(params) -> None:
-    """Reject NaN and infinities in any numeric field of a parameter record."""
-    for name in params.__dataclass_fields__:
+    """Reject a boolean, a non-number, NaN or an infinity in any field of a
+    parameter record; None is left to the fields whose default it is."""
+    for name, spec in params.__dataclass_fields__.items():
         value = getattr(params, name)
-        if value is not None and not math.isfinite(value):
-            raise ValidationError(f"{name} must be finite, got {value}")
+        if value is None and spec.default is None:
+            continue
+        if (type(value) is bool or not isinstance(value, _REAL)
+                or not math.isfinite(value)):
+            raise ValidationError(
+                f"{name} must be a finite number, got {value!r}")
 
 
 def check_rho(rho: float, name: str = "rho") -> None:
@@ -52,9 +61,13 @@ def check_epsilon(epsilon: float, name: str = "epsilon_threshold") -> None:
 
 
 def check_max_cycles(max_cycles: int) -> None:
-    """Reject a sweep cap below one: at least one sweep always runs."""
-    if not max_cycles >= 1:
-        raise ValidationError(f"max_cycles must be >= 1, got {max_cycles}")
+    """Reject a sweep cap that is not an integer of at least one: at least
+    one sweep always runs, and a run is a whole number of sweeps."""
+    if (type(max_cycles) is bool
+            or not isinstance(max_cycles, (int, np.integer))
+            or max_cycles < 1):
+        raise ValidationError(
+            f"max_cycles must be an integer >= 1, got {max_cycles!r}")
 
 
 @dataclass(frozen=True)
@@ -274,18 +287,17 @@ def derive_lambdas(schedulers, nodes, rho: float) -> list[float]:
     return [s.phi * rho * total_mu for s in schedulers]
 
 
-def build_config(nodes, schedulers, rho: float,
-                 epsilon_threshold: float = 1e-6,
-                 max_cycles: int = 1000) -> SystemConfig:
+def build_config(nodes, schedulers, rho: float, **settings) -> SystemConfig:
     """Assemble a SystemConfig, deriving any missing arrival rates from the
-    relative weights.  Derivation overwrites nothing that was set directly."""
+    relative weights.  Derivation overwrites nothing that was set directly.
+    Settings pass through to SystemConfig, which holds their defaults."""
     nodes, schedulers = tuple(nodes), tuple(schedulers)
     lams = derive_lambdas(schedulers, nodes, rho)
     filled = tuple(
         s if s.lam is not None else SchedulerParams(phi=s.phi, lam=lam)
         for s, lam in zip(schedulers, lams)
     )
-    return SystemConfig(nodes, filled, rho, epsilon_threshold, max_cycles)
+    return SystemConfig(nodes, filled, rho, **settings)
 
 
 def node_arrivals(alloc: Allocation, config: SystemConfig) -> np.ndarray:

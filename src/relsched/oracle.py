@@ -27,6 +27,7 @@ import math
 
 import numpy as np
 
+from .errors import ValidationError
 from .model import Allocation, SystemConfig, objective, others_load_vector
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
@@ -143,6 +144,15 @@ def nash_check(alloc: Allocation, config: SystemConfig,
     return worst <= tolerance, worst
 
 
+def check_traffic(horizon: float, seed: int) -> None:
+    """Reject a horizon that is not positive and finite, or a negative seed."""
+    if not (math.isfinite(horizon) and horizon > 0):
+        raise ValidationError(
+            f"horizon must be positive and finite, got {horizon}")
+    if seed < 0:
+        raise ValidationError(f"seed must be >= 0, got {seed}")
+
+
 def traffic_empirical_rates(alloc: Allocation, config: SystemConfig,
                             horizon: float, seed: int) -> np.ndarray:
     """Simulate Poisson traffic through the allocation and measure per-node rates.
@@ -153,8 +163,7 @@ def traffic_empirical_rates(alloc: Allocation, config: SystemConfig,
     independent per-arrival thinning.  Randomness comes from numpy's
     seeded PCG64 generator, so runs are bit-reproducible and portable.
     """
-    if horizon <= 0:
-        raise ValueError(f"horizon must be positive, got {horizon}")
+    check_traffic(horizon, seed)
     rng = np.random.default_rng(seed)
     counts = np.zeros(config.n_nodes)
     for i in range(config.n_schedulers):

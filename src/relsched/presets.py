@@ -1,4 +1,4 @@
-"""Built-in experiment presets.
+"""Built-in experiment presets and the one rule that makes an instance.
 
 The preset tables are compiled in so every experiment can run with zero
 external files.  Scheduler weights are relative arrival rates (they are
@@ -6,10 +6,9 @@ used as given, not normalised); node entries are average job processing
 rates in jobs/second, with failure rate, retrial time and mean service
 time filled by the standard defaults (mu/10, 5/mu, 1/mu).
 
-Truncation rule for scale sweeps: a sweep over the number of schedulers
-uses the first n entries of the 20-scheduler weight table, and a sweep
-over the number of nodes uses the first m entries of the 20-node rate
-table.
+A preset is held as the record dict a config file is read into, and
+build_instance makes every instance, of a preset, a file or a sweep point,
+from such records.
 """
 
 from __future__ import annotations
@@ -74,15 +73,15 @@ REFERENCE_GAPS = {
 }
 
 
-def _records(phis, mus, rho):
-    """A preset's scheduler and node records, built once at import: they
-    are immutable, so every preset() call shares (a prefix of) them."""
-    return (tuple(SchedulerParams(phi=phi) for phi in phis),
-            tuple(NodeParams.from_rate(mu) for mu in mus), rho)
+def _records(phis, mus, rho) -> dict:
+    """A preset's records, built once at import: they are immutable, so
+    every instance made from them shares (a prefix of) them."""
+    return dict(schedulers=tuple(SchedulerParams(phi=phi) for phi in phis),
+                nodes=tuple(NodeParams.from_rate(mu) for mu in mus), rho=rho)
 
 
 _PRESETS = {
-    # name: (scheduler records, node records, default rho)
+    # name: records, at the preset's default rho
     "table1-table2": _records(TABLE1_PHI, TABLE2_MU, 0.5),
     "table1-table3": _records(TABLE1_PHI, TABLE3_MU, 0.5),
     "table4-table5": _records(TABLE5_PHI, TABLE4_MU, 0.6),
@@ -95,31 +94,42 @@ _PRESETS = {
 PRESET_NAMES = tuple(_PRESETS)
 
 
+def build_instance(records: dict, rho: float | None = None,
+                   n_schedulers: int | None = None,
+                   n_nodes: int | None = None, **settings) -> SystemConfig:
+    """The instance made from records (nodes, schedulers, rho and any
+    settings), cut to their first n_schedulers and n_nodes (fewer than one
+    or more than they hold is a ValidationError), at load rho (default
+    theirs) and with the settings given here in place of theirs.
+
+    A rate given in the records stands unless the load or the node set
+    differs from theirs; then each scheduler with a positive phi has its
+    rate derived again.
+    """
+    point = {**records, **settings}
+    for key, count in (("schedulers", n_schedulers), ("nodes", n_nodes)):
+        if count is not None and not 1 <= count <= len(records[key]):
+            raise ValidationError(
+                f"instance supports 1..{len(records[key])} {key}")
+        point[key] = records[key][:count]
+    if rho is not None:
+        point["rho"] = rho
+    if (point["rho"] != records["rho"]
+            or len(point["nodes"]) < len(records["nodes"])):
+        point["schedulers"] = tuple(
+            SchedulerParams(phi=s.phi) if s.phi > 0 and s.lam is not None
+            else s for s in point["schedulers"])
+    return build_config(**point)
+
+
 def preset(name: str, rho: float | None = None,
            n_schedulers: int | None = None, n_nodes: int | None = None,
-           epsilon_threshold: float = 1e-6,
-           max_cycles: int = 1000) -> SystemConfig:
-    """Build a named preset, optionally truncated and at an overridden load."""
+           **settings) -> SystemConfig:
+    """Build a named preset, optionally truncated and at an overridden load;
+    the settings (epsilon_threshold, max_cycles) default to SystemConfig's."""
     if name not in _PRESETS:
         raise ValidationError(
             f"unknown preset {name!r}; available: {', '.join(PRESET_NAMES)}"
         )
-    schedulers, nodes, default_rho = _PRESETS[name]
-    if n_schedulers is not None:
-        if not 1 <= n_schedulers <= len(schedulers):
-            raise ValidationError(
-                f"preset {name} supports 1..{len(schedulers)} schedulers"
-            )
-        schedulers = schedulers[:n_schedulers]
-    if n_nodes is not None:
-        if not 1 <= n_nodes <= len(nodes):
-            raise ValidationError(
-                f"preset {name} supports 1..{len(nodes)} nodes")
-        nodes = nodes[:n_nodes]
-    return build_config(
-        nodes=nodes,
-        schedulers=schedulers,
-        rho=default_rho if rho is None else rho,
-        epsilon_threshold=epsilon_threshold,
-        max_cycles=max_cycles,
-    )
+    return build_instance(_PRESETS[name], rho, n_schedulers, n_nodes,
+                          **settings)

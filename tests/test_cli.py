@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from relsched import ParseError, ValidationError, cli
+from relsched import ParseError, ValidationError, cli, solve
 from relsched.cli import VARY, _sweep_values, load_config, main, parse_range
 
 
@@ -277,22 +277,39 @@ class TestConfigBoundary:
         assert "0" in [row[-1] for row in rows[1:]]
 
     def test_direct_rates_survive_overrides(self, tmp_path, capsys):
-        # an override re-derives rates from phi; a scheduler given only a
-        # direct rate keeps it instead of dropping to phi = 0
-        path = write_json(tmp_path, {
-            "rho": 0.5,
-            "nodes": [
-                {"mu": 0.01, "mu_prime": 0.001, "gamma": 500, "beta1": 100},
-                {"mu": 0.02, "mu_prime": 0.002, "gamma": 250, "beta1": 50},
-            ],
-            "schedulers": [{"phi": 0.01}, {"lambda": 0.004}],
-        })
-        outputs = []
-        for extra in ([], ["--epsilon", "1e-6"]):
-            assert main(["solve", "--config", str(path), *extra]) == 0
-            out = capsys.readouterr().out
-            outputs.append([w for w in out.split() if w.startswith("objective=")])
-        assert outputs[0] and outputs[0] == outputs[1]
+        # a given rate stands unless the load or the node set changes; then
+        # a scheduler with a positive phi has its rate re-derived, and one
+        # given only a direct rate keeps it instead of dropping to phi = 0
+        nodes = [
+            {"mu": 0.01, "mu_prime": 0.001, "gamma": 500, "beta1": 100},
+            {"mu": 0.02, "mu_prime": 0.002, "gamma": 250, "beta1": 50},
+        ]
+        for schedulers in ([{"phi": 0.01}, {"lambda": 0.004}],
+                           [{"phi": 0.01, "lambda": 0.004}, {"phi": 0.02}]):
+            path = write_json(tmp_path, {"rho": 0.5, "nodes": nodes,
+                                         "schedulers": schedulers})
+
+            def objective(*extra):
+                assert main(["solve", "--config", str(path), *extra]) == 0
+                out = capsys.readouterr().out
+                return [w for w in out.split() if w.startswith("objective=")]
+
+            given = objective()
+            assert given
+            # neither a threshold nor the file's own load changes the rates
+            assert objective("--epsilon", "1e-6") == given
+            assert objective("--rho", "0.5") == given
+            # a different load re-derives the rate of the phi schedulers
+            assert objective("--rho", "0.4") != given
+            # the full-size point of a scale sweep is the file itself
+            exact = format(solve(load_config(path)).objective, ".12g")
+            for command in ("sweep-nodes", "sweep-schedulers"):
+                out = tmp_path / f"{command}.csv"
+                assert main([command, "--config", str(path), "--range",
+                             "2:2:1", "--out", str(out)]) == 0
+                capsys.readouterr()
+                with out.open() as handle:
+                    assert next(csv.DictReader(handle))["d_rbsa"] == exact
 
     def test_sweep_reads_config_once(self, tmp_path, monkeypatch, capsys):
         path = write_json(tmp_path, GOOD_CONFIG)

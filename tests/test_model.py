@@ -56,7 +56,9 @@ class TestNodeParams:
     GOOD_NODE = dict(mu=0.02, mu_prime=0.002, gamma=250.0, beta1=50.0)
     GOOD_SCHEDULER = dict(phi=0.01, lam=0.004)
 
-    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    # a boolean or a string is rejected like a non-finite number, with a
+    # ValidationError naming the field rather than a TypeError
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, True, "0.02"])
     @pytest.mark.parametrize("cls,name", [
         *((NodeParams, name) for name in GOOD_NODE),
         *((SchedulerParams, name) for name in GOOD_SCHEDULER),
@@ -145,6 +147,8 @@ class TestSystemConfig:
         ("rho", 0.5, 1.0),
         ("epsilon_threshold", 0.0, float("nan")),
         ("max_cycles", 1, 0),
+        ("max_cycles", 1, 2.5),
+        ("max_cycles", 1, True),
     ])
     def test_each_setting_rule_is_the_configs(self, table12, field, good,
                                               bad):

@@ -11,6 +11,7 @@ from relsched import (
     Allocation,
     NodeParams,
     SchedulerParams,
+    ValidationError,
     best_response_row,
     build_config,
     nash_check,
@@ -247,6 +248,10 @@ class TestTrafficEmpiricalRates:
             assert 1.0 <= ratio <= 4.0
 
     def test_rejects_nonpositive_horizon(self, twin_node_config, even_split):
-        with pytest.raises(ValueError):
-            traffic_empirical_rates(even_split, twin_node_config,
-                                    horizon=0.0, seed=1)
+        # the rule oracle-check applies before it solves: a typed error for
+        # a horizon that is not positive and finite, or a negative seed
+        for horizon, seed in ((0.0, 1), (-1.0, 1), (np.nan, 1), (np.inf, 1),
+                              (1e5, -1)):
+            with pytest.raises(ValidationError):
+                traffic_empirical_rates(even_split, twin_node_config,
+                                        horizon=horizon, seed=seed)
