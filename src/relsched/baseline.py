@@ -95,8 +95,7 @@ def _scan_sweep(entries: np.ndarray, spare: np.ndarray,
 def bsa_solve(config: SystemConfig, initial: Allocation | None = None,
               single_pass: bool = False) -> EquilibriumReport:
     """Iterate balanced rows to a fixed point (or one sweep if single_pass)."""
-    mu = config.service_rates()
-    lam = config.arrival_rates()
+    mu, lam = config.mu, config.lam
     by_rows = _row_sweep(
         lambda i, lam_i, others: _balanced_row(i, others, mu), config)
 

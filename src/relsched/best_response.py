@@ -125,7 +125,6 @@ def best_response_row(i: int, alloc: Allocation,
     NoFeasibleResponse when the other schedulers saturate every node.
     """
     row, active_count, alpha = _best_row(
-        i, float(config.schedulers[i].lam),
-        others_load_vector(i, alloc, config), config.load_weights(),
-    )
+        i, float(config.lam[i]), others_load_vector(i, alloc, config),
+        config.weights)
     return BestResponseResult(row=row, active_count=active_count, alpha=alpha)

@@ -313,8 +313,8 @@ def _cmd_solve(args) -> int:
     avail = report.per_node_availability
     return _write(args,
                   ("node", "mu", "delta", "availability", "reciprocal"),
-                  [(j + 1, config.nodes[j].mu, float(deltas[j]), avail[j],
-                    1.0 / avail[j]) for j in range(config.n_nodes)])
+                  [(j + 1, mu, float(deltas[j]), avail[j], 1.0 / avail[j])
+                   for j, mu in enumerate(config.mu.tolist())])
 
 
 def _cmd_compare(args) -> int:
@@ -330,8 +330,8 @@ def _cmd_compare(args) -> int:
           f"gap={gap:{_SUMMARY_DIGITS}}")
     print(f"cycles_rbsa={game.cycles} cycles_bsa={balanced.cycles}")
     return _write(args, ("node", "mu", "recip_rbsa", "recip_bsa"),
-                  [(j + 1, config.nodes[j].mu, recip_game[j], recip_bal[j])
-                   for j in range(config.n_nodes)])
+                  [(j + 1, mu, recip_game[j], recip_bal[j])
+                   for j, mu in enumerate(config.mu.tolist())])
 
 
 def _cmd_oracle_check(args) -> int:

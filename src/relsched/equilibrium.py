@@ -55,7 +55,7 @@ def _row_sweep(respond, config: SystemConfig):
     sweep's delta, and keeps it current with one rank-1 update per row, so
     a sweep costs n row kernels plus O(n*m).
     """
-    rates = config.arrival_rates().tolist()
+    rates = config.lam.tolist()
 
     def sweep(entries: np.ndarray, delta: np.ndarray) -> None:
         for i, lam_i in enumerate(rates):
@@ -83,8 +83,7 @@ def _sweep_until_stable(config: SystemConfig, sweep,
         entries = np.full((n, m), 1.0 / m)
     else:
         entries = np.array(initial.entries)
-    lam = config.arrival_rates()
-    weights = config.load_weights()
+    lam, weights = config.lam, config.weights
 
     delta = entries.T @ lam
     latter = _objective_of_loads(delta, weights)
@@ -131,7 +130,7 @@ def solve(config: SystemConfig,
     At the returned allocation every scheduler's row is its own best
     response to the others, i.e. no scheduler can improve unilaterally.
     """
-    weights = config.load_weights()
+    weights = config.weights
     sweep = _row_sweep(
         lambda i, lam_i, others: _best_row(i, lam_i, others, weights)[0],
         config)

@@ -27,6 +27,5 @@ def fairness_index(values) -> float:
 
 def per_node_reciprocals(alloc: Allocation, config: SystemConfig) -> list[float]:
     """Reciprocal steady-state availability of each node; sums to the objective."""
-    avail = _nonzero_availability(node_arrivals(alloc, config),
-                                  config.load_weights())
+    avail = _nonzero_availability(node_arrivals(alloc, config), config.weights)
     return [float(x) for x in 1.0 / avail]

@@ -5,19 +5,21 @@ job streams across compute nodes, each modelled as an M/G/1 queue with
 retrials and server crashes.  A node that receives jobs at aggregate rate
 ``delta`` provides steady-state availability
 
-    A = 1 - delta * beta1 * (1 + mu_prime * gamma)
+    A = 1 - delta * W,  where  W = beta1 * (1 + mu_prime * gamma)
 
-and the shared game objective is the sum of availability reciprocals over
-all nodes, D = sum_j 1/A_j.  Each formula has one implementation, on
-whole vectors: the node loads are delta = entries.T @ lam, availability is
-range-checked in one helper, and the objective and its derivatives accept
-an Allocation or a raw matrix.  Every function here is pure and every type
+and the shared game objective is D = sum_j 1/A_j.  A SystemConfig holds
+an instance as read-only float arrays: mu, mu_prime, gamma, beta1 and W
+per node, phi and lam per scheduler.  The NodeParams and SchedulerParams
+records exist only at the boundary, checked by the same rules.  Each
+formula has one implementation, on whole vectors: the node loads are
+delta = entries.T @ lam, and the objective and its derivatives accept an
+Allocation or a raw matrix.  Every function here is pure and every type
 is immutable after construction, so evaluation is thread-safe.
 """
 
 from __future__ import annotations
 
-import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -30,22 +32,54 @@ from .errors import (
 
 ROW_SUM_TOL = 1e-9
 
+# Each per-node and per-scheduler field holds finite numbers above their
+# lower bound, or at it too where the flag is True.
+_BOUNDS = dict(mu=(0.0, False), mu_prime=(0.0, True), gamma=(0.0, True),
+               beta1=(0.0, False), phi=(0.0, True), lam=(0.0, True))
+_NODE_FIELDS = ("mu", "mu_prime", "gamma", "beta1")
 
-# The types a numeric record field may hold; bool, an int subclass, may not.
-_REAL = (float, int, np.floating, np.integer)
+
+def _is_number(value) -> bool:
+    return type(value) is float or (
+        isinstance(value, numbers.Real)
+        and not isinstance(value, (bool, np.bool_)))
 
 
-def _require_finite(params) -> None:
-    """Reject a boolean, a non-number, NaN or an infinity in any field of a
-    parameter record; None is left to the fields whose default it is."""
-    for name, spec in params.__dataclass_fields__.items():
-        value = getattr(params, name)
-        if value is None and spec.default is None:
-            continue
-        if (type(value) is bool or not isinstance(value, _REAL)
-                or not math.isfinite(value)):
-            raise ValidationError(
-                f"{name} must be a finite number, got {value!r}")
+def _checked(name: str, values):
+    """values checked by the rule of field name: a record's number comes
+    back as given, a list, tuple or array (nonempty, 1-D) as a new
+    read-only float array.  A boolean, a non-number, NaN, an infinity or a
+    value out of bounds is a ValidationError naming the field, the first
+    bad index and its value."""
+    low, inclusive = _BOUNDS[name]
+
+    def within(x):  # on one number, or entrywise on an array
+        return (x >= low if inclusive else x > low) & (x < np.inf)
+
+    if not isinstance(values, (list, tuple, np.ndarray)):
+        if _is_number(values) and within(values):
+            return values
+        where, value = name, values
+    else:
+        given = np.asarray(values)
+        if given.ndim != 1 or given.size == 0:
+            raise ValidationError(f"{name} must be a nonempty 1-D array, "
+                                  f"got shape {given.shape}")
+        bad = None
+        if given.dtype.kind not in "iuf":
+            bad = next((k for k, value in enumerate(given)
+                        if not _is_number(value)), None)
+        if bad is None:
+            array = given.astype(float)
+            ok = within(array)
+            if ok.all():
+                array.setflags(write=False)
+                return array
+            bad = int(ok.argmin())
+        where, value = f"{name}[{bad}]", given.tolist()[bad]
+    raise ValidationError(f"{where} must be a finite number "
+                          f"{'>=' if inclusive else '>'} {low:g}, "
+                          f"got {value!r}")
 
 
 def check_rho(rho: float, name: str = "rho") -> None:
@@ -86,15 +120,8 @@ class NodeParams:
     beta1: float
 
     def __post_init__(self):
-        _require_finite(self)
-        if self.mu <= 0:
-            raise ValidationError(f"mu must be positive, got {self.mu}")
-        if self.mu_prime < 0:
-            raise ValidationError(f"mu_prime must be >= 0, got {self.mu_prime}")
-        if self.gamma < 0:
-            raise ValidationError(f"gamma must be >= 0, got {self.gamma}")
-        if self.beta1 <= 0:
-            raise ValidationError(f"beta1 must be positive, got {self.beta1}")
+        for name in _NODE_FIELDS:
+            _checked(name, getattr(self, name))
 
     @classmethod
     def from_rate(cls, mu: float, *, mu_prime: float | None = None,
@@ -107,19 +134,13 @@ class NodeParams:
         exactly 0.5) and mean service time 1/mu.  All three are overridable
         for nodes with measured values.
         """
-        if mu <= 0:
-            raise ValidationError(f"mu must be positive, got {mu}")
+        _checked("mu", mu)
         return cls(
             mu=mu,
             mu_prime=mu / 10.0 if mu_prime is None else mu_prime,
             gamma=5.0 / mu if gamma is None else gamma,
             beta1=1.0 / mu if beta1 is None else beta1,
         )
-
-    @property
-    def load_weight(self) -> float:
-        """Availability lost per unit of arrival rate: beta1*(1 + mu_prime*gamma)."""
-        return (1.0 + self.mu_prime * self.gamma) * self.beta1
 
 
 @dataclass(frozen=True)
@@ -134,11 +155,9 @@ class SchedulerParams:
     lam: float | None = None
 
     def __post_init__(self):
-        _require_finite(self)
-        if self.phi < 0:
-            raise ValidationError(f"phi must be >= 0, got {self.phi}")
-        if self.lam is not None and self.lam < 0:
-            raise ValidationError(f"lam must be >= 0, got {self.lam}")
+        _checked("phi", self.phi)
+        if self.lam is not None:
+            _checked("lam", self.lam)
 
 
 @dataclass(frozen=True)
@@ -192,69 +211,61 @@ class Allocation:
         return Allocation(entries)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SystemConfig:
-    """Full problem instance: node set, scheduler set and solver knobs.
+    """Full problem instance: read-only float arrays and solver knobs.
 
-    rho is the required overall average system load used when arrival
-    rates are derived from the relative weights; every scheduler must have
-    its lam set before the config is used by a solver.
-    """
+    mu, mu_prime, gamma and beta1 hold one entry per node and phi and lam
+    one per scheduler, each kept to its rule in _BOUNDS; weights (W) is
+    derived from them, again by dataclasses.replace.  rho is the load the
+    rates were derived at.  build_config makes one from records, nodes and
+    schedulers rebuild them.  Instances compare by identity."""
 
-    nodes: tuple[NodeParams, ...]
-    schedulers: tuple[SchedulerParams, ...]
+    mu: np.ndarray
+    mu_prime: np.ndarray
+    gamma: np.ndarray
+    beta1: np.ndarray
+    phi: np.ndarray
+    lam: np.ndarray
     rho: float
     epsilon_threshold: float = 1e-6
     max_cycles: int = 1000
+    weights: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "nodes", tuple(self.nodes))
-        object.__setattr__(self, "schedulers", tuple(self.schedulers))
-        if len(self.nodes) < 1:
-            raise ValidationError("at least one node required")
-        if len(self.schedulers) < 1:
-            raise ValidationError("at least one scheduler required")
+        for name in _BOUNDS:  # as arrays, so one number is a shape error
+            array = _checked(name, np.asarray(getattr(self, name)))
+            object.__setattr__(self, name, array)
+        for name in (*_NODE_FIELDS, "phi"):
+            like = "lam" if name == "phi" else "mu"
+            if getattr(self, name).size != getattr(self, like).size:
+                raise ValidationError(f"{name} and {like} differ in length")
         check_rho(self.rho)
         check_epsilon(self.epsilon_threshold)
         check_max_cycles(self.max_cycles)
-        for i, s in enumerate(self.schedulers):
-            if s.lam is None:
-                raise ValidationError(
-                    f"scheduler {i} has no arrival rate; derive it first"
-                )
-        # Built once: every solver, check and objective reads them.
-        # dataclasses.replace runs __post_init__ again, so they follow it.
-        _freeze_array(self, "_lam", [s.lam for s in self.schedulers])
-        _freeze_array(self, "_mu", [node.mu for node in self.nodes])
-        _freeze_array(self, "_weights",
-                      [node.load_weight for node in self.nodes])
+        weights = (1.0 + self.mu_prime * self.gamma) * self.beta1
+        weights.setflags(write=False)
+        object.__setattr__(self, "weights", weights)
 
     @property
     def n_nodes(self) -> int:
-        return len(self.nodes)
+        return self.mu.size
 
     @property
     def n_schedulers(self) -> int:
-        return len(self.schedulers)
+        return self.lam.size
 
-    def arrival_rates(self) -> np.ndarray:
-        """lam_i of every scheduler, as a read-only array."""
-        return self._lam
+    @property
+    def nodes(self) -> tuple[NodeParams, ...]:
+        """One record per node, rebuilt from the arrays."""
+        return tuple(map(NodeParams, *(getattr(self, name).tolist()
+                                       for name in _NODE_FIELDS)))
 
-    def service_rates(self) -> np.ndarray:
-        """mu_j of every node, as a read-only array."""
-        return self._mu
-
-    def load_weights(self) -> np.ndarray:
-        """W_j of every node, as a read-only array."""
-        return self._weights
-
-
-def _freeze_array(owner, name: str, values) -> None:
-    """Attach values to a frozen instance as a read-only float array."""
-    array = np.array(values, dtype=float)
-    array.setflags(write=False)
-    object.__setattr__(owner, name, array)
+    @property
+    def schedulers(self) -> tuple[SchedulerParams, ...]:
+        """One record per scheduler, rebuilt from the arrays."""
+        return tuple(map(SchedulerParams, self.phi.tolist(),
+                         self.lam.tolist()))
 
 
 @dataclass(frozen=True)
@@ -288,21 +299,23 @@ def derive_lambdas(schedulers, nodes, rho: float) -> list[float]:
 
 
 def build_config(nodes, schedulers, rho: float, **settings) -> SystemConfig:
-    """Assemble a SystemConfig, deriving any missing arrival rates from the
-    relative weights.  Derivation overwrites nothing that was set directly.
+    """The SystemConfig of node and scheduler records.  A missing arrival
+    rate is derived from the relative weights; a given one stands.
     Settings pass through to SystemConfig, which holds their defaults."""
     nodes, schedulers = tuple(nodes), tuple(schedulers)
-    lams = derive_lambdas(schedulers, nodes, rho)
-    filled = tuple(
-        s if s.lam is not None else SchedulerParams(phi=s.phi, lam=lam)
-        for s, lam in zip(schedulers, lams)
-    )
-    return SystemConfig(nodes, filled, rho, **settings)
+    derived = derive_lambdas(schedulers, nodes, rho)
+    return SystemConfig(
+        **{name: [getattr(node, name) for node in nodes]
+           for name in _NODE_FIELDS},
+        phi=[s.phi for s in schedulers],
+        lam=[lam if s.lam is None else s.lam
+             for s, lam in zip(schedulers, derived)],
+        rho=rho, **settings)
 
 
-def node_arrivals(alloc: Allocation, config: SystemConfig) -> np.ndarray:
+def node_arrivals(alloc, config: SystemConfig) -> np.ndarray:
     """Aggregate Poisson arrival rate at every node: delta_j = sum_i lam_i a_ij."""
-    return alloc.entries.T @ config.arrival_rates()
+    return _entries(alloc).T @ config.lam
 
 
 def _entries(alloc) -> np.ndarray:
@@ -339,7 +352,7 @@ def _nonzero_availability(delta: np.ndarray, weights: np.ndarray) -> np.ndarray:
 
 def availability_vector(alloc: Allocation, config: SystemConfig) -> np.ndarray:
     """Steady-state availability of every node; raises if any leaves [0, 1]."""
-    return _availability(node_arrivals(alloc, config), config.load_weights())
+    return _availability(node_arrivals(alloc, config), config.weights)
 
 
 def objective(alloc, config: SystemConfig) -> float:
@@ -351,8 +364,7 @@ def objective(alloc, config: SystemConfig) -> float:
     derivative stencils and numeric oracles can probe points slightly off
     the simplex; availability range errors still apply.
     """
-    return _objective_of_loads(_entries(alloc).T @ config.arrival_rates(),
-                               config.load_weights())
+    return _objective_of_loads(node_arrivals(alloc, config), config.weights)
 
 
 def _objective_of_loads(delta: np.ndarray, weights: np.ndarray) -> float:
@@ -364,16 +376,15 @@ def _objective_of_loads(delta: np.ndarray, weights: np.ndarray) -> float:
 def others_load_vector(i: int, alloc: Allocation,
                        config: SystemConfig) -> np.ndarray:
     """Per-node load imposed by every scheduler except i."""
-    lam = config.arrival_rates()
-    return alloc.entries.T @ lam - lam[i] * alloc.entries[i]
+    return alloc.entries.T @ config.lam - config.lam[i] * alloc.entries[i]
 
 
-def _availability_of(j: int, alloc, config: SystemConfig) -> float:
-    """Availability of node j; the range check covers every node, because
-    the objective is defined only where all of them are feasible."""
-    avail = _nonzero_availability(
-        _entries(alloc).T @ config.arrival_rates(), config.load_weights())
-    return float(avail[j])
+def _derivative_terms(i: int, j: int, alloc,
+                      config: SystemConfig) -> tuple[float, float, float]:
+    """lam_i, W_j and the availability A_j; the range check covers every
+    node, because the objective is defined only where all are feasible."""
+    avail = _nonzero_availability(node_arrivals(alloc, config), config.weights)
+    return float(config.lam[i]), float(config.weights[j]), float(avail[j])
 
 
 def objective_marginal(i: int, j: int, alloc, config: SystemConfig) -> float:
@@ -383,9 +394,7 @@ def objective_marginal(i: int, j: int, alloc, config: SystemConfig) -> float:
     Accepts a raw matrix as well as an Allocation so stencil points just
     off the simplex can be probed.
     """
-    avail = _availability_of(j, alloc, config)
-    lam_i = config.schedulers[i].lam
-    w = config.nodes[j].load_weight
+    lam_i, w, avail = _derivative_terms(i, j, alloc, config)
     return w * lam_i / avail**2
 
 
@@ -393,9 +402,7 @@ def objective_curvature(i: int, j: int, alloc, config: SystemConfig) -> float:
     """Second derivative in the (i, j) fraction: 2 * W_j**2 * lam_i**2 / A_j**3.
     Strictly positive at every feasible point, which makes each scheduler's
     subproblem strictly convex."""
-    avail = _availability_of(j, alloc, config)
-    lam_i = config.schedulers[i].lam
-    w = config.nodes[j].load_weight
+    lam_i, w, avail = _derivative_terms(i, j, alloc, config)
     return 2.0 * w**2 * lam_i**2 / avail**3
 
 
@@ -406,9 +413,7 @@ def validate_config(alloc, config: SystemConfig) -> ValidationReport:
     can be diagnosed instead of rejected at construction.  Never raises.
     """
     entries = _entries(alloc)
-    lam = config.arrival_rates()
-    mu = config.service_rates()
-    weights = config.load_weights()
+    lam, mu, weights = config.lam, config.mu, config.weights
 
     # Written so that a NaN entry fails both tests.
     row_ok = (entries >= 0.0).all(axis=1) & (

@@ -101,13 +101,13 @@ def numeric_best_response(i: int, alloc: Allocation,
     row is returned unchanged.
     """
     m = config.n_nodes
-    lam_i = config.schedulers[i].lam
+    lam_i = float(config.lam[i])
     if lam_i == 0.0:
         return np.array(alloc.entries[i])
     if m == 1:
         return np.ones(1)
 
-    weights = config.load_weights()
+    weights = config.weights
     others = others_load_vector(i, alloc, config)
     caps = (1.0 / weights - others) / lam_i
     row = np.full(m, 1.0 / m)
@@ -166,8 +166,7 @@ def traffic_empirical_rates(alloc: Allocation, config: SystemConfig,
     check_traffic(horizon, seed)
     rng = np.random.default_rng(seed)
     counts = np.zeros(config.n_nodes)
-    for i in range(config.n_schedulers):
-        lam_i = config.schedulers[i].lam
+    for i, lam_i in enumerate(config.lam.tolist()):
         arrivals = int(rng.poisson(lam_i * horizon))
         if arrivals == 0:
             continue

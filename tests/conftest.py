@@ -47,8 +47,8 @@ def table13():
 
 def feasible_random_allocation(rng, config, min_availability=0.2):
     """Dirichlet rows resampled until every node keeps clear headroom."""
-    weights = config.load_weights()
-    lam = config.arrival_rates()
+    weights = config.weights
+    lam = config.lam
     n, m = config.n_schedulers, config.n_nodes
     for _ in range(1000):
         entries = rng.dirichlet(np.ones(m), size=n)
@@ -63,8 +63,8 @@ def closed_form_fractions(i, alpha, alloc, config):
     multiplier alpha: (1 - W_j*o_j - sqrt(W_j*lam_i/alpha)) / (W_j*lam_i),
     where o_j is the load the other schedulers put on node j.  Negative
     where the node should receive nothing at this multiplier."""
-    lam = config.arrival_rates()
-    weights = config.load_weights()
+    lam = config.lam
+    weights = config.weights
     others = alloc.entries.T @ lam - lam[i] * alloc.entries[i]
     return (1.0 - weights * others - np.sqrt(weights * lam[i] / alpha)) / (
         weights * lam[i])

@@ -188,8 +188,8 @@ def test_criterion_6_oracle_equivalence():
 ])
 def test_criterion_7_derivatives(name):
     config = preset(name)
-    lam = config.arrival_rates()
-    weights = config.load_weights()
+    lam = config.lam
+    weights = config.weights
     rng = np.random.default_rng(97)
     h = 1e-6
 

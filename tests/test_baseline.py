@@ -79,7 +79,7 @@ class TestBsaSolve:
     def test_fixed_point_is_rate_proportional(self, name):
         config = preset(name)
         report = bsa_solve(config)
-        mu = config.service_rates()
+        mu = config.mu
         assert np.max(np.abs(report.allocation.entries - mu / mu.sum())) < 1e-6
 
     def test_rows_nonnegative_and_normalised(self, table12):

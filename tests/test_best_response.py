@@ -22,8 +22,8 @@ from conftest import closed_form_fractions, feasible_random_allocation
 def zero_load_marginals(i, alloc, config):
     """Cost of the first sliver of scheduler i's stream at every node,
     W_j*lam_i/(1 - W_j*o_j)**2, computed from the arrays."""
-    lam = config.arrival_rates()
-    weights = config.load_weights()
+    lam = config.lam
+    weights = config.weights
     others = alloc.entries.T @ lam - lam[i] * alloc.entries[i]
     return weights * lam[i] / (1.0 - others * weights) ** 2
 

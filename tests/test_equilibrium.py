@@ -1,5 +1,7 @@
 """Sweep-loop behaviour: convergence, traces, equilibrium properties."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -102,7 +104,7 @@ class TestSolve:
         backward = solve_with_order(
             table12, reversed(range(table12.n_schedulers))
         )
-        lam = table12.arrival_rates()
+        lam = table12.lam
         assert np.allclose(node_arrivals(forward, table12),
                            node_arrivals(backward, table12), atol=1e-12)
         assert objective(forward, table12) == pytest.approx(
@@ -167,19 +169,15 @@ def instances(draw, feasible=True):
         st.floats(min_value=0.005, max_value=0.1), min_size=m, max_size=m))]
     shares = np.array(draw(st.lists(
         st.floats(min_value=0.1, max_value=1.0), min_size=n, max_size=n)))
-    capacity = 1.0 / np.array([node.load_weight for node in nodes])
+    unloaded = build_config(nodes, [SchedulerParams(lam=0.0)] * n, rho=0.5)
+    capacity = 1.0 / unloaded.weights
     if feasible:
         total = draw(st.floats(min_value=0.01, max_value=0.95)) * (
             m * capacity.min())
     else:
         total = draw(st.floats(min_value=1.001, max_value=3.0)) * (
             capacity.sum())
-    rates = total * shares / shares.sum()
-    return build_config(
-        nodes=nodes,
-        schedulers=[SchedulerParams(lam=float(lam)) for lam in rates],
-        rho=0.5,
-    )
+    return dataclasses.replace(unloaded, lam=total * shares / shares.sum())
 
 
 class TestSolverProperties:
@@ -195,11 +193,11 @@ class TestSolverProperties:
         # the game's closed-form rows can sit a few ulp off it: 2 nodes
         # gave 4.000000000000002 against 4.0.
         assert game.objective <= balanced.objective * (1.0 + 1e-12)
-        total = float(config.arrival_rates().sum())
+        total = float(config.lam.sum())
         for report in (game, balanced):
             loads = node_arrivals(report.allocation, config)
             assert abs(float(loads.sum()) - total) <= 1e-9 * total
-        weights = config.load_weights()
+        weights = config.weights
         loads = node_arrivals(game.allocation, config)
         marginal = (weights / (1.0 - loads * weights) ** 2)[loads > 0.0]
         assert (marginal.max() - marginal.min()) / marginal.min() <= 1e-9

@@ -21,7 +21,14 @@ from relsched import (
     objective_marginal,
     validate_config,
 )
-from relsched.presets import TABLE1_PHI, TABLE2_MU, preset
+from relsched.best_response import _best_row
+from relsched.presets import (
+    _PRESETS,
+    PRESET_NAMES,
+    TABLE1_PHI,
+    TABLE2_MU,
+    preset,
+)
 
 from conftest import feasible_random_allocation
 
@@ -35,13 +42,13 @@ class TestNodeParams:
         assert node.beta1 == 1 / 0.02
 
     def test_load_weight(self):
-        assert NodeParams.from_rate(0.02).load_weight == 75.0
-        assert NodeParams.from_rate(0.04).load_weight == 37.5
+        assert weights_of(NodeParams.from_rate(0.02),
+                          NodeParams.from_rate(0.04)) == [75.0, 37.5]
 
     def test_overrides_kept(self):
         node = NodeParams.from_rate(0.02, beta1=10.0, mu_prime=0.001, gamma=2.0)
         assert node.beta1 == 10.0
-        assert node.load_weight == (1 + 0.002) * 10.0
+        assert weights_of(node) == [(1 + 0.002) * 10.0]
 
     @pytest.mark.parametrize("kwargs", [
         dict(mu=0.0, mu_prime=0.0, gamma=0.0, beta1=1.0),
@@ -68,12 +75,19 @@ class TestNodeParams:
         with pytest.raises(ValidationError, match=name):
             cls(**dict(good, **{name: value}))
 
-    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, "0.02", True])
     @pytest.mark.parametrize("name", ["mu", "mu_prime", "gamma", "beta1"])
     def test_from_rate_rejects_non_finite(self, name, value):
+        # mu is checked before the defaults mu/10, 5/mu and 1/mu are formed
         kwargs = {"mu": 0.02, name: value}
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError, match=f"^{name} "):
             NodeParams.from_rate(kwargs.pop("mu"), **kwargs)
+
+
+def weights_of(*nodes):
+    """The load weights W_j of an instance of the given nodes."""
+    config = build_config(nodes, [SchedulerParams(lam=0.0)], 0.5)
+    return config.weights.tolist()
 
 
 class TestAllocation:
@@ -169,29 +183,137 @@ class TestSystemConfig:
                       ).epsilon_threshold == 0.0
 
     def test_rate_arrays_are_read_only_per_record_values(self, table12):
+        records = _PRESETS["table1-table2"]
+        nodes, schedulers = records["nodes"], records["schedulers"]
         arrays = {
-            "arrival_rates": [s.lam for s in table12.schedulers],
-            "service_rates": [node.mu for node in table12.nodes],
-            "load_weights": [node.load_weight for node in table12.nodes],
+            "lam": derive_lambdas(schedulers, nodes, records["rho"]),
+            "phi": [s.phi for s in schedulers],
+            **{name: [getattr(node, name) for node in nodes]
+               for name in NODE_FIELDS},
+            "weights": [(1.0 + node.mu_prime * node.gamma) * node.beta1
+                        for node in nodes],
         }
-        for method, expected in arrays.items():
-            array = getattr(table12, method)()
+        for name, expected in arrays.items():
+            array = getattr(table12, name)
             assert array.dtype == float
             assert array.tolist() == expected
-            assert getattr(table12, method)() is array
+            assert getattr(table12, name) is array
             with pytest.raises(ValueError, match="read-only"):
                 array[0] = 0.0
 
     def test_rate_arrays_follow_replace(self, table12):
-        nodes = table12.nodes[:3]
-        schedulers = (SchedulerParams(lam=0.001), SchedulerParams(lam=0.002))
-        changed = dataclasses.replace(table12, nodes=nodes,
-                                      schedulers=schedulers)
-        assert changed.arrival_rates().tolist() == [0.001, 0.002]
-        assert changed.service_rates().tolist() == [n.mu for n in nodes]
-        assert changed.load_weights().tolist() == [
-            n.load_weight for n in nodes]
-        assert not changed.load_weights().flags.writeable
+        cut = {name: getattr(table12, name)[:3] for name in NODE_FIELDS}
+        changed = dataclasses.replace(table12, **cut, phi=[0.0, 0.0],
+                                      lam=[0.001, 0.002])
+        assert changed.lam.tolist() == [0.001, 0.002]
+        assert changed.mu.tolist() == table12.mu[:3].tolist()
+        assert changed.weights.tolist() == table12.weights[:3].tolist()
+        assert not changed.weights.flags.writeable
+
+    def test_replace_rederives_weights(self, table12):
+        changed = dataclasses.replace(table12, beta1=2.0 * table12.beta1)
+        assert changed.weights.tolist() == (2.0 * table12.weights).tolist()
+        assert table12.weights.tolist() == preset("table1-table2"
+                                                  ).weights.tolist()
+
+
+NODE_FIELDS = ("mu", "mu_prime", "gamma", "beta1")
+FIELDS = (*NODE_FIELDS, "phi", "lam")
+# An entry just outside each field's bound.
+BELOW = {"mu": 0.0, "mu_prime": -1e-300, "gamma": -1.0, "beta1": 0.0,
+         "phi": -0.5, "lam": -1e-9}
+
+
+def array_fields(n_schedulers=4, n_nodes=5):
+    """Valid array fields of a small instance with default node fields."""
+    mu = np.linspace(0.02, 0.04, n_nodes)
+    return dict(mu=mu, mu_prime=mu / 10.0, gamma=5.0 / mu, beta1=1.0 / mu,
+                phi=np.full(n_schedulers, 0.1),
+                lam=np.full(n_schedulers, 0.001))
+
+
+class TestArrayBoundary:
+    """SystemConfig built straight from arrays: every entry of every field
+    is checked, and a rejection names the field and the first bad index."""
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, "below"])
+    @pytest.mark.parametrize("name", FIELDS)
+    def test_bad_entry_named_with_index(self, name, bad):
+        fields = array_fields()
+        values = np.array(fields[name])
+        values[3] = BELOW[name] if bad == "below" else bad
+        with pytest.raises(ValidationError, match=rf"^{name}\[3\] "):
+            SystemConfig(**dict(fields, **{name: values}), rho=0.5)
+
+    @pytest.mark.parametrize("kind,index", [
+        ("bool", 0), ("str", 0), ("object", 3), ("object-bool", 3),
+    ])
+    @pytest.mark.parametrize("name", FIELDS)
+    def test_non_number_array_named_with_index(self, name, kind, index):
+        fields = array_fields()
+        good = fields[name]
+        values = {
+            "bool": np.ones(good.size, dtype=bool),
+            "str": good.astype(str),
+            "object": np.array([*good[:3], object(), *good[4:]], dtype=object),
+            "object-bool": np.array([*good[:3], True, *good[4:]],
+                                    dtype=object),
+        }[kind]
+        with pytest.raises(ValidationError, match=rf"^{name}\[{index}\] "):
+            SystemConfig(**dict(fields, **{name: values}), rho=0.5)
+
+    @pytest.mark.parametrize("name", FIELDS)
+    def test_unequal_lengths_rejected(self, name):
+        fields = array_fields()
+        with pytest.raises(ValidationError, match="differ in length"):
+            SystemConfig(**dict(fields, **{name: fields[name][:-1]}),
+                         rho=0.5)
+
+    @pytest.mark.parametrize("shape", ["empty", "2-D", "scalar"])
+    @pytest.mark.parametrize("name", FIELDS)
+    def test_empty_scalar_or_2d_field_rejected(self, name, shape):
+        fields = array_fields()
+        value = {"empty": np.empty(0), "2-D": fields[name].reshape(1, -1),
+                 "scalar": fields[name][0]}[shape]
+        with pytest.raises(ValidationError, match=f"^{name} must be"):
+            SystemConfig(**dict(fields, **{name: value}), rho=0.5)
+
+    def test_arrays_are_read_only_copies(self):
+        fields = array_fields()
+        config = SystemConfig(**fields, rho=0.5)
+        fields["mu"][0] = 1.0  # the caller's array is not the config's
+        assert config.mu[0] == 0.02
+        for name in (*FIELDS, "weights"):
+            with pytest.raises(ValueError, match="read-only"):
+                getattr(config, name)[0] = 0.0
+
+    @pytest.mark.parametrize("name", PRESET_NAMES)
+    def test_records_round_trip_byte_for_byte(self, name):
+        config = preset(name)
+        again = build_config(config.nodes, config.schedulers, config.rho)
+        for field in (*FIELDS, "weights"):
+            assert getattr(again, field).tobytes() == \
+                getattr(config, field).tobytes()
+
+    def test_scale_instance_from_arrays(self):
+        # n = m = 1e5 at 50 % utilisation: phi sums to 2/3 and W = 1.5/mu
+        rng = np.random.default_rng(5)
+        size = 100_000
+        mu = rng.uniform(0.01, 0.06, size)
+        phi = rng.uniform(0.5, 1.5, size)
+        phi *= (2.0 / 3.0) / phi.sum()
+        config = SystemConfig(mu=mu, mu_prime=mu / 10.0, gamma=5.0 / mu,
+                              beta1=1.0 / mu, phi=phi,
+                              lam=phi * 0.5 * mu.sum(), rho=0.5)
+        assert config.n_nodes == config.n_schedulers == size
+        for j in rng.integers(size, size=100).tolist():
+            node = (config.mu_prime[j], config.gamma[j], config.beta1[j])
+            mu_prime, gamma, beta1 = map(float, node)
+            assert config.weights[j] == (1.0 + mu_prime * gamma) * beta1
+        row, _, _ = _best_row(0, float(config.lam.sum()), np.zeros(size),
+                              config.weights)
+        assert (row >= 0.0).all()
+        assert abs(row.sum() - 1.0) <= 1e-9
 
 
 def with_rates(config, lambdas):
@@ -221,7 +343,7 @@ class TestAggregateArrival:
     def test_linearity_in_rates(self, table12):
         rng = np.random.default_rng(7)
         alloc = feasible_random_allocation(rng, table12)
-        lam = table12.arrival_rates()
+        lam = table12.lam
         single = node_arrivals(alloc, table12)
         double = node_arrivals(alloc, with_rates(table12, 2.0 * lam))
         assert double == pytest.approx(2.0 * single, rel=1e-12)
@@ -276,7 +398,7 @@ class TestObjective:
 
     def test_permutation_of_equal_rate_rows(self, table13):
         rng = np.random.default_rng(3)
-        lam = table13.arrival_rates()
+        lam = table13.lam
         # schedulers 1..4 share the same weight, hence the same rate
         assert lam[1] == lam[2]
         alloc = feasible_random_allocation(rng, table13)
@@ -291,8 +413,8 @@ class TestObjective:
 def residual_capacity(i, alloc, config):
     """Capacity every node still offers scheduler i: mu_j minus the load of
     the other schedulers, which the balanced baseline allocates by."""
-    own = config.arrival_rates()[i] * alloc.entries[i]
-    return config.service_rates() - (node_arrivals(alloc, config) - own)
+    own = config.lam[i] * alloc.entries[i]
+    return config.mu - (node_arrivals(alloc, config) - own)
 
 
 class TestResidualCapacity:
@@ -377,11 +499,9 @@ class TestValidateConfig:
         }
 
     def test_total_stability_failure(self):
-        config = SystemConfig(
-            nodes=tuple(NodeParams.from_rate(mu) for mu in TABLE2_MU),
-            schedulers=(SchedulerParams(phi=0.0, lam=0.5),),
-            rho=0.5,
-        )
+        mu = np.array(TABLE2_MU)
+        config = SystemConfig(mu=mu, mu_prime=mu / 10.0, gamma=5.0 / mu,
+                              beta1=1.0 / mu, phi=[0.0], lam=[0.5], rho=0.5)
         report = validate_config(Allocation.uniform(1, len(TABLE2_MU)), config)
         failed = {c.name for c in report.failed()}
         assert "total-stability" in failed
@@ -419,5 +539,5 @@ class TestNodeLoad:
         assert delta[0] == 0.0025
         assert avail[0] == 0.8125
         assert avail.tolist() == list(
-            1.0 - delta * two_node_config.load_weights())
+            1.0 - delta * two_node_config.weights)
         assert residual_capacity(0, even_split, two_node_config)[0] == 0.02

@@ -57,7 +57,7 @@ class TestSimplexLattice:
         alloc = Allocation.uniform(1, m)
         lam_i = config.schedulers[0].lam
         avail = 1.0 - ((others_load_vector(0, alloc, config)
-                        + lam_i * lattice) * config.load_weights())
+                        + lam_i * lattice) * config.weights)
         assert ((avail > 0.0) & (avail <= 1.0)).all()
         best = np.sum(1.0 / avail, axis=1).min()
         numeric = numeric_best_response(0, alloc, config)

@@ -144,7 +144,7 @@ def reference_iteration(config, respond, single_pass=False):
     Returns the final matrix and the epsilon trace; raises NotConverged at
     the cycle cap like the solvers, with the reached matrix as report.
     """
-    lam = config.arrival_rates()
+    lam = config.lam
     n, m = config.n_schedulers, config.n_nodes
     entries = np.full((n, m), 1.0 / m)
     latter = objective(entries, config)
@@ -163,12 +163,12 @@ def reference_iteration(config, respond, single_pass=False):
 
 
 def game_response(config):
-    weights = config.load_weights()
+    weights = config.weights
     return lambda i, lam_i, others: _best_row(i, lam_i, others, weights)[0]
 
 
 def balanced_response(config):
-    mu = config.service_rates()
+    mu = config.mu
     return lambda i, lam_i, others: _balanced_row(i, others, mu)
 
 
@@ -191,7 +191,7 @@ class TestActiveSetSearch:
     @pytest.mark.parametrize("name", PRESET_NAMES)
     def test_every_preset_row_matches_loop(self, name, rho):
         config = preset(name, rho=rho)
-        weights = config.load_weights()
+        weights = config.weights
         calls = visited_rows(config)
         assert len(calls) >= config.n_schedulers
         for lam_i, others in calls:
@@ -201,7 +201,7 @@ class TestActiveSetSearch:
     @pytest.mark.parametrize("seed", range(4))
     def test_loaded_pool_rows_match_loop(self, seed):
         config = hot_pool(seed, size=40)
-        weights = config.load_weights()
+        weights = config.weights
         for lam_i, others in visited_rows(config):
             assert_same_response(lam_i, others, weights)
             assert_near_seed_loop(lam_i, others, weights)
@@ -313,7 +313,7 @@ class TestSweepLoop:
         assert report.cycles == len(trace)
         np.testing.assert_allclose(
             node_arrivals(report.allocation, config),
-            entries.T @ config.arrival_rates(), rtol=LOAD_RTOL, atol=0.0)
+            entries.T @ config.lam, rtol=LOAD_RTOL, atol=0.0)
 
     @pytest.mark.parametrize("solver", SOLVERS)
     @pytest.mark.parametrize("name", ["table1-table2", "pool60"])
@@ -334,7 +334,7 @@ class TestSweepLoop:
         assert partial.epsilon_trace == full.epsilon_trace[:cap]
         np.testing.assert_allclose(
             node_arrivals(partial.allocation, config),
-            entries.T @ config.arrival_rates(), rtol=LOAD_RTOL, atol=0.0)
+            entries.T @ config.lam, rtol=LOAD_RTOL, atol=0.0)
 
     def test_infeasible_start_raises_before_any_sweep(self):
         config = overload_config(lam=2.5)
@@ -400,7 +400,7 @@ def assert_balanced_matches_rows(config, single_pass=False):
     assert report.cycles == len(trace)
     np.testing.assert_allclose(
         node_arrivals(report.allocation, config),
-        entries.T @ config.arrival_rates(), rtol=LOAD_RTOL, atol=0.0)
+        entries.T @ config.lam, rtol=LOAD_RTOL, atol=0.0)
     return report
 
 
@@ -454,8 +454,8 @@ class TestBalancedScan:
 
     def test_underflowing_product_runs_row_by_row(self, monkeypatch):
         config = underflow_config()
-        lam = config.arrival_rates()
-        spare = config.service_rates() - lam.sum() / config.n_nodes
+        lam = config.lam
+        spare = config.mu - lam.sum() / config.n_nodes
         assert (spare > 0.0).all()
         s = spare.sum()
         assert np.sum(np.log(s / (s + lam))) < -2000.0
