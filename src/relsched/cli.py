@@ -33,9 +33,8 @@ from .model import (
     NodeParams,
     SchedulerParams,
     SystemConfig,
-    check_epsilon,
-    check_max_cycles,
-    check_rho,
+    _checked,
+    _is_number,
     node_arrivals,
     validate_config,
 )
@@ -77,16 +76,19 @@ def _read_config(path) -> dict:
     if not isinstance(raw, dict):
         raise ParseError(f"{path}: top level must be an object")
 
-    def field(obj, key, where, kinds=(int, float)):
-        """obj[key] type-checked, a number as a float; None if absent."""
+    def field(obj, key, where, kind=float):
+        """obj[key] as a list, or as a finite number (by _is_number) that
+        is a float unless kind is int; None if absent."""
         if key not in obj:
             return None
         value = obj[key]
-        if isinstance(value, bool) or not isinstance(value, kinds):
+        if not (isinstance(value, list) if kind is list
+                else _is_number(value, kind is int)):
             raise ParseError(f"{path}: field {key!r} of {where} has wrong type")
-        if isinstance(value, float) and not math.isfinite(value):
+        # not math.isfinite: it raises on an integer beyond float range
+        if kind is not list and not abs(value) <= sys.float_info.max:
             raise ParseError(f"{path}: field {key!r} of {where} is not finite")
-        return float(value) if kinds == (int, float) else value
+        return float(value) if kind is float else value
 
     rho = field(raw, "rho", "config")
     if rho is None:
@@ -151,16 +153,15 @@ def _source(args) -> dict:
     source = (dict(_PRESETS[args.preset]) if args.preset is not None
               else _read_config(args.config))
     if args.rho is not None:
-        check_rho(args.rho, "--rho")
+        _checked("rho", args.rho, "--rho")
     elif getattr(args, "vary", None) != "rho":
-        check_rho(source["rho"])
+        _checked("rho", source["rho"])
     if args.epsilon is not None:
-        check_epsilon(args.epsilon, "--epsilon")
-        source["epsilon_threshold"] = args.epsilon
-    elif "epsilon_threshold" in source:
-        check_epsilon(source["epsilon_threshold"])
-    if "max_cycles" in source:
-        check_max_cycles(source["max_cycles"])
+        source["epsilon_threshold"] = _checked(
+            "epsilon_threshold", args.epsilon, "--epsilon")
+    for name in ("epsilon_threshold", "max_cycles"):
+        if name in source:
+            _checked(name, source[name])
     return source
 
 
@@ -335,7 +336,8 @@ def _cmd_compare(args) -> int:
 
 
 def _cmd_oracle_check(args) -> int:
-    oracle.check_traffic(args.horizon, args.seed)  # exit 2 before a solve
+    _checked("horizon", args.horizon, "--horizon")  # exit 2 before a solve
+    _checked("seed", args.seed, "--seed")
     config = _instance(_source(args), args.rho)
     report = equilibrium.solve(config)
     ok, worst = oracle.nash_check(report.allocation, config)

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .best_response import _best_row
-from .errors import NotConverged
+from .errors import NotConverged, ValidationError
 from .model import (
     Allocation,
     SystemConfig,
@@ -76,6 +76,7 @@ def _sweep_until_stable(config: SystemConfig, sweep,
     sweep, given the node loads delta = entries.T @ lam at its start.  The
     loop recomputes the loads exactly once per sweep, which also gives that
     sweep's objective, so rounding drift never outlives a sweep.  Raises
+    ValidationError for an initial allocation that is not n x m, and
     NotConverged (with the partial report) when the cycle cap is hit first.
     """
     n, m = config.n_schedulers, config.n_nodes
@@ -83,6 +84,9 @@ def _sweep_until_stable(config: SystemConfig, sweep,
         entries = np.full((n, m), 1.0 / m)
     else:
         entries = np.array(initial.entries)
+        if entries.shape != (n, m):
+            raise ValidationError(f"initial allocation has shape "
+                                  f"{entries.shape}, expected {(n, m)}")
     lam, weights = config.lam, config.weights
 
     delta = entries.T @ lam

@@ -10,11 +10,12 @@ retrials and server crashes.  A node that receives jobs at aggregate rate
 and the shared game objective is D = sum_j 1/A_j.  A SystemConfig holds
 an instance as read-only float arrays: mu, mu_prime, gamma, beta1 and W
 per node, phi and lam per scheduler.  The NodeParams and SchedulerParams
-records exist only at the boundary, checked by the same rules.  Each
-formula has one implementation, on whole vectors: the node loads are
-delta = entries.T @ lam, and the objective and its derivatives accept an
-Allocation or a raw matrix.  Every function here is pure and every type
-is immutable after construction, so evaluation is thread-safe.
+records exist only at the boundary.  Every input number is checked by
+its row of one rule table, _BOUNDS.  Each formula has one implementation,
+on whole vectors: the node loads are delta = entries.T @ lam, and the
+objective and its derivatives accept an Allocation or a raw matrix.
+Every function here is pure and every type is immutable after
+construction, so evaluation is thread-safe.
 """
 
 from __future__ import annotations
@@ -32,76 +33,68 @@ from .errors import (
 
 ROW_SUM_TOL = 1e-9
 
-# Each per-node and per-scheduler field holds finite numbers above their
-# lower bound, or at it too where the flag is True.
-_BOUNDS = dict(mu=(0.0, False), mu_prime=(0.0, True), gamma=(0.0, True),
-               beta1=(0.0, False), phi=(0.0, True), lam=(0.0, True))
+# The one table of input rules, name: (low, low allowed, high, integer).
+# A value is a number (an integer where flagged), not a boolean, above low
+# (or at it where allowed) and below high; high = inf rejects infinities.
+_INF = np.inf
+_BOUNDS = dict(
+    mu=(0.0, False, _INF, False), mu_prime=(0.0, True, _INF, False),
+    gamma=(0.0, True, _INF, False), beta1=(0.0, False, _INF, False),
+    phi=(0.0, True, _INF, False), lam=(0.0, True, _INF, False),
+    rho=(0.0, False, 1.0, False), epsilon_threshold=(0.0, True, _INF, False),
+    max_cycles=(1, True, _INF, True), horizon=(0.0, False, _INF, False),
+    seed=(0, True, _INF, True), tolerance=(0.0, True, _INF, False))
 _NODE_FIELDS = ("mu", "mu_prime", "gamma", "beta1")
+_ARRAY_FIELDS = (*_NODE_FIELDS, "phi", "lam")
 
 
-def _is_number(value) -> bool:
-    return type(value) is float or (
-        isinstance(value, numbers.Real)
-        and not isinstance(value, (bool, np.bool_)))
+def _is_number(value, integer: bool = False) -> bool:
+    """value is a real number, an integer if integer, and not a boolean."""
+    kind = type(value)
+    if kind is float or kind is int:  # the common cases, without ABC checks
+        return kind is int or not integer
+    return (isinstance(value, numbers.Integral if integer else numbers.Real)
+            and not isinstance(value, (bool, np.bool_)))
 
 
-def _checked(name: str, values):
-    """values checked by the rule of field name: a record's number comes
-    back as given, a list, tuple or array (nonempty, 1-D) as a new
-    read-only float array.  A boolean, a non-number, NaN, an infinity or a
-    value out of bounds is a ValidationError naming the field, the first
+def _within(x, low, inclusive, high):
+    """x within a rule's bounds, as one number or entrywise on an array."""
+    return (x >= low if inclusive else x > low) & (x < high)
+
+
+def _checked(name: str, values, label: str | None = None):
+    """values checked by the rule of name in _BOUNDS: a number comes back
+    as given, an array (nonempty, 1-D) of a per-node or per-scheduler field
+    as a new read-only float array.  Anything else, or a value the rule
+    rejects, is a ValidationError naming label (default name), the first
     bad index and its value."""
-    low, inclusive = _BOUNDS[name]
-
-    def within(x):  # on one number, or entrywise on an array
-        return (x >= low if inclusive else x > low) & (x < np.inf)
-
-    if not isinstance(values, (list, tuple, np.ndarray)):
-        if _is_number(values) and within(values):
+    low, inclusive, high, integer = _BOUNDS[name]
+    label = label or name
+    if not (isinstance(values, np.ndarray) and name in _ARRAY_FIELDS):
+        if (_is_number(values, integer)
+                and _within(values, low, inclusive, high)):
             return values
-        where, value = name, values
+        where, value = label, values
     else:
-        given = np.asarray(values)
-        if given.ndim != 1 or given.size == 0:
-            raise ValidationError(f"{name} must be a nonempty 1-D array, "
-                                  f"got shape {given.shape}")
+        if values.ndim != 1 or values.size == 0:
+            raise ValidationError(f"{label} must be a nonempty 1-D array, "
+                                  f"got shape {values.shape}")
         bad = None
-        if given.dtype.kind not in "iuf":
-            bad = next((k for k, value in enumerate(given)
+        if values.dtype.kind not in "iuf":
+            bad = next((k for k, value in enumerate(values)
                         if not _is_number(value)), None)
         if bad is None:
-            array = given.astype(float)
-            ok = within(array)
-            if ok.all():
+            array = values.astype(float)
+            ok = _within(array, low, inclusive, high)
+            bad = int(ok.argmin())  # the first entry out of bounds, if any
+            if ok[bad]:
                 array.setflags(write=False)
                 return array
-            bad = int(ok.argmin())
-        where, value = f"{name}[{bad}]", given.tolist()[bad]
-    raise ValidationError(f"{where} must be a finite number "
-                          f"{'>=' if inclusive else '>'} {low:g}, "
-                          f"got {value!r}")
-
-
-def check_rho(rho: float, name: str = "rho") -> None:
-    """Reject an overall system load outside the open interval (0, 1)."""
-    if not 0.0 < rho < 1.0:
-        raise ValidationError(f"{name} must be in (0, 1), got {rho}")
-
-
-def check_epsilon(epsilon: float, name: str = "epsilon_threshold") -> None:
-    """Reject a negative or NaN convergence threshold."""
-    if not epsilon >= 0.0:
-        raise ValidationError(f"{name} must be >= 0, got {epsilon}")
-
-
-def check_max_cycles(max_cycles: int) -> None:
-    """Reject a sweep cap that is not an integer of at least one: at least
-    one sweep always runs, and a run is a whole number of sweeps."""
-    if (type(max_cycles) is bool
-            or not isinstance(max_cycles, (int, np.integer))
-            or max_cycles < 1):
-        raise ValidationError(
-            f"max_cycles must be an integer >= 1, got {max_cycles!r}")
+        where, value = f"{label}[{bad}]", values.tolist()[bad]
+    upper = f" and < {high:g}" if high < _INF else ""
+    raise ValidationError(
+        f"{where} must be {'an integer' if integer else 'a finite number'} "
+        f"{'>=' if inclusive else '>'} {low:g}{upper}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -233,16 +226,15 @@ class SystemConfig:
     weights: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        for name in _BOUNDS:  # as arrays, so one number is a shape error
+        for name in _ARRAY_FIELDS:  # as arrays, so one number is a shape error
             array = _checked(name, np.asarray(getattr(self, name)))
             object.__setattr__(self, name, array)
         for name in (*_NODE_FIELDS, "phi"):
             like = "lam" if name == "phi" else "mu"
             if getattr(self, name).size != getattr(self, like).size:
                 raise ValidationError(f"{name} and {like} differ in length")
-        check_rho(self.rho)
-        check_epsilon(self.epsilon_threshold)
-        check_max_cycles(self.max_cycles)
+        for name in ("rho", "epsilon_threshold", "max_cycles"):
+            _checked(name, getattr(self, name))
         weights = (1.0 + self.mu_prime * self.gamma) * self.beta1
         weights.setflags(write=False)
         object.__setattr__(self, "weights", weights)
@@ -293,7 +285,7 @@ def derive_lambdas(schedulers, nodes, rho: float) -> list[float]:
     The relative weights are applied as given; they are not normalised to
     sum to 1.
     """
-    check_rho(rho)
+    _checked("rho", rho)
     total_mu = float(sum(node.mu for node in nodes))
     return [s.phi * rho * total_mu for s in schedulers]
 

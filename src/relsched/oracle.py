@@ -27,8 +27,8 @@ import math
 
 import numpy as np
 
-from .errors import ValidationError
-from .model import Allocation, SystemConfig, objective, others_load_vector
+from .model import (Allocation, SystemConfig, _checked, objective,
+                    others_load_vector)
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 # Width at which a pair line search stops, in units of row share.
@@ -134,7 +134,9 @@ def numeric_best_response(i: int, alloc: Allocation,
 def nash_check(alloc: Allocation, config: SystemConfig,
                tolerance: float = 1e-6) -> tuple[bool, float]:
     """Can any scheduler lower the objective by switching to its numeric
-    best response?  Returns (no_scheduler_can, worst_gain)."""
+    best response?  Returns (no_scheduler_can, worst_gain).  tolerance,
+    the largest gain counted as none, is checked by its _BOUNDS rule."""
+    _checked("tolerance", tolerance)
     worst = 0.0
     current = objective(alloc, config)
     for i in range(config.n_schedulers):
@@ -142,15 +144,6 @@ def nash_check(alloc: Allocation, config: SystemConfig,
         value = objective(alloc.replace_row(i, candidate), config)
         worst = max(worst, current - value)
     return worst <= tolerance, worst
-
-
-def check_traffic(horizon: float, seed: int) -> None:
-    """Reject a horizon that is not positive and finite, or a negative seed."""
-    if not (math.isfinite(horizon) and horizon > 0):
-        raise ValidationError(
-            f"horizon must be positive and finite, got {horizon}")
-    if seed < 0:
-        raise ValidationError(f"seed must be >= 0, got {seed}")
 
 
 def traffic_empirical_rates(alloc: Allocation, config: SystemConfig,
@@ -162,8 +155,11 @@ def traffic_empirical_rates(alloc: Allocation, config: SystemConfig,
     multinomial draw with the row's probabilities, which is exactly
     independent per-arrival thinning.  Randomness comes from numpy's
     seeded PCG64 generator, so runs are bit-reproducible and portable.
+    horizon (> 0) and seed (an integer >= 0) are checked by their _BOUNDS
+    rules before any draw.
     """
-    check_traffic(horizon, seed)
+    _checked("horizon", horizon)
+    _checked("seed", seed)
     rng = np.random.default_rng(seed)
     counts = np.zeros(config.n_nodes)
     for i, lam_i in enumerate(config.lam.tolist()):

@@ -14,7 +14,8 @@ from such records.
 from __future__ import annotations
 
 from .errors import ValidationError
-from .model import NodeParams, SchedulerParams, SystemConfig, build_config
+from .model import (NodeParams, SchedulerParams, SystemConfig, _is_number,
+                    build_config)
 
 # Relative job arrival rate of each scheduler (10-scheduler workload).
 TABLE1_PHI = (
@@ -98,9 +99,10 @@ def build_instance(records: dict, rho: float | None = None,
                    n_schedulers: int | None = None,
                    n_nodes: int | None = None, **settings) -> SystemConfig:
     """The instance made from records (nodes, schedulers, rho and any
-    settings), cut to their first n_schedulers and n_nodes (fewer than one
-    or more than they hold is a ValidationError), at load rho (default
-    theirs) and with the settings given here in place of theirs.
+    settings), cut to their first n_schedulers and n_nodes (a count that is
+    not an integer, or fewer than one or more than they hold, is a
+    ValidationError), at load rho (default theirs) and with the settings
+    given here in place of theirs.
 
     A rate given in the records stands unless the load or the node set
     differs from theirs; then each scheduler with a positive phi has its
@@ -108,7 +110,8 @@ def build_instance(records: dict, rho: float | None = None,
     """
     point = {**records, **settings}
     for key, count in (("schedulers", n_schedulers), ("nodes", n_nodes)):
-        if count is not None and not 1 <= count <= len(records[key]):
+        if count is not None and not (_is_number(count, integer=True)
+                                      and 1 <= count <= len(records[key])):
             raise ValidationError(
                 f"instance supports 1..{len(records[key])} {key}")
         point[key] = records[key][:count]

@@ -1,5 +1,7 @@
 """Balanced baseline: proportional rows, fixed point, ordering vs the game."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,7 @@ from relsched import (
     AllNodesSaturated,
     NodeParams,
     SchedulerParams,
+    ValidationError,
     bsa_solve,
     build_config,
     solve,
@@ -96,6 +99,13 @@ class TestBsaSolve:
     def test_game_never_loses_to_baseline(self, name, rho):
         config = preset(name, rho=rho)
         assert solve(config).objective <= bsa_solve(config).objective + 1e-9
+
+    @pytest.mark.parametrize("shape", [(3, 15), (10, 4), (15, 10)])
+    def test_initial_of_wrong_shape_is_rejected(self, table12, shape):
+        # used to fail inside numpy with a broadcast ValueError
+        shapes = re.escape(f"{shape}, expected (10, 15)")
+        with pytest.raises(ValidationError, match=shapes):
+            bsa_solve(table12, initial=Allocation.uniform(*shape))
 
     def test_game_never_loses_on_random_instances(self):
         rng = np.random.default_rng(17)

@@ -341,6 +341,8 @@ class TestConfigBoundary:
         ("nodes", '[{"mu": NaN}]', "mu"),
         ("nodes", '[{"mu": Infinity}]', "mu"),
         ("nodes", '[{"mu": 1e999}]', "mu"),
+        pytest.param("nodes", '[{"mu": 1%s}]' % ("0" * 400), "mu",
+                     id="nodes-integer-beyond-float-range"),
         ("nodes", '[{"mu": 0.02, "beta1": -Infinity}]', "beta1"),
         ("schedulers", '[{"lambda": NaN}]', "lambda"),
         ("schedulers", '[{"phi": null}]', "phi"),
@@ -348,6 +350,7 @@ class TestConfigBoundary:
         ("--horizon", "nan", None),
         ("--horizon", "inf", None),
         ("--seed", "-1", None),
+        ("--epsilon", "inf", None),
     ])
     def test_bad_input_is_exit_2(self, key, value, named, tmp_path, capsys):
         # each exits 2 with a message naming the bad value, where before

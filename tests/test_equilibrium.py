@@ -1,6 +1,7 @@
 """Sweep-loop behaviour: convergence, traces, equilibrium properties."""
 
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from relsched import (
     NodeParams,
     NotConverged,
     SchedulerParams,
+    ValidationError,
     best_response_row,
     bsa_solve,
     build_config,
@@ -98,6 +100,13 @@ class TestSolve:
         again = solve(table12, initial=report.allocation)
         assert again.cycles == 1
         assert again.converged
+
+    @pytest.mark.parametrize("shape", [(3, 15), (10, 4), (15, 10)])
+    def test_initial_of_wrong_shape_is_rejected(self, table12, shape):
+        # used to fail inside numpy with a matmul ValueError
+        shapes = re.escape(f"{shape}, expected (10, 15)")
+        with pytest.raises(ValidationError, match=shapes):
+            solve(table12, initial=Allocation.uniform(*shape))
 
     def test_sweep_order_changes_loads_not_at_all(self, table12):
         forward = solve_with_order(table12, range(table12.n_schedulers))

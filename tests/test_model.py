@@ -22,6 +22,7 @@ from relsched import (
     validate_config,
 )
 from relsched.best_response import _best_row
+from relsched.model import _checked
 from relsched.presets import (
     _PRESETS,
     PRESET_NAMES,
@@ -159,21 +160,24 @@ class TestSystemConfig:
 
     @pytest.mark.parametrize("field,good,bad", [
         ("rho", 0.5, 1.0),
+        ("rho", 0.5, "0.5"),
         ("epsilon_threshold", 0.0, float("nan")),
+        ("epsilon_threshold", 0.0, float("inf")),
+        ("epsilon_threshold", 0.0, True),
+        ("epsilon_threshold", 0.0, "x"),
         ("max_cycles", 1, 0),
         ("max_cycles", 1, 2.5),
         ("max_cycles", 1, True),
     ])
     def test_each_setting_rule_is_the_configs(self, table12, field, good,
                                               bad):
-        # the CLI checks a setting every sweep point shares with the same
-        # function SystemConfig calls, so the two cannot drift apart
-        from relsched.model import check_epsilon, check_max_cycles, check_rho
-        rule = {"rho": check_rho, "epsilon_threshold": check_epsilon,
-                "max_cycles": check_max_cycles}[field]
-        rule(good)
+        # the CLI checks a setting every sweep point shares by the same
+        # row of the rule table SystemConfig uses, so the two cannot drift
+        # apart; a string or a boolean is a ValidationError, not a
+        # TypeError or a 1
+        assert _checked(field, good) == good
         assert dataclasses.replace(table12, **{field: good})
-        for reject in (lambda: rule(bad),
+        for reject in (lambda: _checked(field, bad),
                        lambda: dataclasses.replace(table12, **{field: bad})):
             with pytest.raises(ValidationError, match=field):
                 reject()

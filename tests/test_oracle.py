@@ -197,6 +197,13 @@ class TestNashCheck:
         ok, worst = nash_check(alloc, two_node_config, tolerance=1e-6)
         assert ok
 
+    @pytest.mark.parametrize("tolerance", [np.nan, -1.0])
+    def test_rejects_bad_tolerance(self, two_node_config, even_split,
+                                   tolerance):
+        # a NaN tolerance used to make every check FAIL without a word
+        with pytest.raises(ValidationError, match="tolerance"):
+            nash_check(even_split, two_node_config, tolerance=tolerance)
+
 
 class TestTrafficEmpiricalRates:
     def test_all_mass_on_one_node(self, two_node_config):
@@ -249,9 +256,11 @@ class TestTrafficEmpiricalRates:
 
     def test_rejects_nonpositive_horizon(self, twin_node_config, even_split):
         # the rule oracle-check applies before it solves: a typed error for
-        # a horizon that is not positive and finite, or a negative seed
+        # a horizon that is not positive and finite, or a seed that is not
+        # an integer >= 0; a boolean is not taken as 1, nor a string parsed
         for horizon, seed in ((0.0, 1), (-1.0, 1), (np.nan, 1), (np.inf, 1),
-                              (1e5, -1)):
+                              (True, 1), ("1e6", 1), (1e5, -1), (1e5, True),
+                              (1e5, 1.5), (1e5, "x")):
             with pytest.raises(ValidationError):
                 traffic_empirical_rates(even_split, twin_node_config,
                                         horizon=horizon, seed=seed)

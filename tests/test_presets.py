@@ -103,6 +103,14 @@ class TestPresetBuilder:
         with pytest.raises(ValidationError):
             preset("table6-table7", n_nodes=0)
 
+    @pytest.mark.parametrize("count", [True, 2.5, "3"])
+    def test_truncation_needs_an_integer(self, count):
+        # True used to build a 1-node instance and 2.5 to fail slicing
+        # with a TypeError
+        for key in ("n_schedulers", "n_nodes"):
+            with pytest.raises(ValidationError, match="supports 1"):
+                preset("table1-table2", **{key: count})
+
     def test_every_preset_listed(self):
         assert set(PRESET_NAMES) == {
             "table1-table2", "table1-table3", "table4-table5",
