@@ -31,7 +31,6 @@ from .model import (
     ValidationReport,
     availability_vector,
     build_config,
-    derive_lambdas,
     node_arrivals,
     objective,
     objective_curvature,
@@ -67,7 +66,6 @@ __all__ = [
     "best_response_row",
     "bsa_solve",
     "build_config",
-    "derive_lambdas",
     "fairness_index",
     "nash_check",
     "node_arrivals",

@@ -34,11 +34,14 @@ from .model import (
     SchedulerParams,
     SystemConfig,
     _checked,
+    _fields,
+    _is_float,
     _is_number,
+    build_instance,
     node_arrivals,
     validate_config,
 )
-from .presets import _PRESETS, PRESET_NAMES, build_instance
+from .presets import _PRESETS, PRESET_NAMES
 
 _CSV_DIGITS = ".12g"
 _SUMMARY_DIGITS = ".6g"
@@ -54,13 +57,13 @@ VARY = {
 
 
 def _read_config(path) -> dict:
-    """Parse a JSON instance file into the records build_instance takes,
-    as a preset holds them: nodes, schedulers and rho, plus
-    epsilon_threshold and max_cycles if set.
+    """Parse a JSON instance file into the source build_instance takes,
+    as a preset holds it (see model._fields), with epsilon_threshold and
+    max_cycles if set.
 
     Every value is type-checked here: numbers must be finite and not
-    booleans, and a JSON null is rejected like any other wrong type.
-    Ranges and feasibility are left to _source and _instance.
+    booleans, and a JSON null is rejected like any other wrong type.  The
+    records check each entry's range; _source and _instance the rest.
     """
     path = Path(path)
     try:
@@ -77,7 +80,7 @@ def _read_config(path) -> dict:
         raise ParseError(f"{path}: top level must be an object")
 
     def field(obj, key, where, kind=float):
-        """obj[key] as a list, or as a finite number (by _is_number) that
+        """obj[key] as a list, or as a finite number (by _is_float) that
         is a float unless kind is int; None if absent."""
         if key not in obj:
             return None
@@ -85,8 +88,7 @@ def _read_config(path) -> dict:
         if not (isinstance(value, list) if kind is list
                 else _is_number(value, kind is int)):
             raise ParseError(f"{path}: field {key!r} of {where} has wrong type")
-        # not math.isfinite: it raises on an integer beyond float range
-        if kind is not list and not abs(value) <= sys.float_info.max:
+        if kind is not list and not _is_float(value):
             raise ParseError(f"{path}: field {key!r} of {where} is not finite")
         return float(value) if kind is float else value
 
@@ -123,10 +125,10 @@ def _read_config(path) -> dict:
                     f"scheduler {k}")
         schedulers.append(SchedulerParams(phi=phi, lam=lam))
 
-    records = dict(nodes=tuple(nodes), schedulers=tuple(schedulers), rho=rho,
-                   epsilon_threshold=field(raw, "epsilon_threshold", "config"),
-                   max_cycles=field(raw, "max_cycles", "config", int))
-    return {key: value for key, value in records.items() if value is not None}
+    settings = {key: field(raw, key, "config", kind) for key, kind in
+                (("epsilon_threshold", float), ("max_cycles", int))}
+    return _fields(nodes, schedulers, rho, **{
+        key: value for key, value in settings.items() if value is not None})
 
 
 def load_config(path) -> SystemConfig:
@@ -141,9 +143,9 @@ def load_config(path) -> SystemConfig:
 
 
 def _source(args) -> dict:
-    """The records every point of a command is made from, read once: the
+    """The source every point of a command is made from, read once: the
     preset's or the file's, with --epsilon in place of the threshold.
-    --rho is not written in: it reaches build_instance as the point's load.
+    --rho is not written in: build_instance takes it as the point's load.
 
     The values every point shares are range-checked here, before any point
     is solved, so a sweep given a bad one exits 2 instead of flagging every
@@ -165,11 +167,11 @@ def _source(args) -> dict:
     return source
 
 
-def _instance(records: dict, rho=None, schedulers=None,
+def _instance(source: dict, rho=None, schedulers=None,
               nodes=None) -> SystemConfig:
-    """The records' instance at one point; one that fails a stability check
+    """The source's instance at one point; one that fails a stability check
     under the uniform start is a ValidationError."""
-    config = build_instance(records, rho, schedulers, nodes)
+    config = build_instance(source, rho, schedulers, nodes)
     report = validate_config(
         Allocation.uniform(config.n_schedulers, config.n_nodes), config
     )

@@ -9,9 +9,10 @@ retrials and server crashes.  A node that receives jobs at aggregate rate
 
 and the shared game objective is D = sum_j 1/A_j.  A SystemConfig holds
 an instance as read-only float arrays: mu, mu_prime, gamma, beta1 and W
-per node, phi and lam per scheduler.  The NodeParams and SchedulerParams
-records exist only at the boundary.  Every input number is checked by
-its row of one rule table, _BOUNDS.  Each formula has one implementation,
+per node, phi and lam per scheduler; build_instance makes every instance
+from a source, the same arrays with unknown rates NaN.  The records exist
+only at the boundary.  Every input number is checked by its row of one
+rule table, _BOUNDS.  Each formula has one implementation,
 on whole vectors: the node loads are delta = entries.T @ lam, and the
 objective and its derivatives accept an Allocation or a raw matrix.
 Every function here is pure and every type is immutable after
@@ -21,6 +22,7 @@ construction, so evaluation is thread-safe.
 from __future__ import annotations
 
 import numbers
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -57,6 +59,11 @@ def _is_number(value, integer: bool = False) -> bool:
             and not isinstance(value, (bool, np.bool_)))
 
 
+def _is_float(value) -> bool:
+    """value is a number a float holds (an int beyond that is < inf)."""
+    return _is_number(value) and abs(value) <= sys.float_info.max
+
+
 def _within(x, low, inclusive, high):
     """x within a rule's bounds, as one number or entrywise on an array."""
     return (x >= low if inclusive else x > low) & (x < high)
@@ -71,7 +78,7 @@ def _checked(name: str, values, label: str | None = None):
     low, inclusive, high, integer = _BOUNDS[name]
     label = label or name
     if not (isinstance(values, np.ndarray) and name in _ARRAY_FIELDS):
-        if (_is_number(values, integer)
+        if ((_is_number(values, True) if integer else _is_float(values))
                 and _within(values, low, inclusive, high)):
             return values
         where, value = label, values
@@ -82,7 +89,7 @@ def _checked(name: str, values, label: str | None = None):
         bad = None
         if values.dtype.kind not in "iuf":
             bad = next((k for k, value in enumerate(values)
-                        if not _is_number(value)), None)
+                        if not _is_float(value)), None)
         if bad is None:
             array = values.astype(float)
             ok = _within(array, low, inclusive, high)
@@ -103,7 +110,8 @@ class NodeParams:
 
     mu        average job processing rate (jobs/second)
     mu_prime  average failure rate while busy (failures/second)
-    gamma     average retrial time (seconds)
+    gamma     mean repair time: how long a crash keeps the node down
+              (seconds); the retrial time of blocked jobs does not enter A
     beta1     mean service time (seconds)
     """
 
@@ -123,7 +131,7 @@ class NodeParams:
         """Build a node from its processing rate, filling defaults.
 
         Omitted fields use the standard derivation: failure rate one tenth
-        of the processing rate, retrial time 5/mu (so mu_prime*gamma is
+        of the processing rate, repair time 5/mu (so mu_prime*gamma is
         exactly 0.5) and mean service time 1/mu.  All three are overridable
         for nodes with measured values.
         """
@@ -211,8 +219,8 @@ class SystemConfig:
     mu, mu_prime, gamma and beta1 hold one entry per node and phi and lam
     one per scheduler, each kept to its rule in _BOUNDS; weights (W) is
     derived from them, again by dataclasses.replace.  rho is the load the
-    rates were derived at.  build_config makes one from records, nodes and
-    schedulers rebuild them.  Instances compare by identity."""
+    rates were derived at.  build_instance makes one; nodes and schedulers
+    rebuild the records.  Instances compare by identity."""
 
     mu: np.ndarray
     mu_prime: np.ndarray
@@ -279,30 +287,52 @@ class ValidationReport:
         return tuple(c for c in self.checks if not c.passed)
 
 
-def derive_lambdas(schedulers, nodes, rho: float) -> list[float]:
-    """Arrival rate of each scheduler: lam_i = phi_i * rho * sum_j mu_j.
+def _fields(nodes, schedulers, rho, **settings) -> dict:
+    """The source of an instance of node and scheduler records: the fields
+    SystemConfig takes, with NaN (no input can be NaN) for a missing rate."""
+    fields = {name: np.array([getattr(node, name) for node in nodes], float)
+              for name in _NODE_FIELDS}
+    fields["phi"] = np.array([s.phi for s in schedulers], float)
+    fields["lam"] = np.array([np.nan if s.lam is None else s.lam
+                              for s in schedulers], float)
+    for array in fields.values():  # a preset's source is shared
+        array.setflags(write=False)
+    return dict(fields, rho=rho, **settings)
 
-    The relative weights are applied as given; they are not normalised to
-    sum to 1.
-    """
-    _checked("rho", rho)
-    total_mu = float(sum(node.mu for node in nodes))
-    return [s.phi * rho * total_mu for s in schedulers]
+
+def build_instance(source: dict, rho: float | None = None,
+                   n_schedulers: int | None = None,
+                   n_nodes: int | None = None, **settings) -> SystemConfig:
+    """The instance of a source cut to its first n_schedulers and n_nodes
+    (a ValidationError unless a whole number from 1 to its size), at load
+    rho (default its own), plus settings the source does not hold.  A
+    missing rate is lam_i = phi_i * rho * sum_j mu_j (phi not normalised);
+    a given one stands unless the load or the node set is not the source's,
+    when each scheduler with a positive phi has its rate derived again."""
+    point = dict(source)
+    for key, names, count in (("schedulers", ("phi", "lam"), n_schedulers),
+                              ("nodes", _NODE_FIELDS, n_nodes)):
+        size = source[names[0]].size
+        if count is not None and not (_is_number(count, integer=True)
+                                      and 1 <= count <= size):
+            raise ValidationError(f"instance supports 1..{size} {key}")
+        point.update((name, source[name][:count]) for name in names)
+    point["rho"] = rho = _checked("rho", source["rho"] if rho is None else rho)
+    phi, lam, mu = point["phi"], point["lam"], point["mu"]
+    changed = rho != source["rho"] or mu.size < source["mu"].size
+    derive = np.isnan(lam) | (changed & (phi > 0.0))
+    if derive.any():
+        total_mu = sum(mu.tolist())  # left to right: mu.sum() is pairwise
+        point["lam"] = np.where(derive, phi * rho * total_mu, lam)
+    return SystemConfig(**point, **settings)
 
 
 def build_config(nodes, schedulers, rho: float, **settings) -> SystemConfig:
     """The SystemConfig of node and scheduler records.  A missing arrival
     rate is derived from the relative weights; a given one stands.
     Settings pass through to SystemConfig, which holds their defaults."""
-    nodes, schedulers = tuple(nodes), tuple(schedulers)
-    derived = derive_lambdas(schedulers, nodes, rho)
-    return SystemConfig(
-        **{name: [getattr(node, name) for node in nodes]
-           for name in _NODE_FIELDS},
-        phi=[s.phi for s in schedulers],
-        lam=[lam if s.lam is None else s.lam
-             for s, lam in zip(schedulers, derived)],
-        rho=rho, **settings)
+    return build_instance(_fields(tuple(nodes), tuple(schedulers), rho,
+                                  **settings))
 
 
 def node_arrivals(alloc, config: SystemConfig) -> np.ndarray:

@@ -1,21 +1,21 @@
-"""Built-in experiment presets and the one rule that makes an instance.
+"""Built-in experiment presets.
 
 The preset tables are compiled in so every experiment can run with zero
 external files.  Scheduler weights are relative arrival rates (they are
 used as given, not normalised); node entries are average job processing
-rates in jobs/second, with failure rate, retrial time and mean service
+rates in jobs/second, with failure rate, repair time and mean service
 time filled by the standard defaults (mu/10, 5/mu, 1/mu).
 
-A preset is held as the record dict a config file is read into, and
-build_instance makes every instance, of a preset, a file or a sweep point,
-from such records.
+A preset is held as the source a config file is read into, and
+model.build_instance makes every instance, of a preset, a file or a sweep
+point, from such a source.
 """
 
 from __future__ import annotations
 
 from .errors import ValidationError
-from .model import (NodeParams, SchedulerParams, SystemConfig, _is_number,
-                    build_config)
+from .model import (NodeParams, SchedulerParams, SystemConfig, _fields,
+                    build_instance)
 
 # Relative job arrival rate of each scheduler (10-scheduler workload).
 TABLE1_PHI = (
@@ -74,55 +74,24 @@ REFERENCE_GAPS = {
 }
 
 
-def _records(phis, mus, rho) -> dict:
-    """A preset's records, built once at import: they are immutable, so
-    every instance made from them shares (a prefix of) them."""
-    return dict(schedulers=tuple(SchedulerParams(phi=phi) for phi in phis),
-                nodes=tuple(NodeParams.from_rate(mu) for mu in mus), rho=rho)
+def _source(phis, mus, rho) -> dict:
+    """A preset's source, built once: instances share its read-only arrays."""
+    return _fields(tuple(NodeParams.from_rate(mu) for mu in mus),
+                   tuple(SchedulerParams(phi=phi) for phi in phis), rho)
 
 
 _PRESETS = {
-    # name: records, at the preset's default rho
-    "table1-table2": _records(TABLE1_PHI, TABLE2_MU, 0.5),
-    "table1-table3": _records(TABLE1_PHI, TABLE3_MU, 0.5),
-    "table4-table5": _records(TABLE5_PHI, TABLE4_MU, 0.6),
+    # name: source, at the preset's default rho
+    "table1-table2": _source(TABLE1_PHI, TABLE2_MU, 0.5),
+    "table1-table3": _source(TABLE1_PHI, TABLE3_MU, 0.5),
+    "table4-table5": _source(TABLE5_PHI, TABLE4_MU, 0.6),
     # The node-sweep text says 15 schedulers while its weight table lists
     # 10; both readings are exposed, with the as-printed table the default.
-    "table6-table7": _records(TABLE7_PHI, TABLE6_MU, 0.6),
-    "table6-table7-n15": _records(TABLE5_PHI[:15], TABLE6_MU, 0.6),
+    "table6-table7": _source(TABLE7_PHI, TABLE6_MU, 0.6),
+    "table6-table7-n15": _source(TABLE5_PHI[:15], TABLE6_MU, 0.6),
 }
 
 PRESET_NAMES = tuple(_PRESETS)
-
-
-def build_instance(records: dict, rho: float | None = None,
-                   n_schedulers: int | None = None,
-                   n_nodes: int | None = None, **settings) -> SystemConfig:
-    """The instance made from records (nodes, schedulers, rho and any
-    settings), cut to their first n_schedulers and n_nodes (a count that is
-    not an integer, or fewer than one or more than they hold, is a
-    ValidationError), at load rho (default theirs) and with the settings
-    given here in place of theirs.
-
-    A rate given in the records stands unless the load or the node set
-    differs from theirs; then each scheduler with a positive phi has its
-    rate derived again.
-    """
-    point = {**records, **settings}
-    for key, count in (("schedulers", n_schedulers), ("nodes", n_nodes)):
-        if count is not None and not (_is_number(count, integer=True)
-                                      and 1 <= count <= len(records[key])):
-            raise ValidationError(
-                f"instance supports 1..{len(records[key])} {key}")
-        point[key] = records[key][:count]
-    if rho is not None:
-        point["rho"] = rho
-    if (point["rho"] != records["rho"]
-            or len(point["nodes"]) < len(records["nodes"])):
-        point["schedulers"] = tuple(
-            SchedulerParams(phi=s.phi) if s.phi > 0 and s.lam is not None
-            else s for s in point["schedulers"])
-    return build_config(**point)
 
 
 def preset(name: str, rho: float | None = None,

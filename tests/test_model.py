@@ -14,7 +14,6 @@ from relsched import (
     ValidationError,
     availability_vector,
     build_config,
-    derive_lambdas,
     node_arrivals,
     objective,
     objective_curvature,
@@ -64,9 +63,11 @@ class TestNodeParams:
     GOOD_NODE = dict(mu=0.02, mu_prime=0.002, gamma=250.0, beta1=50.0)
     GOOD_SCHEDULER = dict(phi=0.01, lam=0.004)
 
-    # a boolean or a string is rejected like a non-finite number, with a
+    # a boolean, a string or an int beyond float range (which compares
+    # below inf) is rejected like a non-finite number, with a
     # ValidationError naming the field rather than a TypeError
-    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, True, "0.02"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, True, "0.02",
+                                       10**400])
     @pytest.mark.parametrize("cls,name", [
         *((NodeParams, name) for name in GOOD_NODE),
         *((SchedulerParams, name) for name in GOOD_SCHEDULER),
@@ -76,10 +77,11 @@ class TestNodeParams:
         with pytest.raises(ValidationError, match=name):
             cls(**dict(good, **{name: value}))
 
-    @pytest.mark.parametrize("value", [np.nan, np.inf, "0.02", True])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, "0.02", True, 10**400])
     @pytest.mark.parametrize("name", ["mu", "mu_prime", "gamma", "beta1"])
     def test_from_rate_rejects_non_finite(self, name, value):
         # mu is checked before the defaults mu/10, 5/mu and 1/mu are formed
+        # (10**400 / 10.0 raised a bare OverflowError)
         kwargs = {"mu": 0.02, name: value}
         with pytest.raises(ValidationError, match=f"^{name} "):
             NodeParams.from_rate(kwargs.pop("mu"), **kwargs)
@@ -121,33 +123,48 @@ class TestAllocation:
 
 
 class TestDeriveLambdas:
+    """A missing rate is derived as lam_i = phi_i * rho * sum_j mu_j, by
+    build_config from records and by preset from a preset's source."""
+
     def test_zero_weight_gives_zero_rate(self):
         nodes = [NodeParams.from_rate(0.02)]
         scheds = [SchedulerParams(phi=0.0), SchedulerParams(phi=0.5)]
-        lams = derive_lambdas(scheds, nodes, 0.5)
+        lams = build_config(nodes, scheds, 0.5).lam
         assert lams[0] == 0.0
 
     def test_first_scheduler_of_reference_workload(self):
         nodes = [NodeParams.from_rate(mu) for mu in TABLE2_MU]
         total_mu = sum(TABLE2_MU)
         assert total_mu == pytest.approx(0.35051, abs=1e-12)
-        lams = derive_lambdas(
-            [SchedulerParams(phi=TABLE1_PHI[0])], nodes, 0.5
-        )
-        assert lams[0] == pytest.approx(0.0035 * 0.5 * 0.35051, rel=1e-12)
-        assert lams[0] == pytest.approx(6.134e-4, rel=1e-3)
+        for lams in (
+                build_config(nodes, [SchedulerParams(phi=TABLE1_PHI[0])],
+                             0.5).lam,
+                preset("table1-table2").lam):
+            assert lams[0] == pytest.approx(0.0035 * 0.5 * 0.35051,
+                                            rel=1e-12)
+            assert lams[0] == pytest.approx(6.134e-4, rel=1e-3)
 
     def test_single_node_direct_value(self):
-        lams = derive_lambdas(
-            [SchedulerParams(phi=1.0)], [NodeParams.from_rate(0.02)], 0.5
-        )
+        lams = build_config(
+            [NodeParams.from_rate(0.02)], [SchedulerParams(phi=1.0)], 0.5
+        ).lam
         assert lams[0] == pytest.approx(0.01, rel=1e-12)
+
+    def test_node_rates_summed_left_to_right(self):
+        # sum(mu) runs left to right: numpy's pairwise sum of the first 10
+        # rates of table 2 is 0.239, one ulp below the running sum
+        lams = preset("table1-table2", n_nodes=10).lam.tolist()
+        assert lams == [phi * 0.5 * sum(TABLE2_MU[:10]) for phi in TABLE1_PHI]
 
     @pytest.mark.parametrize("rho", [0.0, 1.0, 1.5, -0.1])
     def test_rejects_rho_outside_unit_interval(self, rho):
-        with pytest.raises(ValidationError):
-            derive_lambdas([SchedulerParams(phi=1.0)],
-                           [NodeParams.from_rate(0.02)], rho)
+        # rho is checked even where no rate is derived from it
+        for scheduler in (SchedulerParams(phi=1.0),
+                          SchedulerParams(phi=1.0, lam=0.001)):
+            with pytest.raises(ValidationError, match="^rho "):
+                build_config([NodeParams.from_rate(0.02)], [scheduler], rho)
+        with pytest.raises(ValidationError, match="^rho "):
+            preset("table1-table2", rho=rho)
 
 
 class TestSystemConfig:
@@ -165,7 +182,9 @@ class TestSystemConfig:
         ("epsilon_threshold", 0.0, float("inf")),
         ("epsilon_threshold", 0.0, True),
         ("epsilon_threshold", 0.0, "x"),
+        ("epsilon_threshold", 0.0, 10**400),
         ("max_cycles", 1, 0),
+        ("max_cycles", 10**400, 0),  # an integer row takes any int
         ("max_cycles", 1, 2.5),
         ("max_cycles", 1, True),
     ])
@@ -187,16 +206,22 @@ class TestSystemConfig:
                       ).epsilon_threshold == 0.0
 
     def test_rate_arrays_are_read_only_per_record_values(self, table12):
-        records = _PRESETS["table1-table2"]
-        nodes, schedulers = records["nodes"], records["schedulers"]
+        source = _PRESETS["table1-table2"]
+        values = {name: source[name].tolist() for name in FIELDS}
+        # a preset gives no rate, so every rate is derived at its own rho
+        assert all(map(np.isnan, values["lam"]))
+        total_mu = sum(values["mu"])
         arrays = {
-            "lam": derive_lambdas(schedulers, nodes, records["rho"]),
-            "phi": [s.phi for s in schedulers],
-            **{name: [getattr(node, name) for node in nodes]
-               for name in NODE_FIELDS},
-            "weights": [(1.0 + node.mu_prime * node.gamma) * node.beta1
-                        for node in nodes],
+            "lam": [phi * source["rho"] * total_mu for phi in values["phi"]],
+            "phi": values["phi"],
+            **{name: values[name] for name in NODE_FIELDS},
+            "weights": [(1.0 + mu_prime * gamma) * beta1 for mu_prime, gamma,
+                        beta1 in zip(values["mu_prime"], values["gamma"],
+                                     values["beta1"])],
         }
+        for name in FIELDS:  # the source is shared by every instance
+            with pytest.raises(ValueError, match="read-only"):
+                source[name][0] = 0.0
         for name, expected in arrays.items():
             array = getattr(table12, name)
             assert array.dtype == float
@@ -251,6 +276,7 @@ class TestArrayBoundary:
 
     @pytest.mark.parametrize("kind,index", [
         ("bool", 0), ("str", 0), ("object", 3), ("object-bool", 3),
+        ("object-huge", 3),
     ])
     @pytest.mark.parametrize("name", FIELDS)
     def test_non_number_array_named_with_index(self, name, kind, index):
@@ -261,6 +287,8 @@ class TestArrayBoundary:
             "str": good.astype(str),
             "object": np.array([*good[:3], object(), *good[4:]], dtype=object),
             "object-bool": np.array([*good[:3], True, *good[4:]],
+                                    dtype=object),
+            "object-huge": np.array([*good[:3], 10**400, *good[4:]],
                                     dtype=object),
         }[kind]
         with pytest.raises(ValidationError, match=rf"^{name}\[{index}\] "):

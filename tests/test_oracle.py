@@ -256,11 +256,12 @@ class TestTrafficEmpiricalRates:
 
     def test_rejects_nonpositive_horizon(self, twin_node_config, even_split):
         # the rule oracle-check applies before it solves: a typed error for
-        # a horizon that is not positive and finite, or a seed that is not
-        # an integer >= 0; a boolean is not taken as 1, nor a string parsed
+        # a horizon that is not positive and finite (an int beyond float
+        # range too), or a seed that is not an integer >= 0; a boolean is
+        # not taken as 1, nor a string parsed
         for horizon, seed in ((0.0, 1), (-1.0, 1), (np.nan, 1), (np.inf, 1),
-                              (True, 1), ("1e6", 1), (1e5, -1), (1e5, True),
-                              (1e5, 1.5), (1e5, "x")):
+                              (True, 1), ("1e6", 1), (10**400, 1), (1e5, -1),
+                              (1e5, True), (1e5, 1.5), (1e5, "x")):
             with pytest.raises(ValidationError):
                 traffic_empirical_rates(even_split, twin_node_config,
                                         horizon=horizon, seed=seed)

@@ -1,8 +1,11 @@
 """Golden checks: preset tables digit for digit, defaults, truncation."""
 
+import json
+
 import pytest
 
-from relsched import ValidationError, preset
+from relsched import ValidationError, cli, preset
+from relsched.model import build_instance
 from relsched.presets import (
     PRESET_NAMES,
     TABLE1_PHI,
@@ -111,8 +114,56 @@ class TestPresetBuilder:
             with pytest.raises(ValidationError, match="supports 1"):
                 preset("table1-table2", **{key: count})
 
+    @pytest.mark.parametrize("name", ["mu", "phi", "lam"])
+    def test_an_array_is_not_a_setting(self, name):
+        # a keyword that names one of the preset's own arrays is refused,
+        # not silently dropped for the preset's array
+        with pytest.raises(TypeError, match=name):
+            preset("table1-table2", **{name: preset("table1-table2").lam})
+
     def test_every_preset_listed(self):
         assert set(PRESET_NAMES) == {
             "table1-table2", "table1-table3", "table4-table5",
             "table6-table7", "table6-table7-n15",
         }
+
+
+ARRAYS = ("mu", "mu_prime", "gamma", "beta1", "phi", "lam", "weights")
+
+
+class TestOnePath:
+    @pytest.mark.parametrize("name", PRESET_NAMES)
+    def test_file_of_a_preset_gives_its_arrays(self, name, tmp_path):
+        # a preset and a config file written from its arrays, as the
+        # benchmark writes one, are cut and rated by the same function:
+        # every point of the default sweeps gives the same bytes
+        base = preset(name)
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps({
+            "rho": base.rho,
+            "epsilon_threshold": base.epsilon_threshold,
+            "max_cycles": base.max_cycles,
+            "nodes": [dict(mu=mu, mu_prime=mu_prime, gamma=gamma, beta1=beta1)
+                      for mu, mu_prime, gamma, beta1 in zip(
+                          base.mu.tolist(), base.mu_prime.tolist(),
+                          base.gamma.tolist(), base.beta1.tolist())],
+            "schedulers": [{"phi": phi} for phi in base.phi.tolist()],
+        }))
+        source = cli._read_config(path)
+        sizes = {"rho": 1, "schedulers": base.n_schedulers,
+                 "nodes": base.n_nodes}
+        points = [dict(rho=None, schedulers=None, nodes=None)]
+        for vary, (_, default) in cli.VARY.items():
+            values = cli._sweep_values(cli.parse_range(default),
+                                       vary != "rho")
+            points += [dict(points[0], **{vary: value}) for value in values
+                       if value <= sizes[vary]]
+        assert len(points) > 9 + 1  # some count points on every preset
+        for point in points:
+            args = point["rho"], point["schedulers"], point["nodes"]
+            from_file = build_instance(source, *args)
+            from_preset = preset(name, *args)
+            for array in ARRAYS:
+                assert (getattr(from_file, array).tobytes()
+                        == getattr(from_preset, array).tobytes()), (
+                    point, array)
