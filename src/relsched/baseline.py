@@ -26,8 +26,8 @@ That first-order linear recurrence has the closed form
 one cumprod over the schedulers and one cumsum down the columns, which
 _scan_sweep computes in place on the entries.  Every term is nonnegative,
 so the sums carry only rounding error relative to the entry.  A sweep the
-scan cannot take runs row by row through _balanced_row instead; the input
-alone decides which:
+scan cannot take is left to the loop, which runs it row by row through
+_balanced_row; the input alone decides which:
 
 - some node starts the sweep loaded beyond its service rate (c_0 < 0), so
   the clamp may bind.  From the uniform start this needs a node with
@@ -45,7 +45,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .equilibrium import EquilibriumReport, _row_sweep, _sweep_until_stable
+from .equilibrium import EquilibriumReport, _sweep_until_stable
 from .errors import AllNodesSaturated
 from .model import Allocation, SystemConfig
 
@@ -69,11 +69,12 @@ def _balanced_row(i: int, others: np.ndarray, mu: np.ndarray) -> np.ndarray:
     return residual / total
 
 
-def _scan_sweep(entries: np.ndarray, spare: np.ndarray,
-                lam: np.ndarray) -> bool:
-    """One balanced sweep as a prefix scan, in place; spare = mu - delta at
-    the sweep's start.  Returns False, leaving entries untouched, when the
-    sweep must run row by row (see the module docstring)."""
+def _scan_sweep(entries: np.ndarray, delta: np.ndarray,
+                config: SystemConfig) -> bool:
+    """One balanced sweep as a prefix scan, in place, from the node loads
+    delta at the sweep's start.  Returns False, leaving entries untouched,
+    when the sweep must run row by row (see the module docstring)."""
+    spare, lam = config.mu - delta, config.lam
     if spare.min() < 0.0:
         return False
     s = float(np.add.reduce(spare))
@@ -95,12 +96,7 @@ def _scan_sweep(entries: np.ndarray, spare: np.ndarray,
 def bsa_solve(config: SystemConfig, initial: Allocation | None = None,
               single_pass: bool = False) -> EquilibriumReport:
     """Iterate balanced rows to a fixed point (or one sweep if single_pass)."""
-    mu, lam = config.mu, config.lam
-    by_rows = _row_sweep(
-        lambda i, lam_i, others: _balanced_row(i, others, mu), config)
-
-    def sweep(entries, delta):
-        if not _scan_sweep(entries, mu - delta, lam):
-            by_rows(entries, delta)
-
-    return _sweep_until_stable(config, sweep, initial, single_pass)
+    mu = config.mu
+    return _sweep_until_stable(
+        config, lambda i, lam_i, others: _balanced_row(i, others, mu),
+        initial, single_pass, scan=_scan_sweep)

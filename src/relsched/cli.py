@@ -55,6 +55,12 @@ VARY = {
     "nodes": ("m", "10:20:1"),
 }
 
+# The keys a config file may hold, at its top level and in each entry.
+_KEYS = {"config": {"rho", "epsilon_threshold", "max_cycles", "nodes",
+                    "schedulers"},
+         "node": {"mu", "mu_prime", "gamma", "beta1"},
+         "scheduler": {"phi", "lambda", "lam"}}
+
 
 def _read_config(path) -> dict:
     """Parse a JSON instance file into the source build_instance takes,
@@ -62,8 +68,9 @@ def _read_config(path) -> dict:
     max_cycles if set.
 
     Every value is type-checked here: numbers must be finite and not
-    booleans, and a JSON null is rejected like any other wrong type.  The
-    records check each entry's range; _source and _instance the rest.
+    booleans, and a JSON null is rejected like any other wrong type.  So is
+    a key outside _KEYS, which a typo would otherwise turn into a default.
+    The records check each entry's range; _source and _instance the rest.
     """
     path = Path(path)
     try:
@@ -76,8 +83,13 @@ def _read_config(path) -> dict:
         raise ParseError(
             f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}"
         ) from exc
-    if not isinstance(raw, dict):
-        raise ParseError(f"{path}: top level must be an object")
+
+    def known(obj, kind, where):
+        if not isinstance(obj, dict):
+            raise ParseError(f"{path}: {where} must be an object")
+        for key in obj:
+            if key not in _KEYS[kind]:
+                raise ParseError(f"{path}: unknown field {key!r} of {where}")
 
     def field(obj, key, where, kind=float):
         """obj[key] as a list, or as a finite number (by _is_float) that
@@ -92,6 +104,7 @@ def _read_config(path) -> dict:
             raise ParseError(f"{path}: field {key!r} of {where} is not finite")
         return float(value) if kind is float else value
 
+    known(raw, "config", "top level")
     rho = field(raw, "rho", "config")
     if rho is None:
         raise ParseError(f"{path}: missing required field 'rho'")
@@ -104,8 +117,7 @@ def _read_config(path) -> dict:
 
     nodes = []
     for k, entry in enumerate(nodes_raw):
-        if not isinstance(entry, dict):
-            raise ParseError(f"{path}: node {k} must be an object")
+        known(entry, "node", f"node {k}")
         mu = field(entry, "mu", f"node {k}")
         if mu is None:
             raise ParseError(f"{path}: node {k} is missing 'mu'")
@@ -118,8 +130,7 @@ def _read_config(path) -> dict:
 
     schedulers = []
     for k, entry in enumerate(scheds_raw):
-        if not isinstance(entry, dict):
-            raise ParseError(f"{path}: scheduler {k} must be an object")
+        known(entry, "scheduler", f"scheduler {k}")
         phi = field(entry, "phi", f"scheduler {k}") or 0.0
         lam = field(entry, "lambda" if "lambda" in entry else "lam",
                     f"scheduler {k}")
@@ -260,7 +271,8 @@ def _sweep(args, measure, columns) -> int:
     """Measure every point of --range (or the swept variable's default).
 
     Sweep points that turn out infeasible are recorded as rows flagged
-    feasible=0 instead of aborting the sweep.
+    feasible=0 instead of aborting the sweep; a point that does not
+    converge ends the command with NotConverged, as a solve does.
     """
     column, default_range = VARY[args.vary]
     source = _source(args)
@@ -271,6 +283,8 @@ def _sweep(args, measure, columns) -> int:
             point = {"rho": args.rho, args.vary: value}
             measured = measure(_instance(source, **point), args)
             rows.append((value, *(measured[c] for c in columns), 1))
+        except NotConverged:
+            raise
         except RelschedError:
             rows.append((value, *[""] * len(columns), 0))
     header = (column, *columns, "feasible")

@@ -2,13 +2,14 @@
 
 Starting from the uniform allocation, schedulers take turns replacing
 their row with the closed-form best response, each update visible to the
-next scheduler within the same sweep.  The sweep keeps the node load
-vector current by a rank-1 update after each row, and the loop around it
-resynchronises the loads exactly once per sweep, so a sweep costs
-O(n*m log m) rather than recomputing every load for every row.  The loop
-stops when the objective changes by no more than the configured threshold
-between sweeps.  At least one sweep always runs.  The balanced baseline
-runs the same loop with a sweep of its own (see baseline.py).
+next scheduler within the same sweep.  The loop keeps the node load
+vector current by a rank-1 update after each row, and resynchronises the
+loads exactly once per sweep, so a sweep costs O(n*m log m) rather than
+recomputing every load for every row.  The loop stops when the objective
+changes by no more than the configured threshold between sweeps.  At
+least one sweep always runs.  The balanced baseline hands the same loop
+its own row rule, plus a prefix scan that takes a whole sweep at once
+where it can (see baseline.py).
 """
 
 from __future__ import annotations
@@ -22,8 +23,8 @@ from .errors import NotConverged, ValidationError
 from .model import (
     Allocation,
     SystemConfig,
+    _availability,
     _objective_of_loads,
-    availability_vector,
     objective,
 )
 
@@ -45,38 +46,23 @@ class EquilibriumReport:
     converged: bool
 
 
-def _row_sweep(respond, config: SystemConfig):
-    """A sweep(entries, delta) that replaces the rows one at a time with
-    respond(i, lam_i, others), the new row of scheduler i.
+def _sweep_until_stable(config: SystemConfig, respond,
+                        initial: Allocation | None, single_pass: bool,
+                        scan=None) -> EquilibriumReport:
+    """The one convergence loop of both solvers: the only code that replaces
+    rows or builds a report.
 
-    others is the per-node load of every scheduler except i.  Rows are
-    written back immediately, so later schedulers in a sweep see earlier
-    updates.  The sweep holds the node load vector, starting from the
-    sweep's delta, and keeps it current with one rank-1 update per row, so
-    a sweep costs n row kernels plus O(n*m).
-    """
-    rates = config.lam.tolist()
-
-    def sweep(entries: np.ndarray, delta: np.ndarray) -> None:
-        for i, lam_i in enumerate(rates):
-            others = delta - lam_i * entries[i]
-            row = respond(i, lam_i, others)
-            entries[i] = row
-            delta = others + lam_i * row
-
-    return sweep
-
-
-def _sweep_until_stable(config: SystemConfig, sweep,
-                        initial: Allocation | None,
-                        single_pass: bool) -> EquilibriumReport:
-    """The one convergence loop of both solvers.
-
-    sweep(entries, delta) advances every row of entries in place by one
-    sweep, given the node loads delta = entries.T @ lam at its start.  The
-    loop recomputes the loads exactly once per sweep, which also gives that
-    sweep's objective, so rounding drift never outlives a sweep.  Raises
-    ValidationError for an initial allocation that is not n x m, and
+    A sweep replaces the rows one at a time with respond(i, lam_i, others),
+    the new row of scheduler i, where others is the per-node load of every
+    scheduler except i.  Rows are written back immediately, so later
+    schedulers in a sweep see earlier updates, and the node load vector
+    delta is kept current with one rank-1 update per row, so a sweep costs
+    n row kernels plus O(n*m).  scan(entries, delta, config), if given, is
+    tried first: it takes the whole sweep in place or returns False and
+    leaves it to the rows.  The loop recomputes delta = entries.T @ lam
+    exactly once per sweep, which also gives that sweep's objective and the
+    report's availabilities, so rounding drift never outlives a sweep.
+    Raises ValidationError for an initial allocation that is not n x m, and
     NotConverged (with the partial report) when the cycle cap is hit first.
     """
     n, m = config.n_schedulers, config.n_nodes
@@ -88,43 +74,38 @@ def _sweep_until_stable(config: SystemConfig, sweep,
             raise ValidationError(f"initial allocation has shape "
                                   f"{entries.shape}, expected {(n, m)}")
     lam, weights = config.lam, config.weights
+    rates = lam.tolist()
 
     delta = entries.T @ lam
     latter = _objective_of_loads(delta, weights)
     trace: list[float] = []
-    cycles = 0
     while True:
         former = latter
-        sweep(entries, delta)
-        cycles += 1
+        if scan is None or not scan(entries, delta, config):
+            for i, lam_i in enumerate(rates):
+                others = delta - lam_i * entries[i]
+                row = respond(i, lam_i, others)
+                entries[i] = row
+                delta = others + lam_i * row
         delta = entries.T @ lam
         latter = _objective_of_loads(delta, weights)
         eps = abs(former - latter)
         trace.append(eps)
-        if single_pass or eps <= config.epsilon_threshold:
-            converged = eps <= config.epsilon_threshold
+        converged = eps <= config.epsilon_threshold
+        if single_pass or converged or len(trace) >= config.max_cycles:
             break
-        if cycles >= config.max_cycles:
-            partial = _report(Allocation(entries), latter, cycles, trace,
-                              config, False)
-            raise NotConverged(
-                f"no convergence within {config.max_cycles} cycles "
-                f"(last epsilon {eps:.3g})",
-                report=partial,
-            )
-    return _report(Allocation(entries), latter, cycles, trace, config,
-                   converged)
-
-
-def _report(alloc, value, cycles, trace, config, converged) -> EquilibriumReport:
-    return EquilibriumReport(
-        allocation=alloc,
-        objective=value,
-        cycles=cycles,
+    report = EquilibriumReport(
+        allocation=Allocation(entries),
+        objective=latter,
+        cycles=len(trace),
         epsilon_trace=tuple(trace),
-        per_node_availability=tuple(availability_vector(alloc, config)),
+        per_node_availability=tuple(_availability(delta, weights)),
         converged=converged,
     )
+    if not (single_pass or converged):
+        raise NotConverged(f"no convergence within {config.max_cycles} "
+                           f"cycles (last epsilon {eps:.3g})", report=report)
+    return report
 
 
 def solve(config: SystemConfig,
@@ -135,10 +116,10 @@ def solve(config: SystemConfig,
     response to the others, i.e. no scheduler can improve unilaterally.
     """
     weights = config.weights
-    sweep = _row_sweep(
+    return _sweep_until_stable(
+        config,
         lambda i, lam_i, others: _best_row(i, lam_i, others, weights)[0],
-        config)
-    return _sweep_until_stable(config, sweep, initial, single_pass=False)
+        initial, single_pass=False)
 
 
 def objective_all_schedulers(alloc: Allocation,

@@ -14,11 +14,13 @@ Three checkers that deliberately avoid the closed-form solver's algebra:
 * a Monte-Carlo splitter that draws actual Poisson traffic and routes it
   by the allocation, validating the arrival-composition layer.
 
-The availability formula itself is taken as given and is NOT re-derived
-or simulated here: reproducing the underlying retrial/crash queue would
-require distributional details the model does not pin down.  Only the
-layer that composes per-scheduler streams into per-node arrival rates is
-simulation-checked.
+The availability A = 1 - delta*W is taken as given and is NOT re-derived
+or simulated here.  It is the server's idle probability under these
+assumptions: Poisson arrivals at rate delta, mean service time beta1,
+crashes at rate mu_prime while busy and mean repair time gamma.  The
+retrial time of blocked jobs does not enter A, and no test in this
+repository simulates the queue yet.  Only the layer that composes
+per-scheduler streams into per-node arrival rates is simulation-checked.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ import math
 
 import numpy as np
 
+from .errors import ValidationError
 from .model import (Allocation, SystemConfig, _checked, objective,
                     others_load_vector)
 
@@ -156,14 +159,19 @@ def traffic_empirical_rates(alloc: Allocation, config: SystemConfig,
     independent per-arrival thinning.  Randomness comes from numpy's
     seeded PCG64 generator, so runs are bit-reproducible and portable.
     horizon (> 0) and seed (an integer >= 0) are checked by their _BOUNDS
-    rules before any draw.
+    rules before any draw; a horizon that puts a Poisson mean beyond
+    numpy's sampler (about 9.2e18) is a ValidationError too.
     """
     _checked("horizon", horizon)
     _checked("seed", seed)
     rng = np.random.default_rng(seed)
     counts = np.zeros(config.n_nodes)
     for i, lam_i in enumerate(config.lam.tolist()):
-        arrivals = int(rng.poisson(lam_i * horizon))
+        try:
+            arrivals = int(rng.poisson(lam_i * horizon))
+        except ValueError as exc:
+            raise ValidationError(f"horizon {horizon:g} is too long for "
+                                  f"scheduler {i}: {exc}") from exc
         if arrivals == 0:
             continue
         row = np.asarray(alloc.entries[i], dtype=float)

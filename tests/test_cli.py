@@ -10,7 +10,8 @@ from relsched import ParseError, ValidationError, cli, solve
 from relsched.cli import VARY, _sweep_values, load_config, main, parse_range
 
 
-PRESET_FILE = Path(__file__).parent / "golden" / "table1-table2.json"
+GOLDEN_DIR = Path(__file__).parent / "golden"
+PRESET_FILE = GOLDEN_DIR / "table1-table2.json"
 
 
 def write_json(tmp_path, payload, name="config.json"):
@@ -71,6 +72,55 @@ class TestLoadConfig:
             load_config(write_json(tmp_path, {"rho": 0.5, "nodes": [{}],
                                               "schedulers": [{"phi": 1}]}))
         assert "mu" in str(err.value)
+
+    @pytest.mark.parametrize("payload,message", [
+        ([GOOD_CONFIG], "top level must be an object"),
+        ({"nodes": [{"mu": 0.02}], "schedulers": [{"phi": 1}]},
+         "missing required field 'rho'"),
+        ({"rho": 0.5, "schedulers": [{"phi": 1}]}, "'nodes' list"),
+        ({"rho": 0.5, "nodes": [], "schedulers": [{"phi": 1}]},
+         "'nodes' list"),
+        ({"rho": 0.5, "nodes": [{"mu": 0.02}]}, "'schedulers' list"),
+        ({"rho": 0.5, "nodes": [{"mu": 0.02}], "schedulers": []},
+         "'schedulers' list"),
+        ({"rho": 0.5, "nodes": [{"mu": 0.02}, 0.04],
+          "schedulers": [{"phi": 1}]}, "node 1 must be an object"),
+        ({"rho": 0.5, "nodes": [{"mu": 0.02}], "schedulers": [[1]]},
+         "scheduler 0 must be an object"),
+    ])
+    def test_structure_errors_named(self, payload, message, tmp_path):
+        with pytest.raises(ParseError, match=message):
+            load_config(write_json(tmp_path, payload))
+
+    @pytest.mark.parametrize("part,entry,key,where", [
+        ("config", None, "epsilon", "top level"),
+        ("nodes", {"mu": 0.04, "beta": 40.0}, "beta", "node 1"),
+        ("schedulers", {"lamda": 0.004}, "lamda", "scheduler 1"),
+    ])
+    def test_unknown_key_named(self, part, entry, key, where, tmp_path,
+                               capsys):
+        # a typo'd key used to be ignored: "beta" gave the default beta1
+        # and "lamda" a scheduler of rate 0
+        payload = dict(GOOD_CONFIG)
+        if entry is None:
+            payload[key] = 1e-6
+        else:
+            payload[part] = [GOOD_CONFIG[part][0], entry]
+        path = write_json(tmp_path, payload)
+        with pytest.raises(ParseError,
+                           match=f"unknown field '{key}' of {where}$"):
+            load_config(path)
+        assert main(["solve", "--config", str(path)]) == 2
+        assert capsys.readouterr().err.startswith("error:")
+
+    def test_every_documented_key_accepted(self, tmp_path):
+        payload = dict(GOOD_CONFIG, epsilon_threshold=1e-6, max_cycles=50,
+                       nodes=[{"mu": 0.02, "mu_prime": 0.002, "gamma": 250.0,
+                               "beta1": 50.0}, {"mu": 0.04}],
+                       schedulers=[{"phi": 0.01, "lambda": 0.004},
+                                   {"lam": 0.005}])
+        config = load_config(write_json(tmp_path, payload))
+        assert config.lam.tolist() == [0.004, 0.005]
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(ParseError):
@@ -388,6 +438,21 @@ class TestMainExitCodes:
         path = write_json(tmp_path, payload)
         assert main(["solve", "--config", str(path)]) == 3
 
+    @pytest.mark.parametrize("argv", [
+        ("sweep-load",),
+        ("fairness", "--range", "0.4:0.5:0.1"),
+        ("convergence", "--range", "0.1:0.3:0.1"),
+    ])
+    def test_non_converging_sweep_point_is_3(self, argv, tmp_path, capsys):
+        # such a point used to be written as feasible=0, with exit 0
+        out = tmp_path / "out.csv"
+        path = GOLDEN_DIR / "solve.not-converged.json"
+        assert main([*argv, "--config", str(path), "--out", str(out)]) == 3
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: no convergence within")
+        assert captured.out == ""
+        assert not out.exists()
+
     def test_unreachable_epsilon_is_3(self, tmp_path, capsys):
         # a valid threshold that no single sweep meets
         path = write_json(tmp_path, dict(GOOD_CONFIG, max_cycles=1))
@@ -473,6 +538,7 @@ class TestMainExitCodes:
         ("sweep-load", "0.1:0.5:1e-300", "points"),
         ("sweep-load", "0.1:0.9:1e-5", "points"),
         ("sweep-nodes", "10.4:11.4:0.5", "whole numbers"),
+        ("sweep-load", "0.1:0.9:0", "step must be positive"),
     ])
     def test_unusable_range_is_2(self, command, text, message, tmp_path,
                                  capsys):
@@ -552,6 +618,16 @@ class TestMainExitCodes:
         assert "nash_check=PASS" in printed
         assert "traffic_check=PASS" in printed
         assert out.exists()
+
+    def test_oracle_check_horizon_beyond_sampler_is_2(self, tmp_path,
+                                                       capsys):
+        # used to end in numpy's ValueError traceback, exit 1
+        out = tmp_path / "oracle.csv"
+        assert main(["oracle-check", "--preset", "table1-table2",
+                     "--horizon", "1e22", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: horizon")
+        assert not out.exists()
 
     def test_bsa_single_pass_flag(self, tmp_path, capsys):
         out = tmp_path / "cmp.csv"

@@ -8,6 +8,7 @@ import pytest
 from relsched import (
     Allocation,
     AvailabilityOutOfRange,
+    DivisionByZeroAvailability,
     NodeParams,
     SchedulerParams,
     SystemConfig,
@@ -109,6 +110,10 @@ class TestAllocation:
         Allocation(np.array([[0.5, 0.5 + 5e-10]]))
         with pytest.raises(ValidationError):
             Allocation(np.array([[0.5, 0.5 + 5e-9]]))
+
+    def test_rejects_one_dimensional_array(self):
+        with pytest.raises(ValidationError, match="2-D"):
+            Allocation(np.array([0.5, 0.5]))
 
     def test_entries_read_only(self):
         alloc = Allocation.uniform(2, 3)
@@ -421,6 +426,20 @@ class TestObjective:
             rho=0.5,
         )
         assert objective(Allocation.uniform(1, 2), config) == 2.0
+
+    def test_zero_availability_raises(self):
+        # W = 2 * (1 + 0.05 * 10) = 3 and lam * W = 1 exactly: the
+        # reciprocal is undefined, so it raises instead of giving inf
+        config = build_config(
+            nodes=[NodeParams.from_rate(0.5)],
+            schedulers=[SchedulerParams(lam=1 / 3)],
+            rho=0.5,
+        )
+        alloc = Allocation(np.array([[1.0]]))
+        assert availability_vector(alloc, config)[0] == 0.0
+        with pytest.raises(DivisionByZeroAvailability) as err:
+            objective(alloc, config)
+        assert err.value.node == 0
 
     def test_concentrated_on_fast_node(self, two_node_config):
         alloc = Allocation(np.array([[0.0, 1.0]]))

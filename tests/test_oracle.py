@@ -86,6 +86,18 @@ class TestNumericBestResponse:
             numeric_val = objective(alloc.replace_row(i, numeric), config)
             assert numeric_val >= closed_val - 1e-6
 
+    def test_zero_rate_scheduler_keeps_its_row(self):
+        # a flat objective: the current row comes back as it is, a copy
+        config = build_config(
+            nodes=[NodeParams.from_rate(0.02), NodeParams.from_rate(0.04)],
+            schedulers=[SchedulerParams(lam=0.0), SchedulerParams(lam=0.005)],
+            rho=0.5,
+        )
+        alloc = Allocation(np.array([[0.9, 0.1], [0.5, 0.5]]))
+        row = numeric_best_response(0, alloc, config)
+        assert row.tolist() == [0.9, 0.1]
+        assert not np.shares_memory(row, alloc.entries)
+
     def test_descent_path_used_beyond_grid_limit(self, table12):
         # no node count takes a lattice seed any more; the full 15 nodes,
         # beyond the old grid limit, must still descend to the optimum
@@ -253,6 +265,16 @@ class TestTrafficEmpiricalRates:
         for shorter, longer in zip(variances, variances[1:]):
             ratio = shorter / longer
             assert 1.0 <= ratio <= 4.0
+
+    @pytest.mark.parametrize("horizon", [1e22, 1e300])
+    def test_rejects_horizon_beyond_poisson_sampler(self, table12, horizon):
+        # numpy draws a Poisson count of mean up to about 9.2e18; beyond
+        # it numpy raised a bare ValueError
+        alloc = Allocation.uniform(table12.n_schedulers, table12.n_nodes)
+        with pytest.raises(ValidationError, match="horizon"):
+            traffic_empirical_rates(alloc, table12, horizon=horizon, seed=1)
+        assert traffic_empirical_rates(alloc, table12, horizon=1e21,
+                                       seed=1).shape == (table12.n_nodes,)
 
     def test_rejects_nonpositive_horizon(self, twin_node_config, even_split):
         # the rule oracle-check applies before it solves: a typed error for
