@@ -131,6 +131,9 @@ def _read_config(path) -> dict:
     schedulers = []
     for k, entry in enumerate(scheds_raw):
         known(entry, "scheduler", f"scheduler {k}")
+        if "lambda" in entry and "lam" in entry:
+            raise ParseError(f"{path}: scheduler {k} gives both 'lambda' "
+                             "and 'lam'")
         phi = field(entry, "phi", f"scheduler {k}") or 0.0
         lam = field(entry, "lambda" if "lambda" in entry else "lam",
                     f"scheduler {k}")
@@ -357,12 +360,14 @@ def _cmd_oracle_check(args) -> int:
     config = _instance(_source(args), args.rho)
     report = equilibrium.solve(config)
     ok, worst = oracle.nash_check(report.allocation, config)
+    # drawn before any verdict is printed: a horizon beyond the sampler
+    # exits 2 with the error alone
+    measured = oracle.traffic_empirical_rates(
+        report.allocation, config, horizon=args.horizon, seed=args.seed)
     print(f"nash_check={'PASS' if ok else 'FAIL'} "
           f"worst_gain={worst:{_SUMMARY_DIGITS}}")
 
     expected = node_arrivals(report.allocation, config)
-    measured = oracle.traffic_empirical_rates(
-        report.allocation, config, horizon=args.horizon, seed=args.seed)
     sigma = np.sqrt(expected / args.horizon)
     within = np.abs(measured - expected) <= 3.0 * sigma
     traffic_ok = bool(within.all())

@@ -10,7 +10,10 @@ Three checkers that deliberately avoid the closed-form solver's algebra:
   both availabilities positive, evaluates only their two availability
   reciprocals, and keeps a move only when it strictly lowers them;
 * an equilibrium checker that asks whether any scheduler could gain by
-  switching to its numerically optimised row;
+  switching to its numerically optimised row.  Its descents start from
+  each scheduler's own row, not the uniform one: the row objective is
+  strictly convex on the simplex, so any feasible start reaches the same
+  optimum, and at an equilibrium the first sweep finds no move and stops;
 * a Monte-Carlo splitter that draws actual Poisson traffic and routes it
   by the allocation, validating the arrival-composition layer.
 
@@ -83,6 +86,46 @@ def _line_search(row: list, p: int, q: int, others: list, weights: list,
         row[p], row[q] = bp, bq
 
 
+def _descend(i: int, alloc: Allocation, config: SystemConfig,
+             start=None) -> np.ndarray:
+    """Scheduler i's row optimum by the descent numeric_best_response
+    describes, from start, a row at which every availability is positive,
+    or, when start is None, from numeric_best_response's start.  Sweeps
+    stop once one moves no entry by 1e-10."""
+    m = config.n_nodes
+    lam_i = float(config.lam[i])
+    if lam_i == 0.0:
+        return np.array(alloc.entries[i])
+    if m == 1:
+        return np.ones(1)
+
+    weights = config.weights
+    others = others_load_vector(i, alloc, config)
+    caps = (1.0 / weights - others) / lam_i
+    if start is not None:
+        row = np.array(start, dtype=float)
+    else:
+        row = np.full(m, 1.0 / m)
+        if (caps <= row).any():
+            spare = np.maximum(caps, 0.0)
+            if spare.sum() > 0.0:  # else the others saturate every node
+                row = spare / spare.sum()
+
+    others, weights, caps = others.tolist(), weights.tolist(), caps.tolist()
+    for _ in range(500):
+        before = row
+        trial = row.tolist()
+        for p in range(m):
+            for q in range(p + 1, m):
+                _line_search(trial, p, q, others, weights, caps, lam_i,
+                             _LINE_TOL)
+        row = np.maximum(trial, 0.0)
+        row /= row.sum()
+        if np.max(np.abs(row - before)) < 1e-10:
+            break
+    return row
+
+
 def numeric_best_response(i: int, alloc: Allocation,
                           config: SystemConfig) -> np.ndarray:
     """Minimise scheduler i's row objective without the closed form.
@@ -103,47 +146,27 @@ def numeric_best_response(i: int, alloc: Allocation,
     A scheduler with zero arrival rate has a flat objective; its current
     row is returned unchanged.
     """
-    m = config.n_nodes
-    lam_i = float(config.lam[i])
-    if lam_i == 0.0:
-        return np.array(alloc.entries[i])
-    if m == 1:
-        return np.ones(1)
-
-    weights = config.weights
-    others = others_load_vector(i, alloc, config)
-    caps = (1.0 / weights - others) / lam_i
-    row = np.full(m, 1.0 / m)
-    if (caps <= row).any():
-        spare = np.maximum(caps, 0.0)
-        if spare.sum() > 0.0:  # else the others saturate every node
-            row = spare / spare.sum()
-
-    others, weights, caps = others.tolist(), weights.tolist(), caps.tolist()
-    for _ in range(500):
-        before = row
-        trial = row.tolist()
-        for p in range(m):
-            for q in range(p + 1, m):
-                _line_search(trial, p, q, others, weights, caps, lam_i,
-                             _LINE_TOL)
-        row = np.maximum(trial, 0.0)
-        row /= row.sum()
-        if np.max(np.abs(row - before)) < 1e-10:
-            break
-    return row
+    return _descend(i, alloc, config)
 
 
 def nash_check(alloc: Allocation, config: SystemConfig,
                tolerance: float = 1e-6) -> tuple[bool, float]:
     """Can any scheduler lower the objective by switching to its numeric
     best response?  Returns (no_scheduler_can, worst_gain).  tolerance,
-    the largest gain counted as none, is checked by its _BOUNDS rule."""
+    the largest gain counted as none, is checked by its _BOUNDS rule.
+
+    Each scheduler's descent starts from its own row, which is feasible
+    because the objective at alloc is defined (it is computed first).  The
+    row objective is strictly convex on the simplex, so the descent
+    reaches the same optimum from any feasible start and the gain does not
+    depend on it, up to rounding; at an equilibrium the first sweep finds
+    no strictly improving move and the descent stops there.
+    """
     _checked("tolerance", tolerance)
     worst = 0.0
     current = objective(alloc, config)
     for i in range(config.n_schedulers):
-        candidate = numeric_best_response(i, alloc, config)
+        candidate = _descend(i, alloc, config, alloc.entries[i])
         value = objective(alloc.replace_row(i, candidate), config)
         worst = max(worst, current - value)
     return worst <= tolerance, worst

@@ -122,6 +122,17 @@ class TestLoadConfig:
         config = load_config(write_json(tmp_path, payload))
         assert config.lam.tolist() == [0.004, 0.005]
 
+    def test_lambda_and_alias_together_named(self, tmp_path, capsys):
+        # "lambda" used to win silently over its alias "lam"
+        payload = dict(GOOD_CONFIG, schedulers=[
+            {"phi": 0.01}, {"lambda": 0.004, "lam": 0.02}])
+        path = write_json(tmp_path, payload)
+        with pytest.raises(ParseError, match="scheduler 1 gives both "
+                                             "'lambda' and 'lam'$"):
+            load_config(path)
+        assert main(["solve", "--config", str(path)]) == 2
+        assert capsys.readouterr().err.startswith("error:")
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(ParseError):
             load_config(tmp_path / "absent.json")
@@ -628,6 +639,12 @@ class TestMainExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("error: horizon")
         assert not out.exists()
+
+    def test_oracle_check_long_horizon_prints_no_verdict(self, capsys):
+        # nash_check's PASS used to print before the traffic draw failed
+        assert main(["oracle-check", "--preset", "table1-table2",
+                     "--horizon", "1e22"]) == 2
+        assert capsys.readouterr().out == ""
 
     def test_bsa_single_pass_flag(self, tmp_path, capsys):
         out = tmp_path / "cmp.csv"

@@ -2,6 +2,7 @@
 
 from itertools import combinations
 from math import comb
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -21,8 +22,9 @@ from relsched import (
     solve,
     traffic_empirical_rates,
 )
+from relsched import oracle
 from relsched.model import others_load_vector
-from relsched.presets import preset
+from relsched.presets import PRESET_NAMES, preset
 
 
 def combinations_lattice(m, levels):
@@ -215,6 +217,54 @@ class TestNashCheck:
         # a NaN tolerance used to make every check FAIL without a word
         with pytest.raises(ValidationError, match="tolerance"):
             nash_check(even_split, two_node_config, tolerance=tolerance)
+
+
+def from_uniform_gain(alloc, config):
+    """nash_check's worst gain, with every descent started where
+    numeric_best_response starts it instead of at the scheduler's row."""
+    current = objective(alloc, config)
+    return max(0.0, *(
+        current - objective(alloc.replace_row(
+            i, numeric_best_response(i, alloc, config)), config)
+        for i in range(config.n_schedulers)))
+
+
+def nudged_equilibrium(config):
+    """solve's allocation with 1e-3 of scheduler 0's mass moved from its
+    most to its second most loaded node."""
+    entries = np.array(solve(config).allocation.entries)
+    p, q = np.argsort(entries[0])[::-1][:2]
+    entries[0, p] -= 1e-3
+    entries[0, q] += 1e-3
+    return Allocation(entries)
+
+
+class TestNashCheckStart:
+    # nash_check descends from each scheduler's own row; by strict
+    # convexity of the row objective the start must not change the answer
+
+    @pytest.mark.parametrize("name", PRESET_NAMES)
+    @pytest.mark.parametrize("where", ["uniform", "nudged"])
+    def test_same_verdict_as_uniform_start(self, name, where):
+        config = preset(name)
+        alloc = (Allocation.uniform(config.n_schedulers, config.n_nodes)
+                 if where == "uniform" else nudged_equilibrium(config))
+        tolerance = 1e-6
+        ok, worst = nash_check(alloc, config, tolerance=tolerance)
+        reference = from_uniform_gain(alloc, config)
+        assert ok == (reference <= tolerance)
+        assert worst == pytest.approx(reference, rel=0.0, abs=1e-9)
+
+    def test_equilibrium_checked_in_at_most_two_sweeps(self):
+        # at an equilibrium most descents stop after their first sweep
+        config = preset("table1-table2")
+        alloc = solve(config).allocation
+        with mock.patch.object(oracle, "_line_search",
+                               wraps=oracle._line_search) as spy:
+            ok, _ = nash_check(alloc, config)
+        n, m = config.n_schedulers, config.n_nodes
+        assert ok
+        assert spy.call_count <= 2 * n * m * (m - 1) // 2
 
 
 class TestTrafficEmpiricalRates:
