@@ -14,7 +14,6 @@ import argparse
 import csv
 import functools
 import json
-import math
 import sys
 from pathlib import Path
 
@@ -29,14 +28,14 @@ from .errors import (
 )
 from .metrics import fairness_index, per_node_reciprocals
 from .model import (
+    _BOUNDS,
     Allocation,
-    NodeParams,
-    SchedulerParams,
     SystemConfig,
     _checked,
-    _fields,
+    _from_columns,
     _is_float,
     _is_number,
+    _within,
     build_instance,
     node_arrivals,
     validate_config,
@@ -55,22 +54,28 @@ VARY = {
     "nodes": ("m", "10:20:1"),
 }
 
-# The keys a config file may hold, at its top level and in each entry.
-_KEYS = {"config": {"rho", "epsilon_threshold", "max_cycles", "nodes",
-                    "schedulers"},
-         "node": {"mu", "mu_prime", "gamma", "beta1"},
-         "scheduler": {"phi", "lambda", "lam"}}
+# The keys a config file may hold, by where they sit, each with the _BOUNDS
+# rule of its value; "lambda" is an alias of lam, and "nodes" and
+# "schedulers" hold lists of the entries _KEYS names.
+_KEYS = {"top level": {"rho": "rho", "epsilon_threshold": "epsilon_threshold",
+                       "max_cycles": "max_cycles", "nodes": "node",
+                       "schedulers": "scheduler"},
+         "node": {key: key for key in ("mu", "mu_prime", "gamma", "beta1")},
+         "scheduler": {"phi": "phi", "lam": "lam", "lambda": "lam"}}
 
 
 def _read_config(path) -> dict:
     """Parse a JSON instance file into the source build_instance takes,
-    as a preset holds it (see model._fields), with epsilon_threshold and
-    max_cycles if set.
+    as a preset holds it (see model._from_columns), with epsilon_threshold
+    and max_cycles if set.
 
-    Every value is type-checked here: numbers must be finite and not
-    booleans, and a JSON null is rejected like any other wrong type.  So is
-    a key outside _KEYS, which a typo would otherwise turn into a default.
-    The records check each entry's range; _source and _instance the rest.
+    Every value is type-checked once, a ParseError: a number must be finite
+    and not a boolean, and a JSON null is a wrong type.  So is a key outside
+    _KEYS, which a typo would otherwise turn into a default.  Each node and
+    scheduler value is range-checked once by its _BOUNDS rule, _checked
+    raising the ValidationError that names it, so a sweep exits 2 before
+    any point is solved; _source checks the settings, which an override
+    may replace, and _instance the rest.
     """
     path = Path(path)
     try:
@@ -84,65 +89,47 @@ def _read_config(path) -> dict:
             f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}"
         ) from exc
 
-    def known(obj, kind, where):
+    def read(obj, kind, where) -> dict:
+        """The values of obj, an object of kind, by their _KEYS rule."""
         if not isinstance(obj, dict):
             raise ParseError(f"{path}: {where} must be an object")
-        for key in obj:
-            if key not in _KEYS[kind]:
+        values = {}
+        for key, value in obj.items():
+            rule = _KEYS[kind].get(key)
+            if rule is None:
                 raise ParseError(f"{path}: unknown field {key!r} of {where}")
+            if rule in values:
+                raise ParseError(f"{path}: {where} gives both 'lambda' and "
+                                 "'lam'")
+            bounds = _BOUNDS.get(rule)  # None for a list of entries
+            if not (_is_number(value, bounds[3]) if bounds
+                    else isinstance(value, list)):
+                raise ParseError(f"{path}: field {key!r} of {where} has "
+                                 "wrong type")
+            if bounds:
+                if not _is_float(value):
+                    raise ParseError(f"{path}: field {key!r} of {where} is "
+                                     "not finite")
+                if kind != "top level" and not _within(value, *bounds[:3]):
+                    _checked(rule, value, f"{path}: field {key!r} of {where}")
+                value = value if bounds[3] else float(value)
+            values[rule] = value
+        if kind == "node" and "mu" not in values:
+            raise ParseError(f"{path}: {where} is missing 'mu'")
+        return values
 
-    def field(obj, key, where, kind=float):
-        """obj[key] as a list, or as a finite number (by _is_float) that
-        is a float unless kind is int; None if absent."""
-        if key not in obj:
-            return None
-        value = obj[key]
-        if not (isinstance(value, list) if kind is list
-                else _is_number(value, kind is int)):
-            raise ParseError(f"{path}: field {key!r} of {where} has wrong type")
-        if kind is not list and not _is_float(value):
-            raise ParseError(f"{path}: field {key!r} of {where} is not finite")
-        return float(value) if kind is float else value
-
-    known(raw, "config", "top level")
-    rho = field(raw, "rho", "config")
-    if rho is None:
+    settings = read(raw, "top level", "top level")
+    if "rho" not in settings:
         raise ParseError(f"{path}: missing required field 'rho'")
-    nodes_raw = field(raw, "nodes", "config", list)
-    scheds_raw = field(raw, "schedulers", "config", list)
-    if not nodes_raw:
-        raise ParseError(f"{path}: missing or empty 'nodes' list")
-    if not scheds_raw:
-        raise ParseError(f"{path}: missing or empty 'schedulers' list")
-
-    nodes = []
-    for k, entry in enumerate(nodes_raw):
-        known(entry, "node", f"node {k}")
-        mu = field(entry, "mu", f"node {k}")
-        if mu is None:
-            raise ParseError(f"{path}: node {k} is missing 'mu'")
-        nodes.append(NodeParams.from_rate(
-            mu,
-            mu_prime=field(entry, "mu_prime", f"node {k}"),
-            gamma=field(entry, "gamma", f"node {k}"),
-            beta1=field(entry, "beta1", f"node {k}"),
-        ))
-
-    schedulers = []
-    for k, entry in enumerate(scheds_raw):
-        known(entry, "scheduler", f"scheduler {k}")
-        if "lambda" in entry and "lam" in entry:
-            raise ParseError(f"{path}: scheduler {k} gives both 'lambda' "
-                             "and 'lam'")
-        phi = field(entry, "phi", f"scheduler {k}") or 0.0
-        lam = field(entry, "lambda" if "lambda" in entry else "lam",
-                    f"scheduler {k}")
-        schedulers.append(SchedulerParams(phi=phi, lam=lam))
-
-    settings = {key: field(raw, key, "config", kind) for key, kind in
-                (("epsilon_threshold", float), ("max_cycles", int))}
-    return _fields(nodes, schedulers, rho, **{
-        key: value for key, value in settings.items() if value is not None})
+    columns = {}
+    for key, kind in (("nodes", "node"), ("schedulers", "scheduler")):
+        if not settings.get(kind):
+            raise ParseError(f"{path}: missing or empty {key!r} list")
+        entries = [read(entry, kind, f"{kind} {k}")
+                   for k, entry in enumerate(settings.pop(kind))]
+        columns.update((rule, [entry.get(rule) for entry in entries])
+                       for rule in set(_KEYS[kind].values()))
+    return _from_columns(columns, **settings)
 
 
 def load_config(path) -> SystemConfig:
@@ -216,8 +203,6 @@ def write_csv(path, header, rows) -> Path:
 def _sweep_values(sweep_range, integer: bool) -> list:
     """Points of an inclusive LO:HI:STEP range, whole numbers if integer."""
     lo, hi, step = sweep_range
-    if step <= 0:
-        raise ValidationError(f"sweep step must be positive, got {step}")
     if integer and not all(float(v).is_integer() for v in sweep_range):
         raise ValidationError(
             f"a count sweep needs whole numbers, got {lo:g}:{hi:g}:{step:g}")
@@ -240,8 +225,9 @@ def parse_range(text: str) -> tuple[float, float, float]:
         lo, hi, step = (float(p) for p in parts)
     except ValueError as exc:
         raise ValidationError(f"range must be numeric, got {text!r}") from exc
-    if not all(math.isfinite(v) for v in (lo, hi, step)):
-        raise ValidationError(f"range must be finite, got {text!r}")
+    _checked("sweep_bound", lo, "--range LO")
+    _checked("sweep_bound", hi, "--range HI")
+    _checked("sweep_step", step, "--range STEP")
     if hi < lo:
         raise ValidationError(f"range upper bound below lower: {text!r}")
     return lo, hi, step

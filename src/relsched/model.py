@@ -10,11 +10,12 @@ retrials and server crashes.  A node that receives jobs at aggregate rate
 and the shared game objective is D = sum_j 1/A_j.  A SystemConfig holds
 an instance as read-only float arrays: mu, mu_prime, gamma, beta1 and W
 per node, phi and lam per scheduler; build_instance makes every instance
-from a source, the same arrays with unknown rates NaN.  The records exist
-only at the boundary.  Every input number is checked by its row of one
-rule table, _BOUNDS.  Each formula has one implementation,
-on whole vectors: the node loads are delta = entries.T @ lam, and the
-objective and its derivatives accept an Allocation or a raw matrix.
+from a source, the same arrays with unknown rates NaN, formed by
+_from_columns from columns of numbers; the records are a library
+convenience that presets and files never build.  Every input number is
+checked by its row of one rule table, _BOUNDS.  Each formula has one
+vector implementation: the node loads are delta = entries.T @ lam, and
+the objective and its derivatives accept an Allocation or a raw matrix.
 Every function here is pure and every type is immutable after
 construction, so evaluation is thread-safe.
 """
@@ -38,6 +39,7 @@ ROW_SUM_TOL = 1e-9
 # The one table of input rules, name: (low, low allowed, high, integer).
 # A value is a number (an integer where flagged), not a boolean, above low
 # (or at it where allowed) and below high; high = inf rejects infinities.
+# sweep_bound and sweep_step govern the parts of a CLI --range.
 _INF = np.inf
 _BOUNDS = dict(
     mu=(0.0, False, _INF, False), mu_prime=(0.0, True, _INF, False),
@@ -45,7 +47,9 @@ _BOUNDS = dict(
     phi=(0.0, True, _INF, False), lam=(0.0, True, _INF, False),
     rho=(0.0, False, 1.0, False), epsilon_threshold=(0.0, True, _INF, False),
     max_cycles=(1, True, _INF, True), horizon=(0.0, False, _INF, False),
-    seed=(0, True, _INF, True), tolerance=(0.0, True, _INF, False))
+    seed=(0, True, _INF, True), tolerance=(0.0, True, _INF, False),
+    sweep_bound=(-_INF, False, _INF, False),
+    sweep_step=(0.0, False, _INF, False))
 _NODE_FIELDS = ("mu", "mu_prime", "gamma", "beta1")
 _ARRAY_FIELDS = (*_NODE_FIELDS, "phi", "lam")
 
@@ -86,8 +90,9 @@ def _checked(name: str, values, label: str | None = None):
         if values.ndim != 1 or values.size == 0:
             raise ValidationError(f"{label} must be a nonempty 1-D array, "
                                   f"got shape {values.shape}")
-        bad = None
-        if values.dtype.kind not in "iuf":
+        bad = None  # all-float entries need no scan: _within rejects NaN, inf
+        if (values.dtype.kind not in "iuf"
+                and set(map(type, values.tolist())) != {float}):
             bad = next((k for k, value in enumerate(values)
                         if not _is_float(value)), None)
         if bad is None:
@@ -98,10 +103,11 @@ def _checked(name: str, values, label: str | None = None):
                 array.setflags(write=False)
                 return array
         where, value = f"{label}[{bad}]", values.tolist()[bad]
+    lower = f" {'>=' if inclusive else '>'} {low:g}" if low > -_INF else ""
     upper = f" and < {high:g}" if high < _INF else ""
     raise ValidationError(
-        f"{where} must be {'an integer' if integer else 'a finite number'} "
-        f"{'>=' if inclusive else '>'} {low:g}{upper}, got {value!r}")
+        f"{where} must be {'an integer' if integer else 'a finite number'}"
+        f"{lower}{upper}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -128,20 +134,20 @@ class NodeParams:
     def from_rate(cls, mu: float, *, mu_prime: float | None = None,
                   gamma: float | None = None,
                   beta1: float | None = None) -> "NodeParams":
-        """Build a node from its processing rate, filling defaults.
-
-        Omitted fields use the standard derivation: failure rate one tenth
-        of the processing rate, repair time 5/mu (so mu_prime*gamma is
-        exactly 0.5) and mean service time 1/mu.  All three are overridable
-        for nodes with measured values.
-        """
+        """Build a node from its processing rate.  Omitted fields take
+        _node_defaults; all three are overridable for nodes with measured
+        values."""
         _checked("mu", mu)
-        return cls(
-            mu=mu,
-            mu_prime=mu / 10.0 if mu_prime is None else mu_prime,
-            gamma=5.0 / mu if gamma is None else gamma,
-            beta1=1.0 / mu if beta1 is None else beta1,
-        )
+        return cls(mu, *(default if value is None else value
+                         for value, default in zip((mu_prime, gamma, beta1),
+                                                   _node_defaults(mu))))
+
+
+def _node_defaults(mu):
+    """mu_prime, gamma and beta1 of a node of rate mu, on a number or an
+    array, by the standard derivation: failure rate mu/10, repair time 5/mu
+    (so mu_prime*gamma is 0.5) and mean service time 1/mu."""
+    return mu / 10.0, 5.0 / mu, 1.0 / mu
 
 
 @dataclass(frozen=True)
@@ -235,8 +241,10 @@ class SystemConfig:
 
     def __post_init__(self):
         for name in _ARRAY_FIELDS:  # as arrays, so one number is a shape error
-            array = _checked(name, np.asarray(getattr(self, name)))
-            object.__setattr__(self, name, array)
+            values = getattr(self, name)
+            if not isinstance(values, np.ndarray):  # each entry as given:
+                values = np.array(values, dtype=object)  # [1, True] is not 1.0
+            object.__setattr__(self, name, _checked(name, values))
         for name in (*_NODE_FIELDS, "phi"):
             like = "lam" if name == "phi" else "mu"
             if getattr(self, name).size != getattr(self, like).size:
@@ -287,17 +295,21 @@ class ValidationReport:
         return tuple(c for c in self.checks if not c.passed)
 
 
-def _fields(nodes, schedulers, rho, **settings) -> dict:
-    """The source of an instance of node and scheduler records: the fields
-    SystemConfig takes, with NaN (no input can be NaN) for a missing rate."""
-    fields = {name: np.array([getattr(node, name) for node in nodes], float)
-              for name in _NODE_FIELDS}
-    fields["phi"] = np.array([s.phi for s in schedulers], float)
-    fields["lam"] = np.array([np.nan if s.lam is None else s.lam
-                              for s in schedulers], float)
-    for array in fields.values():  # a preset's source is shared
+def _from_columns(columns: dict, rho, **settings) -> dict:
+    """The source of an instance, SystemConfig's fields as shared read-only
+    arrays, from columns of numbers by field (NaN or None where an entry
+    leaves a field out, no column where all do): a node field defaults by
+    _node_defaults, phi to 0, and lam stays NaN for build_instance."""
+    mu = np.array(columns["mu"], float)
+    phi = np.array(columns["phi"], float)
+    fills = dict(zip(_NODE_FIELDS, (mu, *_node_defaults(mu))), phi=0.0,
+                 lam=np.full(phi.size, np.nan))
+    source = dict(rho=rho, **settings)
+    for name, fill in fills.items():
+        given = np.array(columns.get(name, np.nan), float)
+        source[name] = array = np.where(np.isnan(given), fill, given)
         array.setflags(write=False)
-    return dict(fields, rho=rho, **settings)
+    return source
 
 
 def build_instance(source: dict, rho: float | None = None,
@@ -331,8 +343,11 @@ def build_config(nodes, schedulers, rho: float, **settings) -> SystemConfig:
     """The SystemConfig of node and scheduler records.  A missing arrival
     rate is derived from the relative weights; a given one stands.
     Settings pass through to SystemConfig, which holds their defaults."""
-    return build_instance(_fields(tuple(nodes), tuple(schedulers), rho,
-                                  **settings))
+    columns = {name: [getattr(item, name) for item in items]  # None is NaN
+               for items, names in ((tuple(nodes), _NODE_FIELDS),
+                                    (tuple(schedulers), ("phi", "lam")))
+               for name in names}
+    return build_instance(_from_columns(columns, rho, **settings))
 
 
 def node_arrivals(alloc, config: SystemConfig) -> np.ndarray:

@@ -6,16 +6,15 @@ used as given, not normalised); node entries are average job processing
 rates in jobs/second, with failure rate, repair time and mean service
 time filled by the standard defaults (mu/10, 5/mu, 1/mu).
 
-A preset is held as the source a config file is read into, and
-model.build_instance makes every instance, of a preset, a file or a sweep
-point, from such a source.
+A preset is held as the source a config file is read into, formed from
+its two tables by model._from_columns; model.build_instance makes every
+instance, of a preset, a file or a sweep point, from such a source.
 """
 
 from __future__ import annotations
 
 from .errors import ValidationError
-from .model import (NodeParams, SchedulerParams, SystemConfig, _fields,
-                    build_instance)
+from .model import SystemConfig, _from_columns, build_instance
 
 # Relative job arrival rate of each scheduler (10-scheduler workload).
 TABLE1_PHI = (
@@ -76,8 +75,7 @@ REFERENCE_GAPS = {
 
 def _source(phis, mus, rho) -> dict:
     """A preset's source, built once: instances share its read-only arrays."""
-    return _fields(tuple(NodeParams.from_rate(mu) for mu in mus),
-                   tuple(SchedulerParams(phi=phi) for phi in phis), rho)
+    return _from_columns({"mu": mus, "phi": phis}, rho)
 
 
 _PRESETS = {

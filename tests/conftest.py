@@ -31,6 +31,16 @@ def twin_node_config():
 
 
 @pytest.fixture
+def no_records(monkeypatch):
+    """NodeParams and SchedulerParams refuse to be built: presets, config
+    files and the CLI work on columns of numbers and never make one."""
+    def refuse(record):
+        raise AssertionError(f"{type(record).__name__} built")
+    for cls in (NodeParams, SchedulerParams):
+        monkeypatch.setattr(cls, "__post_init__", refuse)
+
+
+@pytest.fixture
 def even_split():
     return Allocation(np.array([[0.5, 0.5]]))
 

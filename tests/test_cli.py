@@ -133,6 +133,17 @@ class TestLoadConfig:
         assert main(["solve", "--config", str(path)]) == 2
         assert capsys.readouterr().err.startswith("error:")
 
+    def test_reads_without_records(self, tmp_path, no_records):
+        # each column goes straight into an array, defaults filled on it
+        payload = dict(GOOD_CONFIG, nodes=[{"mu": 0.02, "beta1": 40.0},
+                                           {"mu": 0.04}],
+                       schedulers=[{"phi": 0.01}, {"lambda": 0.004}])
+        config = load_config(write_json(tmp_path, payload))
+        assert config.beta1.tolist() == [40.0, 1 / 0.04]
+        assert config.gamma.tolist() == [5 / 0.02, 5 / 0.04]
+        assert config.lam.tolist() == [0.01 * 0.5 * 0.06, 0.004]
+        assert load_config(PRESET_FILE).n_nodes == 15
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(ParseError):
             load_config(tmp_path / "absent.json")
@@ -431,6 +442,30 @@ class TestConfigBoundary:
         assert err.startswith("error:")
         assert named in err
 
+    @pytest.mark.parametrize("command", ["solve", "sweep-load",
+                                         "sweep-nodes"])
+    @pytest.mark.parametrize("part,entry,named", [
+        ("nodes", {"mu": -0.02}, "field 'mu' of node 1"),
+        ("nodes", {"mu": 0.04, "gamma": -1}, "field 'gamma' of node 1"),
+        ("schedulers", {"lambda": -0.1}, "field 'lambda' of scheduler 1"),
+    ])
+    def test_out_of_range_entry_is_2(self, command, part, entry, named,
+                                     tmp_path, capsys):
+        # range-checked as the file is read, so a sweep exits 2 before it
+        # solves a point instead of writing feasible=0 rows
+        payload = dict(GOOD_CONFIG, **{part: [GOOD_CONFIG[part][0], entry]})
+        path, out = write_json(tmp_path, payload), tmp_path / "out.csv"
+        with pytest.raises(ValidationError, match=named):
+            load_config(path)
+        argv = [command, "--config", str(path), "--out", str(out)]
+        if command == "sweep-nodes":
+            argv += ["--range", "1:2:1"]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error:") and named in captured.err
+        assert captured.out == ""
+        assert not out.exists()
+
 
 class TestMainExitCodes:
     def test_solve_success(self, capsys):
@@ -493,7 +528,9 @@ class TestMainExitCodes:
         out = tmp_path / "out.csv"
         assert main(["sweep-load", "--preset", "table1-table2",
                      "--range", text, "--out", str(out)]) == 2
-        assert "range must be finite" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith("error: --range ")
+        assert "must be a finite number" in err
         assert not out.exists()
 
     def test_negative_epsilon_on_preset_is_2(self, capsys):
@@ -549,7 +586,7 @@ class TestMainExitCodes:
         ("sweep-load", "0.1:0.5:1e-300", "points"),
         ("sweep-load", "0.1:0.9:1e-5", "points"),
         ("sweep-nodes", "10.4:11.4:0.5", "whole numbers"),
-        ("sweep-load", "0.1:0.9:0", "step must be positive"),
+        ("sweep-load", "0.1:0.9:0", "STEP must be"),
     ])
     def test_unusable_range_is_2(self, command, text, message, tmp_path,
                                  capsys):

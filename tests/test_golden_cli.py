@@ -101,7 +101,8 @@ def run_case(label: str, workdir: Path) -> tuple[str, bytes | None]:
 
 
 @pytest.mark.parametrize("label", sorted(CASES))
-def test_cli_output_matches_golden(label, tmp_path):
+def test_cli_output_matches_golden(label, tmp_path, no_records):
+    # under no_records: no case, not even a config-file one, builds a record
     text, csv_bytes = run_case(label, tmp_path)
     assert text == (GOLDEN / f"{label}.txt").read_text()
     expected_csv = GOLDEN / f"{label}.csv"

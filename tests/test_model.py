@@ -281,13 +281,19 @@ class TestArrayBoundary:
 
     @pytest.mark.parametrize("kind,index", [
         ("bool", 0), ("str", 0), ("object", 3), ("object-bool", 3),
-        ("object-huge", 3),
+        ("object-huge", 3), ("list-bool", 1), ("list-str", 1),
     ])
     @pytest.mark.parametrize("name", FIELDS)
     def test_non_number_array_named_with_index(self, name, kind, index):
+        # a plain list is checked entry by entry as given: numpy used to
+        # turn [0.02, True] into [0.02, 1.0], and [0.02, "x"] into strings
+        # reported at index 0
         fields = array_fields()
         good = fields[name]
+        first, *rest = good.tolist()
         values = {
+            "list-bool": [first, True, *rest[1:]],
+            "list-str": [first, "x", *rest[1:]],
             "bool": np.ones(good.size, dtype=bool),
             "str": good.astype(str),
             "object": np.array([*good[:3], object(), *good[4:]], dtype=object),

@@ -1,12 +1,14 @@
 """Golden checks: preset tables digit for digit, defaults, truncation."""
 
+import importlib.util
 import json
 
 import pytest
 
-from relsched import ValidationError, cli, preset
+from relsched import NodeParams, ValidationError, cli, preset
 from relsched.model import build_instance
 from relsched.presets import (
+    _PRESETS,
     PRESET_NAMES,
     TABLE1_PHI,
     TABLE2_MU,
@@ -167,3 +169,36 @@ class TestOnePath:
                 assert (getattr(from_file, array).tobytes()
                         == getattr(from_preset, array).tobytes()), (
                     point, array)
+
+
+class TestNoRecords:
+    """A preset is columns of numbers from import to every sweep point."""
+
+    def test_sources_built_without_records(self, no_records):
+        # the module run afresh, as at import, with the records refusing
+        spec = importlib.util.find_spec("relsched.presets")
+        fresh = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(fresh)
+        for name, source in _PRESETS.items():
+            for array in ARRAYS[:-1]:
+                assert (fresh._PRESETS[name][array].tobytes()
+                        == source[array].tobytes()), (name, array)
+
+    @pytest.mark.parametrize("name", PRESET_NAMES)
+    def test_every_sweep_point_without_records(self, name, no_records):
+        base = preset(name)
+        for rho in cli._sweep_values(cli.parse_range("0.1:0.9:0.1"), False):
+            preset(name, rho=rho)
+        for count in range(1, base.n_schedulers + 1):
+            assert preset(name, n_schedulers=count).n_schedulers == count
+        for count in range(1, base.n_nodes + 1):
+            assert preset(name, n_nodes=count).n_nodes == count
+
+    @pytest.mark.parametrize("name", PRESET_NAMES)
+    def test_node_arrays_are_from_rate_defaults(self, name):
+        # one defaults rule, on arrays here and on numbers in from_rate
+        config = preset(name)
+        nodes = [NodeParams.from_rate(mu) for mu in config.mu.tolist()]
+        for array in ("mu", "mu_prime", "gamma", "beta1"):
+            assert getattr(config, array).tolist() == [
+                getattr(node, array) for node in nodes], array
