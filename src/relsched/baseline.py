@@ -31,7 +31,8 @@ _balanced_row; the input alone decides which:
 
 - some node starts the sweep loaded beyond its service rate (c_0 < 0), so
   the clamp may bind.  From the uniform start this needs a node with
-  W_j*mu_j < 1, or an initial allocation that overloads a node;
+  W_j*mu_j < 1, which a config file may give the CLI, or an initial
+  allocation that overloads a node;
 - s <= 0: no spare capacity at all;
 - P_n is below the smallest normal double, so 1/P_k loses precision or
   overflows (many heavy schedulers on little spare capacity).

@@ -29,7 +29,6 @@ from .errors import (
 from .metrics import fairness_index, per_node_reciprocals
 from .model import (
     _BOUNDS,
-    Allocation,
     SystemConfig,
     _checked,
     _from_columns,
@@ -38,7 +37,6 @@ from .model import (
     _within,
     build_instance,
     node_arrivals,
-    validate_config,
 )
 from .presets import _PRESETS, PRESET_NAMES
 
@@ -75,7 +73,7 @@ def _read_config(path) -> dict:
     scheduler value is range-checked once by its _BOUNDS rule, _checked
     raising the ValidationError that names it, so a sweep exits 2 before
     any point is solved; _source checks the settings, which an override
-    may replace, and _instance the rest.
+    may replace.
     """
     path = Path(path)
     try:
@@ -116,6 +114,8 @@ def _read_config(path) -> dict:
             values[rule] = value
         if kind == "node" and "mu" not in values:
             raise ParseError(f"{path}: {where} is missing 'mu'")
+        if kind == "scheduler" and not values:
+            raise ParseError(f"{path}: {where} is missing 'phi' or 'lambda'")
         return values
 
     settings = read(raw, "top level", "top level")
@@ -133,14 +133,15 @@ def _read_config(path) -> dict:
 
 
 def load_config(path) -> SystemConfig:
-    """Read a JSON instance file and return a validated SystemConfig.
+    """Read a JSON instance file and return its SystemConfig, every value
+    checked; the solvers judge whether its load is feasible.
 
     Node entries need only "mu"; "mu_prime", "gamma" and "beta1" default to
     mu/10, 5/mu and 1/mu.  Scheduler entries carry "phi" and/or "lambda";
     missing rates are derived as phi * rho * (total mu).  Top-level keys:
     "rho" (required), "epsilon_threshold", "max_cycles".
     """
-    return _instance(_read_config(path))
+    return build_instance(_read_config(path))
 
 
 def _source(args) -> dict:
@@ -166,21 +167,6 @@ def _source(args) -> dict:
         if name in source:
             _checked(name, source[name])
     return source
-
-
-def _instance(source: dict, rho=None, schedulers=None,
-              nodes=None) -> SystemConfig:
-    """The source's instance at one point; one that fails a stability check
-    under the uniform start is a ValidationError."""
-    config = build_instance(source, rho, schedulers, nodes)
-    report = validate_config(
-        Allocation.uniform(config.n_schedulers, config.n_nodes), config
-    )
-    if not report.all_passed:
-        names = ", ".join(c.name for c in report.failed())
-        raise ValidationError(f"infeasible instance; failed checks: {names}",
-                              report=report)
-    return config
 
 
 def _fmt(value) -> str:
@@ -238,7 +224,11 @@ def _write(args, header, rows) -> int:
     (solve and oracle-check have none and write only with --out)."""
     path = args.out or args.artifact
     if path:
-        print(f"wrote {write_csv(path, header, rows)}")
+        try:
+            written = write_csv(path, header, rows)
+        except OSError as exc:
+            raise RelschedError(f"cannot write {path}: {exc}") from exc
+        print(f"wrote {written}")
     return 0
 
 
@@ -269,8 +259,10 @@ def _sweep(args, measure, columns) -> int:
     for value in _sweep_values(parse_range(args.range or default_range),
                                args.vary != "rho"):
         try:
-            point = {"rho": args.rho, args.vary: value}
-            measured = measure(_instance(source, **point), args)
+            # in build_instance's order: rho, n_schedulers, n_nodes
+            point = {"rho": args.rho, "schedulers": None, "nodes": None,
+                     args.vary: value}
+            measured = measure(build_instance(source, *point.values()), args)
             rows.append((value, *(measured[c] for c in columns), 1))
         except NotConverged:
             raise
@@ -300,7 +292,7 @@ def _cmd_convergence(args) -> int:
     if args.range:
         return _sweep(args, lambda config, _: {
             "cycles": equilibrium.solve(config).cycles}, ("cycles",))
-    report = equilibrium.solve(_instance(_source(args), args.rho))
+    report = equilibrium.solve(build_instance(_source(args), args.rho))
     print(f"converged={report.converged} cycles={report.cycles} "
           f"objective={report.objective:{_SUMMARY_DIGITS}}")
     return _write(args, ("cycle", "epsilon"),
@@ -309,7 +301,7 @@ def _cmd_convergence(args) -> int:
 
 
 def _cmd_solve(args) -> int:
-    config = _instance(_source(args), args.rho)
+    config = build_instance(_source(args), args.rho)
     report = equilibrium.solve(config)
     values = equilibrium.objective_all_schedulers(report.allocation, config)
     print(f"objective={report.objective:{_SUMMARY_DIGITS}} "
@@ -324,7 +316,7 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_compare(args) -> int:
-    config = _instance(_source(args), args.rho)
+    config = build_instance(_source(args), args.rho)
     game = equilibrium.solve(config)
     balanced = baseline.bsa_solve(config, single_pass=args.bsa_single_pass)
     recip_game = per_node_reciprocals(game.allocation, config)
@@ -343,7 +335,7 @@ def _cmd_compare(args) -> int:
 def _cmd_oracle_check(args) -> int:
     _checked("horizon", args.horizon, "--horizon")  # exit 2 before a solve
     _checked("seed", args.seed, "--seed")
-    config = _instance(_source(args), args.rho)
+    config = build_instance(_source(args), args.rho)
     report = equilibrium.solve(config)
     ok, worst = oracle.nash_check(report.allocation, config)
     # drawn before any verdict is printed: a horizon beyond the sampler

@@ -446,6 +446,8 @@ def objective_curvature(i: int, j: int, alloc, config: SystemConfig) -> float:
 def validate_config(alloc, config: SystemConfig) -> ValidationReport:
     """Run every feasibility check and report pass/fail per check.
 
+    A library diagnostic that no solver or CLI path calls: they need only
+    A_j > 0 at the start, which the M/M/1-style delta_j < mu_j is not.
     Accepts a raw matrix as well as an Allocation so that malformed inputs
     can be diagnosed instead of rejected at construction.  Never raises.
     """

@@ -6,7 +6,13 @@ from pathlib import Path
 
 import pytest
 
-from relsched import ParseError, ValidationError, cli, solve
+from relsched import (
+    AvailabilityOutOfRange,
+    ParseError,
+    ValidationError,
+    cli,
+    solve,
+)
 from relsched.cli import VARY, _sweep_values, load_config, main, parse_range
 
 
@@ -53,12 +59,16 @@ class TestLoadConfig:
         with pytest.raises(ValidationError):
             load_config(write_json(tmp_path, payload))
 
-    def test_unstable_instance_rejected(self, tmp_path):
+    def test_unstable_instance_rejected(self, tmp_path, capsys):
+        # the file reads; the solvers' uniform start overloads both nodes
         payload = dict(GOOD_CONFIG)
         payload["schedulers"] = [{"lambda": 0.1}]
-        with pytest.raises(ValidationError) as err:
-            load_config(write_json(tmp_path, payload))
-        assert "total-stability" in str(err.value)
+        path = write_json(tmp_path, payload)
+        config = load_config(path)
+        with pytest.raises(AvailabilityOutOfRange):
+            solve(config)
+        assert main(["solve", "--config", str(path)]) == 2
+        assert "availability of node" in capsys.readouterr().err
 
     def test_malformed_json_reports_line(self, tmp_path):
         path = tmp_path / "bad.json"
@@ -87,6 +97,10 @@ class TestLoadConfig:
           "schedulers": [{"phi": 1}]}, "node 1 must be an object"),
         ({"rho": 0.5, "nodes": [{"mu": 0.02}], "schedulers": [[1]]},
          "scheduler 0 must be an object"),
+        # such an entry used to be read silently as a scheduler of rate 0
+        ({"rho": 0.5, "nodes": [{"mu": 0.02}, {"mu": 0.04}],
+          "schedulers": [{"phi": 0.01}, {}]},
+         "scheduler 1 is missing 'phi' or 'lambda'$"),
     ])
     def test_structure_errors_named(self, payload, message, tmp_path):
         with pytest.raises(ParseError, match=message):
@@ -478,6 +492,13 @@ class TestMainExitCodes:
         path = write_json(tmp_path, dict(GOOD_CONFIG, rho=1.5))
         assert main(["solve", "--config", str(path)]) == 2
         assert "error:" in capsys.readouterr().err
+
+    def test_unwritable_out_is_2(self, tmp_path, capsys):
+        # a directory as --out used to end in an IsADirectoryError traceback
+        assert main(["solve", "--preset", "table1-table2",
+                     "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err.startswith(
+            f"error: cannot write {tmp_path}: ")
 
     def test_non_convergence_is_3(self, tmp_path, capsys):
         payload = dict(GOOD_CONFIG, max_cycles=1)

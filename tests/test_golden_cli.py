@@ -10,7 +10,8 @@ An argument ending in ``.json`` names a config file in ``tests/golden/``.
 The cases are the paper's experiments as the benchmark runs them, plus
 the paths those leave out: the default artifact name, the single-pass
 baseline, a node-count convergence sweep, sweeps over a config file,
-infeasible sweep points, a non-converging solve and the oracle check.
+infeasible sweep points, a non-converging solve, the oracle check and a
+file whose nodes have W_j*mu_j < 1.
 
 To rewrite the expected files after an intended artifact change, run
 ``PYTHONPATH=src python tests/test_golden_cli.py`` from the repository root.
@@ -77,6 +78,10 @@ CASES = {
                             "--out", OUT),
     "oracle-check": ("oracle-check", "--preset", "table1-table2",
                      "--horizon", "1e6", "--out", OUT),
+    # W_j*mu_j < 1 on both nodes: every A_j > 0 at the uniform start,
+    # though the load equals sum(mu) and exceeds mu_1 there
+    "compare.w-mu-below-one": ("compare", "--config", "w-mu-below-one.json",
+                               "--out", OUT),
 }
 
 
