@@ -3,10 +3,14 @@
 One table, COMMANDS, names every subcommand (the five experiment families
 plus direct solves and oracle checks), builds its parser and holds its
 handler, default artifact and extra flags; every sweep runs through one
-handler.  Artifacts are CSV plot data, never rendered images.  Floats in
-CSVs carry 12 significant digits so a file re-read reproduces the printed
-values; summary tables print 6 significant digits.  Exit codes:
-0 success, 2 validation failure, 3 non-convergence.
+handler.  A handler computes and prints nothing: it returns (exit code,
+summary lines, CSV header, rows).  main alone writes the CSV, to --out or
+the default artifact, and only then prints the lines, so a command that
+raises prints only its error and writes no CSV.  Artifacts are CSV plot
+data, never rendered images.  Floats in CSVs carry 12 significant digits
+so a file re-read reproduces the printed values; summary tables print 6
+significant digits.  Exit codes: 0 success, 2 validation failure,
+3 non-convergence.
 """
 from __future__ import annotations
 
@@ -151,8 +155,8 @@ def _source(args) -> dict:
 
     The values every point shares are range-checked here, before any point
     is solved, so a sweep given a bad one exits 2 instead of flagging every
-    point infeasible.  A sweep over rho replaces rho at every point, so
-    only an explicit --rho is checked then.
+    point infeasible.  A sweep over rho sets rho at every point and takes
+    no --rho, so the source's rho is not checked then.
     """
     source = (dict(_PRESETS[args.preset]) if args.preset is not None
               else _read_config(args.config))
@@ -219,19 +223,6 @@ def parse_range(text: str) -> tuple[float, float, float]:
     return lo, hi, step
 
 
-def _write(args, header, rows) -> int:
-    """Write the artifact to --out, else to the subcommand's default name
-    (solve and oracle-check have none and write only with --out)."""
-    path = args.out or args.artifact
-    if path:
-        try:
-            written = write_csv(path, header, rows)
-        except OSError as exc:
-            raise RelschedError(f"cannot write {path}: {exc}") from exc
-        print(f"wrote {written}")
-    return 0
-
-
 def _solve_both(config: SystemConfig, args) -> dict:
     """Game and balanced solves of one instance, by CSV column."""
     game = equilibrium.solve(config)
@@ -246,13 +237,16 @@ def _solve_both(config: SystemConfig, args) -> dict:
             "fi_rbsa": fi_game, "fi_bsa": fi_bal}
 
 
-def _sweep(args, measure, columns) -> int:
+def _sweep(args, measure, columns) -> tuple:
     """Measure every point of --range (or the swept variable's default).
 
     Sweep points that turn out infeasible are recorded as rows flagged
     feasible=0 instead of aborting the sweep; a point that does not
     converge ends the command with NotConverged, as a solve does.
     """
+    if args.vary == "rho" and args.rho is not None:
+        raise ValidationError("--rho cannot set the load of a sweep over "
+                              "rho; --range gives the loads")
     column, default_range = VARY[args.vary]
     source = _source(args)
     rows = []
@@ -269,94 +263,90 @@ def _sweep(args, measure, columns) -> int:
         except RelschedError:
             rows.append((value, *[""] * len(columns), 0))
     header = (column, *columns, "feasible")
-    print(" ".join(header))
-    for row in rows:
-        print(" ".join(
-            format(v, _SUMMARY_DIGITS) if isinstance(v, float) else str(v)
-            for v in row
-        ))
-    return _write(args, header, rows)
+    lines = [" ".join(header), *(" ".join(
+        format(v, _SUMMARY_DIGITS) if isinstance(v, float) else str(v)
+        for v in row) for row in rows)]
+    return 0, lines, header, rows
 
 
-def _cmd_sweep(args) -> int:
+def _cmd_sweep(args) -> tuple:
     return _sweep(args, _solve_both,
                   ("d_rbsa", "d_bsa", "gap", "cycles_rbsa", "cycles_bsa",
                    "fi_rbsa", "fi_bsa"))
 
 
-def _cmd_fairness(args) -> int:
+def _cmd_fairness(args) -> tuple:
     return _sweep(args, _solve_both, ("fi_rbsa", "fi_bsa"))
 
 
-def _cmd_convergence(args) -> int:
+def _cmd_convergence(args) -> tuple:
     if args.range:
         return _sweep(args, lambda config, _: {
             "cycles": equilibrium.solve(config).cycles}, ("cycles",))
+    if args.vary != "rho":
+        raise ValidationError(f"--vary {args.vary} needs --range; without "
+                              "it convergence traces one solve")
     report = equilibrium.solve(build_instance(_source(args), args.rho))
-    print(f"converged={report.converged} cycles={report.cycles} "
-          f"objective={report.objective:{_SUMMARY_DIGITS}}")
-    return _write(args, ("cycle", "epsilon"),
-                  [(cycle + 1, eps)
-                   for cycle, eps in enumerate(report.epsilon_trace)])
+    return (0, [f"converged={report.converged} cycles={report.cycles} "
+                f"objective={report.objective:{_SUMMARY_DIGITS}}"],
+            ("cycle", "epsilon"),
+            [(cycle + 1, eps)
+             for cycle, eps in enumerate(report.epsilon_trace)])
 
 
-def _cmd_solve(args) -> int:
+def _cmd_solve(args) -> tuple:
     config = build_instance(_source(args), args.rho)
     report = equilibrium.solve(config)
     values = equilibrium.objective_all_schedulers(report.allocation, config)
-    print(f"objective={report.objective:{_SUMMARY_DIGITS}} "
-          f"cycles={report.cycles} converged={report.converged} "
-          f"fairness={fairness_index(values):{_SUMMARY_DIGITS}}")
     deltas = node_arrivals(report.allocation, config)
     avail = report.per_node_availability
-    return _write(args,
-                  ("node", "mu", "delta", "availability", "reciprocal"),
-                  [(j + 1, mu, float(deltas[j]), avail[j], 1.0 / avail[j])
-                   for j, mu in enumerate(config.mu.tolist())])
+    return (0, [f"objective={report.objective:{_SUMMARY_DIGITS}} "
+                f"cycles={report.cycles} converged={report.converged} "
+                f"fairness={fairness_index(values):{_SUMMARY_DIGITS}}"],
+            ("node", "mu", "delta", "availability", "reciprocal"),
+            [(j + 1, mu, float(deltas[j]), avail[j], 1.0 / avail[j])
+             for j, mu in enumerate(config.mu.tolist())])
 
 
-def _cmd_compare(args) -> int:
+def _cmd_compare(args) -> tuple:
     config = build_instance(_source(args), args.rho)
     game = equilibrium.solve(config)
     balanced = baseline.bsa_solve(config, single_pass=args.bsa_single_pass)
     recip_game = per_node_reciprocals(game.allocation, config)
     recip_bal = per_node_reciprocals(balanced.allocation, config)
     gap = balanced.objective - game.objective
-    print(f"n={config.n_schedulers} m={config.n_nodes} rho={config.rho}")
-    print(f"D_rbsa={game.objective:{_SUMMARY_DIGITS}} "
-          f"D_bsa={balanced.objective:{_SUMMARY_DIGITS}} "
-          f"gap={gap:{_SUMMARY_DIGITS}}")
-    print(f"cycles_rbsa={game.cycles} cycles_bsa={balanced.cycles}")
-    return _write(args, ("node", "mu", "recip_rbsa", "recip_bsa"),
-                  [(j + 1, mu, recip_game[j], recip_bal[j])
-                   for j, mu in enumerate(config.mu.tolist())])
+    return (0, [f"n={config.n_schedulers} m={config.n_nodes} "
+                f"rho={config.rho}",
+                f"D_rbsa={game.objective:{_SUMMARY_DIGITS}} "
+                f"D_bsa={balanced.objective:{_SUMMARY_DIGITS}} "
+                f"gap={gap:{_SUMMARY_DIGITS}}",
+                f"cycles_rbsa={game.cycles} cycles_bsa={balanced.cycles}"],
+            ("node", "mu", "recip_rbsa", "recip_bsa"),
+            [(j + 1, mu, recip_game[j], recip_bal[j])
+             for j, mu in enumerate(config.mu.tolist())])
 
 
-def _cmd_oracle_check(args) -> int:
+def _cmd_oracle_check(args) -> tuple:
     _checked("horizon", args.horizon, "--horizon")  # exit 2 before a solve
     _checked("seed", args.seed, "--seed")
     config = build_instance(_source(args), args.rho)
     report = equilibrium.solve(config)
     ok, worst = oracle.nash_check(report.allocation, config)
-    # drawn before any verdict is printed: a horizon beyond the sampler
-    # exits 2 with the error alone
     measured = oracle.traffic_empirical_rates(
         report.allocation, config, horizon=args.horizon, seed=args.seed)
-    print(f"nash_check={'PASS' if ok else 'FAIL'} "
-          f"worst_gain={worst:{_SUMMARY_DIGITS}}")
-
     expected = node_arrivals(report.allocation, config)
     sigma = np.sqrt(expected / args.horizon)
     within = np.abs(measured - expected) <= 3.0 * sigma
     traffic_ok = bool(within.all())
-    print(f"traffic_check={'PASS' if traffic_ok else 'FAIL'} "
-          f"nodes_within_3sigma={int(within.sum())}/{config.n_nodes}")
-    _write(args,
-           ("node", "expected_rate", "empirical_rate", "sigma",
-            "within_3sigma"),
-           [(j + 1, float(expected[j]), float(measured[j]), float(sigma[j]),
-             int(within[j])) for j in range(config.n_nodes)])
-    return 0 if ok and traffic_ok else 2
+    return (0 if ok and traffic_ok else 2,
+            [f"nash_check={'PASS' if ok else 'FAIL'} "
+             f"worst_gain={worst:{_SUMMARY_DIGITS}}",
+             f"traffic_check={'PASS' if traffic_ok else 'FAIL'} "
+             f"nodes_within_3sigma={int(within.sum())}/{config.n_nodes}"],
+            ("node", "expected_rate", "empirical_rate", "sigma",
+             "within_3sigma"),
+            [(j + 1, float(expected[j]), float(measured[j]), float(sigma[j]),
+              int(within[j])) for j in range(config.n_nodes)])
 
 
 # Extra flags by name, shared by the subcommands that take them.
@@ -442,11 +432,19 @@ def _parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
+    path = args.out or args.artifact
     try:
-        return args.func(args)
+        code, lines, header, rows = args.func(args)
+        if path:
+            try:
+                lines.append(f"wrote {write_csv(path, header, rows)}")
+            except OSError as exc:
+                raise RelschedError(f"cannot write {path}: {exc}") from exc
     except RelschedError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3 if isinstance(exc, NotConverged) else 2
+    print("\n".join(lines))
+    return code
 
 
 if __name__ == "__main__":

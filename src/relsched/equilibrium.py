@@ -34,8 +34,9 @@ class EquilibriumReport:
     """Outcome of an iterative solve.
 
     epsilon_trace holds the absolute objective change after each sweep;
-    cycles is its length.  converged is False only on a partial report
-    attached to a NotConverged error.
+    cycles is its length.  converged is False when the last change
+    exceeded epsilon_threshold: on a single_pass report, which is returned,
+    or on the partial report attached to a NotConverged error.
     """
 
     allocation: Allocation

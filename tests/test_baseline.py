@@ -77,6 +77,11 @@ class TestBsaSolve:
                            single.allocation.entries, atol=1e-12)
         assert np.allclose(iterated.allocation.entries[0], [1 / 3, 2 / 3],
                            atol=1e-12)
+        # a single pass is returned, not raised, even when its one sweep
+        # still changed the objective by more than the threshold
+        one_pass = bsa_solve(preset("table1-table2"), single_pass=True)
+        assert not one_pass.converged
+        assert one_pass.epsilon_trace == (pytest.approx(0.0367823, rel=1e-5),)
 
     @pytest.mark.parametrize("name", ["table1-table2", "table1-table3"])
     def test_fixed_point_is_rate_proportional(self, name):

@@ -493,12 +493,21 @@ class TestMainExitCodes:
         assert main(["solve", "--config", str(path)]) == 2
         assert "error:" in capsys.readouterr().err
 
-    def test_unwritable_out_is_2(self, tmp_path, capsys):
-        # a directory as --out used to end in an IsADirectoryError traceback
-        assert main(["solve", "--preset", "table1-table2",
+    @pytest.mark.parametrize("argv", [
+        ("solve",),
+        ("compare",),
+        ("convergence",),
+        ("sweep-load", "--range", "0.1:0.2:0.1"),
+        ("oracle-check", "--horizon", "1e6"),
+    ], ids=lambda argv: argv[0])
+    def test_unwritable_out_is_2(self, argv, tmp_path, capsys):
+        # a directory as --out used to end in an IsADirectoryError
+        # traceback; each command then printed its summary before the error
+        assert main([*argv, "--preset", "table1-table2",
                      "--out", str(tmp_path)]) == 2
-        assert capsys.readouterr().err.startswith(
-            f"error: cannot write {tmp_path}: ")
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: cannot write {tmp_path}: ")
+        assert captured.out == ""
 
     def test_non_convergence_is_3(self, tmp_path, capsys):
         payload = dict(GOOD_CONFIG, max_cycles=1)
@@ -588,14 +597,38 @@ class TestMainExitCodes:
         assert err.startswith("error:") and key in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("argv,named", [
+        (("sweep-load", "--rho", "0.3"), ("--rho",)),
+        (("fairness", "--rho", "0.3"), ("--rho",)),
+        (("fairness", "--vary", "rho", "--rho", "0.3"), ("--rho",)),
+        (("convergence", "--range", "0.1:0.3:0.1", "--rho", "0.3"),
+         ("--rho",)),
+        (("convergence", "--vary", "nodes"), ("--vary", "--range")),
+        (("convergence", "--vary", "schedulers"), ("--vary", "--range")),
+    ], ids=["sweep-load", "fairness", "fairness-vary-rho", "convergence-range",
+            "convergence-vary-nodes", "convergence-vary-schedulers"])
+    def test_ignored_flag_is_2(self, argv, named, tmp_path, capsys):
+        # each exited 0: the sweep over rho replaced --rho at every point,
+        # and convergence without --range wrote the plain trace
+        out = tmp_path / "out.csv"
+        assert main([*argv, "--preset", "table6-table7",
+                     "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error:")
+        assert all(flag in captured.err for flag in named)
+        assert captured.out == ""
+        assert not out.exists()
+
     @pytest.mark.parametrize("argv", [
         ("sweep-load", "--range", "0.1:0.3:0.1"),
         ("solve", "--rho", "0.5"),
+        ("convergence", "--rho", "0.5"),
     ])
     def test_file_rho_replaced_by_override_is_0(self, argv, tmp_path,
                                                 capsys):
         # a sweep over rho and --rho each replace the file's rho, so its
-        # range is not checked
+        # range is not checked; convergence without --range is a trace,
+        # which takes --rho although its --vary defaults to rho
         payload = dict(json.loads(PRESET_FILE.read_text()), rho=1.5)
         out = tmp_path / "out.csv"
         assert main([*argv, "--config", str(write_json(tmp_path, payload)),
