@@ -43,7 +43,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NoFeasibleResponse
-from .model import Allocation, SystemConfig, others_load_vector
+from .model import Allocation, SystemConfig, _index, others_load_vector
 
 
 @dataclass(frozen=True)
@@ -122,8 +122,10 @@ def best_response_row(i: int, alloc: Allocation,
     """Row minimising the objective for scheduler i, other rows fixed.
 
     Nodes outside the accepted active set receive exactly zero.  Raises
-    NoFeasibleResponse when the other schedulers saturate every node.
+    NoFeasibleResponse when the other schedulers saturate every node, and
+    ValidationError unless i is an integer from 0 to n - 1.
     """
+    i = _index("i", i, config.n_schedulers)
     row, active_count, alpha = _best_row(
         i, float(config.lam[i]), others_load_vector(i, alloc, config),
         config.weights)

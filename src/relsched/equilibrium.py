@@ -95,6 +95,7 @@ def _sweep_until_stable(config: SystemConfig, respond,
         converged = eps <= config.epsilon_threshold
         if single_pass or converged or len(trace) >= config.max_cycles:
             break
+    entries.setflags(write=False)  # the report keeps it, uncopied
     report = EquilibriumReport(
         allocation=Allocation(entries),
         objective=latter,

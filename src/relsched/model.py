@@ -39,7 +39,8 @@ ROW_SUM_TOL = 1e-9
 # The one table of input rules, name: (low, low allowed, high, integer).
 # A value is a number (an integer where flagged), not a boolean, above low
 # (or at it where allowed) and below high; high = inf rejects infinities.
-# sweep_bound and sweep_step govern the parts of a CLI --range.
+# sweep_bound and sweep_step govern the parts of a CLI --range, n_schedulers
+# and n_nodes the counts of Allocation.uniform.
 _INF = np.inf
 _BOUNDS = dict(
     mu=(0.0, False, _INF, False), mu_prime=(0.0, True, _INF, False),
@@ -49,7 +50,8 @@ _BOUNDS = dict(
     max_cycles=(1, True, _INF, True), horizon=(0.0, False, _INF, False),
     seed=(0, True, _INF, True), tolerance=(0.0, True, _INF, False),
     sweep_bound=(-_INF, False, _INF, False),
-    sweep_step=(0.0, False, _INF, False))
+    sweep_step=(0.0, False, _INF, False),
+    n_schedulers=(1, True, _INF, True), n_nodes=(1, True, _INF, True))
 _NODE_FIELDS = ("mu", "mu_prime", "gamma", "beta1")
 _ARRAY_FIELDS = (*_NODE_FIELDS, "phi", "lam")
 
@@ -171,18 +173,29 @@ class SchedulerParams:
 class Allocation:
     """Task-slicing matrix: entry (i, j) is the fraction of scheduler i's
     stream sent to node j.  Entries are finite and nonnegative and every
-    row sums to 1 within ROW_SUM_TOL; the wrapped array is read-only."""
+    row sums to 1 within ROW_SUM_TOL; the wrapped array is read-only.
+
+    A read-only float64 ndarray that owns its data is kept as given, not
+    copied: writing to it first takes setflags(write=True), which numpy
+    allows on an Allocation's own entries as well.  Any other input (a
+    writable array, a view, another dtype, a list) is copied, so changing
+    it later leaves the Allocation as it was.  The solvers, uniform and
+    replace_row hand over the matrix they built this way, so none is held
+    twice."""
 
     entries: np.ndarray
 
     def __post_init__(self):
-        entries = np.array(self.entries, dtype=float)
+        entries = self.entries
+        if not (type(entries) is np.ndarray and entries.dtype == np.float64
+                and entries.base is None and not entries.flags.writeable):
+            entries = np.array(entries, dtype=float)
         if entries.ndim != 2:
             raise ValidationError("allocation must be a 2-D matrix")
-        # NaN fails the test; an infinite entry fails its row's sum.
-        valid = entries >= 0.0
-        if not valid.all():
-            i, j = np.argwhere(~valid)[0]
+        # One reduction, no n x m temporary: NaN and -inf fail the test
+        # (min propagates NaN); an infinite entry fails its row's sum.
+        if not entries.min(initial=0.0) >= 0.0:
+            i, j = np.argwhere(~(entries >= 0.0))[0]
             raise ValidationError(
                 f"allocation entry ({i}, {j}) is {float(entries[i, j])!r}, "
                 "expected a finite number >= 0"
@@ -199,7 +212,12 @@ class Allocation:
 
     @classmethod
     def uniform(cls, n_schedulers: int, n_nodes: int) -> "Allocation":
-        return cls(np.full((n_schedulers, n_nodes), 1.0 / n_nodes))
+        """Every row 1/n_nodes; each count is an integer >= 1."""
+        _checked("n_schedulers", n_schedulers)
+        _checked("n_nodes", n_nodes)
+        entries = np.full((n_schedulers, n_nodes), 1.0 / n_nodes)
+        entries.setflags(write=False)
+        return cls(entries)
 
     @property
     def n_schedulers(self) -> int:
@@ -210,12 +228,24 @@ class Allocation:
         return self.entries.shape[1]
 
     def row(self, i: int) -> np.ndarray:
-        return self.entries[i]
+        return self.entries[_index("i", i, self.n_schedulers)]
 
     def replace_row(self, i: int, row) -> "Allocation":
+        i = _index("i", i, self.n_schedulers)
         entries = np.array(self.entries)
         entries[i] = row
+        entries.setflags(write=False)
         return Allocation(entries)
+
+
+def _index(label: str, value, size: int) -> int:
+    """value as an index of one of size schedulers or nodes: an integer
+    from 0 to size - 1, not a boolean, else a ValidationError naming label.
+    A negative index never counts from the end."""
+    if not (_is_number(value, integer=True) and 0 <= value < size):
+        raise ValidationError(f"{label} must be an integer from 0 to "
+                              f"{size - 1}, got {value!r}")
+    return int(value)
 
 
 @dataclass(frozen=True, eq=False)
@@ -420,6 +450,8 @@ def _derivative_terms(i: int, j: int, alloc,
                       config: SystemConfig) -> tuple[float, float, float]:
     """lam_i, W_j and the availability A_j; the range check covers every
     node, because the objective is defined only where all are feasible."""
+    i = _index("i", i, config.n_schedulers)
+    j = _index("j", j, config.n_nodes)
     avail = _nonzero_availability(node_arrivals(alloc, config), config.weights)
     return float(config.lam[i]), float(config.weights[j]), float(avail[j])
 

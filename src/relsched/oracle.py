@@ -33,7 +33,7 @@ import math
 import numpy as np
 
 from .errors import ValidationError
-from .model import (Allocation, SystemConfig, _checked, objective,
+from .model import (Allocation, SystemConfig, _checked, _index, objective,
                     others_load_vector)
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
@@ -144,9 +144,10 @@ def numeric_best_response(i: int, alloc: Allocation,
     progress.  Each search stops at width _LINE_TOL.
 
     A scheduler with zero arrival rate has a flat objective; its current
-    row is returned unchanged.
+    row is returned unchanged.  i is an integer from 0 to n - 1, else a
+    ValidationError.
     """
-    return _descend(i, alloc, config)
+    return _descend(_index("i", i, config.n_schedulers), alloc, config)
 
 
 def nash_check(alloc: Allocation, config: SystemConfig,

@@ -14,8 +14,10 @@ from relsched import (
     SystemConfig,
     ValidationError,
     availability_vector,
+    best_response_row,
     build_config,
     node_arrivals,
+    numeric_best_response,
     objective,
     objective_curvature,
     objective_marginal,
@@ -125,6 +127,141 @@ class TestAllocation:
         new = alloc.replace_row(0, [0.25, 0.75])
         assert new.entries[0].tolist() == [0.25, 0.75]
         assert alloc.entries[0].tolist() == [0.5, 0.5]
+
+    @pytest.mark.parametrize("rows, message", [
+        ([[1.5, -0.5]], "allocation entry (0, 1) is -0.5, expected a finite "
+                        "number >= 0"),
+        ([[0.5, 0.5], [0.5, np.nan]], "allocation entry (1, 1) is nan, "
+                                      "expected a finite number >= 0"),
+        ([[-np.inf, 1.0]], "allocation entry (0, 0) is -inf, expected a "
+                           "finite number >= 0"),
+        ([[np.inf, 1.0]], f"allocation row 0 sums to {np.float64(np.inf)!r}"
+                          ", expected 1"),
+        ([[0.5, 0.5], [0.6, 0.6]], "allocation row 1 sums to "
+                                   f"{np.float64(0.6 + 0.6)!r}, expected 1"),
+        ([0.5, 0.5], "allocation must be a 2-D matrix"),
+    ])
+    def test_rejection_messages(self, rows, message):
+        array = np.array(rows)
+        array.setflags(write=False)  # kept uncopied, checked all the same
+        for given in (rows, array):
+            with pytest.raises(ValidationError) as got:
+                Allocation(given)
+            assert str(got.value) == message
+
+
+class TestAllocationCopies:
+    """A read-only float64 array that owns its data is kept as given;
+    every other input is copied, so changing it later changes nothing."""
+
+    @staticmethod
+    def halves():
+        return np.full((2, 2), 0.5)
+
+    def test_writable_array_is_copied(self):
+        array = self.halves()
+        alloc = Allocation(array)
+        array[0] = [1.0, 0.0]
+        assert alloc.entries is not array
+        assert alloc.entries.tolist() == [[0.5, 0.5], [0.5, 0.5]]
+        assert not alloc.entries.flags.writeable
+
+    def test_read_only_owned_array_is_kept(self):
+        array = self.halves()
+        array.setflags(write=False)
+        assert Allocation(array).entries is array
+
+    def test_read_only_view_is_copied(self):
+        owner = np.full((3, 2), 0.5)
+        view = owner[:2]
+        view.setflags(write=False)
+        alloc = Allocation(view)
+        owner[0] = [1.0, 0.0]
+        assert alloc.entries is not view
+        assert alloc.entries.base is None
+        assert alloc.entries.tolist() == [[0.5, 0.5], [0.5, 0.5]]
+
+    def test_float32_array_is_copied(self):
+        array = self.halves().astype(np.float32)
+        array.setflags(write=False)
+        alloc = Allocation(array)
+        assert alloc.entries is not array
+        assert alloc.entries.dtype == np.float64
+
+    def test_list_is_copied(self):
+        rows = [[0.5, 0.5], [0.25, 0.75]]
+        alloc = Allocation(rows)
+        rows[0][0] = 1.0
+        assert alloc.entries.tolist() == [[0.5, 0.5], [0.25, 0.75]]
+        assert not alloc.entries.flags.writeable
+
+    def test_uniform_and_replace_row_hand_over_their_matrix(self):
+        alloc = Allocation.uniform(2, 2)
+        new = alloc.replace_row(1, [0.25, 0.75])
+        for entries in (alloc.entries, new.entries):
+            assert entries.base is None and not entries.flags.writeable
+        assert Allocation(new.entries).entries is new.entries
+
+
+class TestCountsAndIndices:
+    """A count is a whole number >= 1 and an index an integer from 0 to
+    size - 1; anything else, a boolean included, is a ValidationError
+    naming it, never a wrapped negative index or a numpy IndexError."""
+
+    @pytest.mark.parametrize("counts, name", [
+        ((2, 0), "n_nodes"), ((0, 3), "n_schedulers"),
+        ((True, 3), "n_schedulers"), ((2, False), "n_nodes"),
+        ((2.0, 3), "n_schedulers"), ((2, -1), "n_nodes"),
+        (("2", 3), "n_schedulers"),
+    ])
+    def test_uniform_rejects_bad_counts(self, counts, name):
+        with pytest.raises(ValidationError, match=f"^{name} must be an "
+                                                  "integer >= 1"):
+            Allocation.uniform(*counts)
+
+    def test_uniform_takes_numpy_integers(self):
+        alloc = Allocation.uniform(np.int64(2), np.int32(4))
+        assert alloc.entries.shape == (2, 4)
+
+    CALLS = {
+        "row": lambda i, alloc, config: alloc.row(i),
+        "replace_row": lambda i, alloc, config: alloc.replace_row(
+            i, alloc.entries[0]).entries,
+        "best_response_row": lambda i, alloc, config: best_response_row(
+            i, alloc, config).row,
+        "numeric_best_response": lambda i, alloc, config:
+            numeric_best_response(i, alloc, config),
+        "objective_marginal": lambda i, alloc, config: objective_marginal(
+            i, 0, alloc, config),
+        "objective_curvature": lambda i, alloc, config: objective_curvature(
+            i, 0, alloc, config),
+    }
+
+    @pytest.mark.parametrize("i", [-1, 10, True, 1.0, "1", None])
+    @pytest.mark.parametrize("call", CALLS)
+    def test_scheduler_index_is_checked(self, table12, call, i):
+        alloc = Allocation.uniform(table12.n_schedulers, table12.n_nodes)
+        with pytest.raises(ValidationError,
+                           match=r"^i must be an integer from 0 to 9, got "):
+            self.CALLS[call](i, alloc, table12)
+
+    @pytest.mark.parametrize("call", CALLS)
+    def test_last_scheduler_and_numpy_integers_pass(self, table12, call):
+        alloc = Allocation.uniform(table12.n_schedulers, table12.n_nodes)
+        assert np.array_equal(self.CALLS[call](9, alloc, table12),
+                              self.CALLS[call](np.int64(9), alloc, table12))
+
+    @pytest.mark.parametrize("derivative", [objective_marginal,
+                                            objective_curvature])
+    def test_node_index_is_checked(self, table12, derivative):
+        alloc = Allocation.uniform(table12.n_schedulers, table12.n_nodes)
+        assert derivative(9, 14, alloc, table12) > 0.0
+        for j in (-1, 15, True):
+            with pytest.raises(ValidationError,
+                               match=r"^j must be an integer from 0 to 14"):
+                derivative(0, j, alloc, table12)
+        with pytest.raises(ValidationError, match=r"^i must be"):
+            derivative(-1, -1, alloc, table12)
 
 
 class TestDeriveLambdas:

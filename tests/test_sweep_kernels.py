@@ -8,6 +8,7 @@ baseline's prefix-scan sweep is held to the row-by-row sweep it replaces.
 """
 
 import math
+import tracemalloc
 import warnings
 from unittest import mock
 
@@ -357,6 +358,42 @@ class TestSweepLoop:
                                 single_pass=True)
         assert got.value.node == want.value.node == 1
         assert got.value.value == pytest.approx(want.value.value, rel=1e-12)
+
+
+class TestPeakMemory:
+    """A solve holds one n x m matrix at its peak: the report keeps the
+    solver's working matrix instead of a copy, and checking it builds no
+    n x m temporary.  So does replace_row, which nash_check calls once per
+    scheduler."""
+
+    PEAK_PER_MATRIX = 1.25
+
+    @staticmethod
+    def peak_bytes(call):
+        """Bytes traced above the start while call runs."""
+        started = not tracemalloc.is_tracing()
+        if started:
+            tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()  # the tracer may already be running
+            before = tracemalloc.get_traced_memory()[0]
+            call()
+            return tracemalloc.get_traced_memory()[1] - before
+        finally:
+            if started:
+                tracemalloc.stop()
+
+    @pytest.mark.parametrize("call", ["solve", "bsa_solve", "replace_row"])
+    def test_peak_is_one_matrix(self, call):
+        config = hot_pool(0, 300)
+        alloc = solve(config).allocation
+        calls = {
+            "solve": lambda: solve(config),
+            "bsa_solve": lambda: bsa_solve(config),
+            "replace_row": lambda: alloc.replace_row(0, alloc.entries[1]),
+        }
+        peak = self.peak_bytes(calls[call])
+        assert peak <= self.PEAK_PER_MATRIX * alloc.entries.nbytes
 
 
 @st.composite
