@@ -29,7 +29,6 @@ from .model import (
     SchedulerParams,
     SystemConfig,
     ValidationReport,
-    availability_vector,
     build_config,
     node_arrivals,
     objective,
@@ -62,7 +61,6 @@ __all__ = [
     "SystemConfig",
     "ValidationError",
     "ValidationReport",
-    "availability_vector",
     "best_response_row",
     "bsa_solve",
     "build_config",

@@ -123,7 +123,8 @@ def best_response_row(i: int, alloc: Allocation,
 
     Nodes outside the accepted active set receive exactly zero.  Raises
     NoFeasibleResponse when the other schedulers saturate every node, and
-    ValidationError unless i is an integer from 0 to n - 1.
+    ValidationError unless i is an integer from 0 to n - 1 and alloc is
+    n x m for config.
     """
     i = _index("i", i, config.n_schedulers)
     row, active_count, alpha = _best_row(

@@ -30,7 +30,7 @@ from .errors import (
     RelschedError,
     ValidationError,
 )
-from .metrics import fairness_index, per_node_reciprocals
+from .metrics import fairness_index
 from .model import (
     _BOUNDS,
     SystemConfig,
@@ -40,7 +40,6 @@ from .model import (
     _is_number,
     _within,
     build_instance,
-    node_arrivals,
 )
 from .presets import _PRESETS, PRESET_NAMES
 
@@ -228,8 +227,7 @@ def _solve_both(config: SystemConfig, args) -> dict:
     game = equilibrium.solve(config)
     balanced = baseline.bsa_solve(config, single_pass=args.bsa_single_pass)
     fi_game, fi_bal = (
-        fairness_index(equilibrium.objective_all_schedulers(
-            report.allocation, config))
+        fairness_index([report.objective] * config.n_schedulers)
         for report in (game, balanced))
     return {"d_rbsa": game.objective, "d_bsa": balanced.objective,
             "gap": balanced.objective - game.objective,
@@ -297,23 +295,21 @@ def _cmd_convergence(args) -> tuple:
 def _cmd_solve(args) -> tuple:
     config = build_instance(_source(args), args.rho)
     report = equilibrium.solve(config)
-    values = equilibrium.objective_all_schedulers(report.allocation, config)
-    deltas = node_arrivals(report.allocation, config)
-    avail = report.per_node_availability
+    fairness = fairness_index([report.objective] * config.n_schedulers)
     return (0, [f"objective={report.objective:{_SUMMARY_DIGITS}} "
                 f"cycles={report.cycles} converged={report.converged} "
-                f"fairness={fairness_index(values):{_SUMMARY_DIGITS}}"],
+                f"fairness={fairness:{_SUMMARY_DIGITS}}"],
             ("node", "mu", "delta", "availability", "reciprocal"),
-            [(j + 1, mu, float(deltas[j]), avail[j], 1.0 / avail[j])
-             for j, mu in enumerate(config.mu.tolist())])
+            [(j + 1, mu, delta, avail, 1.0 / avail)
+             for j, (mu, delta, avail) in enumerate(zip(
+                 config.mu.tolist(), report.loads.tolist(),
+                 report.per_node_availability))])
 
 
 def _cmd_compare(args) -> tuple:
     config = build_instance(_source(args), args.rho)
     game = equilibrium.solve(config)
     balanced = baseline.bsa_solve(config, single_pass=args.bsa_single_pass)
-    recip_game = per_node_reciprocals(game.allocation, config)
-    recip_bal = per_node_reciprocals(balanced.allocation, config)
     gap = balanced.objective - game.objective
     return (0, [f"n={config.n_schedulers} m={config.n_nodes} "
                 f"rho={config.rho}",
@@ -322,8 +318,10 @@ def _cmd_compare(args) -> tuple:
                 f"gap={gap:{_SUMMARY_DIGITS}}",
                 f"cycles_rbsa={game.cycles} cycles_bsa={balanced.cycles}"],
             ("node", "mu", "recip_rbsa", "recip_bsa"),
-            [(j + 1, mu, recip_game[j], recip_bal[j])
-             for j, mu in enumerate(config.mu.tolist())])
+            [(j + 1, mu, 1.0 / a_game, 1.0 / a_bal)
+             for j, (mu, a_game, a_bal) in enumerate(zip(
+                 config.mu.tolist(), game.per_node_availability,
+                 balanced.per_node_availability))])
 
 
 def _cmd_oracle_check(args) -> tuple:
@@ -334,7 +332,7 @@ def _cmd_oracle_check(args) -> tuple:
     ok, worst = oracle.nash_check(report.allocation, config)
     measured = oracle.traffic_empirical_rates(
         report.allocation, config, horizon=args.horizon, seed=args.seed)
-    expected = node_arrivals(report.allocation, config)
+    expected = report.loads
     sigma = np.sqrt(expected / args.horizon)
     within = np.abs(measured - expected) <= 3.0 * sigma
     traffic_ok = bool(within.all())

@@ -19,11 +19,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .best_response import _best_row
-from .errors import NotConverged, ValidationError
+from .errors import NotConverged
 from .model import (
     Allocation,
     SystemConfig,
     _availability,
+    _entries,
     _objective_of_loads,
     objective,
 )
@@ -34,15 +35,19 @@ class EquilibriumReport:
     """Outcome of an iterative solve.
 
     epsilon_trace holds the absolute objective change after each sweep;
-    cycles is its length.  converged is False when the last change
-    exceeded epsilon_threshold: on a single_pass report, which is returned,
-    or on the partial report attached to a NotConverged error.
+    cycles is its length.  loads is the read-only node load vector
+    delta = entries.T @ lam of the last sweep's resync, the one the
+    objective and per_node_availability were computed from.  converged is
+    False when the last change exceeded epsilon_threshold: on a
+    single_pass report, which is returned, or on the partial report
+    attached to a NotConverged error.
     """
 
     allocation: Allocation
     objective: float
     cycles: int
     epsilon_trace: tuple[float, ...]
+    loads: np.ndarray
     per_node_availability: tuple[float, ...]
     converged: bool
 
@@ -62,7 +67,8 @@ def _sweep_until_stable(config: SystemConfig, respond,
     tried first: it takes the whole sweep in place or returns False and
     leaves it to the rows.  The loop recomputes delta = entries.T @ lam
     exactly once per sweep, which also gives that sweep's objective and the
-    report's availabilities, so rounding drift never outlives a sweep.
+    report's loads and availabilities, so rounding drift never outlives a
+    sweep.
     Raises ValidationError for an initial allocation that is not n x m, and
     NotConverged (with the partial report) when the cycle cap is hit first.
     """
@@ -70,10 +76,7 @@ def _sweep_until_stable(config: SystemConfig, respond,
     if initial is None:
         entries = np.full((n, m), 1.0 / m)
     else:
-        entries = np.array(initial.entries)
-        if entries.shape != (n, m):
-            raise ValidationError(f"initial allocation has shape "
-                                  f"{entries.shape}, expected {(n, m)}")
+        entries = np.array(_entries(initial, config))
     lam, weights = config.lam, config.weights
     rates = lam.tolist()
 
@@ -96,11 +99,13 @@ def _sweep_until_stable(config: SystemConfig, respond,
         if single_pass or converged or len(trace) >= config.max_cycles:
             break
     entries.setflags(write=False)  # the report keeps it, uncopied
+    delta.setflags(write=False)
     report = EquilibriumReport(
         allocation=Allocation(entries),
         objective=latter,
         cycles=len(trace),
         epsilon_trace=tuple(trace),
+        loads=delta,
         per_node_availability=tuple(_availability(delta, weights)),
         converged=converged,
     )

@@ -205,7 +205,7 @@ class Allocation:
         if off.any():
             i = int(np.argmax(off))
             raise ValidationError(
-                f"allocation row {i} sums to {sums[i]!r}, expected 1"
+                f"allocation row {i} sums to {float(sums[i])!r}, expected 1"
             )
         entries.setflags(write=False)
         object.__setattr__(self, "entries", entries)
@@ -382,14 +382,20 @@ def build_config(nodes, schedulers, rho: float, **settings) -> SystemConfig:
 
 def node_arrivals(alloc, config: SystemConfig) -> np.ndarray:
     """Aggregate Poisson arrival rate at every node: delta_j = sum_i lam_i a_ij."""
-    return _entries(alloc).T @ config.lam
+    return _entries(alloc, config).T @ config.lam
 
 
-def _entries(alloc) -> np.ndarray:
-    """The slicing matrix of an Allocation, or a raw matrix as given."""
-    return np.asarray(
+def _entries(alloc, config: SystemConfig) -> np.ndarray:
+    """The slicing matrix of an Allocation, or a raw matrix as given; a
+    ValidationError naming both shapes unless it is n x m for config."""
+    entries = np.asarray(
         alloc.entries if isinstance(alloc, Allocation) else alloc, dtype=float
     )
+    expected = (config.n_schedulers, config.n_nodes)
+    if entries.shape != expected:
+        raise ValidationError(f"allocation has shape {entries.shape}, "
+                              f"expected {expected}")
+    return entries
 
 
 def _availability(delta: np.ndarray, weights: np.ndarray) -> np.ndarray:
@@ -417,11 +423,6 @@ def _nonzero_availability(delta: np.ndarray, weights: np.ndarray) -> np.ndarray:
     return avail
 
 
-def availability_vector(alloc: Allocation, config: SystemConfig) -> np.ndarray:
-    """Steady-state availability of every node; raises if any leaves [0, 1]."""
-    return _availability(node_arrivals(alloc, config), config.weights)
-
-
 def objective(alloc, config: SystemConfig) -> float:
     """Sum of availability reciprocals over all nodes.
 
@@ -429,7 +430,8 @@ def objective(alloc, config: SystemConfig) -> float:
     returned.  It is at least the node count, with equality only when all
     nodes are unloaded.  Accepts a raw matrix as well as an Allocation, so
     derivative stencils and numeric oracles can probe points slightly off
-    the simplex; availability range errors still apply.
+    the simplex; availability range errors still apply, and a matrix that
+    is not n x m is a ValidationError.
     """
     return _objective_of_loads(node_arrivals(alloc, config), config.weights)
 
@@ -443,7 +445,8 @@ def _objective_of_loads(delta: np.ndarray, weights: np.ndarray) -> float:
 def others_load_vector(i: int, alloc: Allocation,
                        config: SystemConfig) -> np.ndarray:
     """Per-node load imposed by every scheduler except i."""
-    return alloc.entries.T @ config.lam - config.lam[i] * alloc.entries[i]
+    entries = _entries(alloc, config)
+    return entries.T @ config.lam - config.lam[i] * entries[i]
 
 
 def _derivative_terms(i: int, j: int, alloc,
@@ -481,9 +484,10 @@ def validate_config(alloc, config: SystemConfig) -> ValidationReport:
     A library diagnostic that no solver or CLI path calls: they need only
     A_j > 0 at the start, which the M/M/1-style delta_j < mu_j is not.
     Accepts a raw matrix as well as an Allocation so that malformed inputs
-    can be diagnosed instead of rejected at construction.  Never raises.
+    can be diagnosed instead of rejected at construction.  Raises only a
+    ValidationError, for a matrix that is not n x m.
     """
-    entries = _entries(alloc)
+    entries = _entries(alloc, config)
     lam, mu, weights = config.lam, config.mu, config.weights
 
     # Written so that a NaN entry fails both tests.

@@ -13,7 +13,9 @@ Three checkers that deliberately avoid the closed-form solver's algebra:
   switching to its numerically optimised row.  Its descents start from
   each scheduler's own row, not the uniform one: the row objective is
   strictly convex on the simplex, so any feasible start reaches the same
-  optimum, and at an equilibrium the first sweep finds no move and stops;
+  optimum.  At a solved equilibrium a first sweep may still accept a move
+  of rounding size (about 2e-7 of share on an ulp-level drop of two
+  reciprocals), so a descent takes one sweep or two;
 * a Monte-Carlo splitter that draws actual Poisson traffic and routes it
   by the allocation, validating the arrival-composition layer.
 
@@ -33,8 +35,8 @@ import math
 import numpy as np
 
 from .errors import ValidationError
-from .model import (Allocation, SystemConfig, _checked, _index, objective,
-                    others_load_vector)
+from .model import (Allocation, SystemConfig, _checked, _entries, _index,
+                    objective, others_load_vector)
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 # Width at which a pair line search stops, in units of row share.
@@ -94,13 +96,13 @@ def _descend(i: int, alloc: Allocation, config: SystemConfig,
     stop once one moves no entry by 1e-10."""
     m = config.n_nodes
     lam_i = float(config.lam[i])
+    others = others_load_vector(i, alloc, config)  # checks alloc's shape
     if lam_i == 0.0:
         return np.array(alloc.entries[i])
     if m == 1:
         return np.ones(1)
 
     weights = config.weights
-    others = others_load_vector(i, alloc, config)
     caps = (1.0 / weights - others) / lam_i
     if start is not None:
         row = np.array(start, dtype=float)
@@ -144,8 +146,8 @@ def numeric_best_response(i: int, alloc: Allocation,
     progress.  Each search stops at width _LINE_TOL.
 
     A scheduler with zero arrival rate has a flat objective; its current
-    row is returned unchanged.  i is an integer from 0 to n - 1, else a
-    ValidationError.
+    row is returned unchanged.  i is an integer from 0 to n - 1 and alloc
+    is n x m for config, else a ValidationError.
     """
     return _descend(_index("i", i, config.n_schedulers), alloc, config)
 
@@ -160,8 +162,9 @@ def nash_check(alloc: Allocation, config: SystemConfig,
     because the objective at alloc is defined (it is computed first).  The
     row objective is strictly convex on the simplex, so the descent
     reaches the same optimum from any feasible start and the gain does not
-    depend on it, up to rounding; at an equilibrium the first sweep finds
-    no strictly improving move and the descent stops there.
+    depend on it, up to rounding.  At an equilibrium a descent stops after
+    one sweep, or two where the first accepts a move of rounding size.
+    alloc must be n x m for config, else a ValidationError.
     """
     _checked("tolerance", tolerance)
     worst = 0.0
@@ -183,11 +186,13 @@ def traffic_empirical_rates(alloc: Allocation, config: SystemConfig,
     independent per-arrival thinning.  Randomness comes from numpy's
     seeded PCG64 generator, so runs are bit-reproducible and portable.
     horizon (> 0) and seed (an integer >= 0) are checked by their _BOUNDS
-    rules before any draw; a horizon that puts a Poisson mean beyond
-    numpy's sampler (about 9.2e18) is a ValidationError too.
+    rules before any draw, and so is alloc's shape, n x m for config; a
+    horizon that puts a Poisson mean beyond numpy's sampler (about 9.2e18)
+    is a ValidationError too.
     """
     _checked("horizon", horizon)
     _checked("seed", seed)
+    entries = _entries(alloc, config)
     rng = np.random.default_rng(seed)
     counts = np.zeros(config.n_nodes)
     for i, lam_i in enumerate(config.lam.tolist()):
@@ -198,6 +203,6 @@ def traffic_empirical_rates(alloc: Allocation, config: SystemConfig,
                                   f"scheduler {i}: {exc}") from exc
         if arrivals == 0:
             continue
-        row = np.asarray(alloc.entries[i], dtype=float)
+        row = entries[i]
         counts += rng.multinomial(arrivals, row / row.sum())
     return counts / horizon

@@ -35,6 +35,7 @@ from relsched import (
 from relsched import baseline, equilibrium
 from relsched.baseline import _balanced_row
 from relsched.best_response import _best_row
+from relsched.model import _availability
 from relsched.presets import preset
 
 LOAD_RTOL = 1e-12
@@ -203,7 +204,9 @@ class TestActiveSetSearch:
     def test_loaded_pool_rows_match_loop(self, seed):
         config = hot_pool(seed, size=40)
         weights = config.weights
-        for lam_i, others in visited_rows(config):
+        calls = visited_rows(config)
+        assert len(calls) >= config.n_schedulers
+        for lam_i, others in calls:
             assert_same_response(lam_i, others, weights)
             assert_near_seed_loop(lam_i, others, weights)
 
@@ -358,6 +361,46 @@ class TestSweepLoop:
                                 single_pass=True)
         assert got.value.node == want.value.node == 1
         assert got.value.value == pytest.approx(want.value.value, rel=1e-12)
+
+
+REPORTERS = {
+    "solve": solve,
+    "bsa_solve": bsa_solve,
+    "bsa_single_pass": lambda config: bsa_solve(config, single_pass=True),
+}
+
+
+def assert_report_loads(report, config):
+    """The report's loads are the read-only node_arrivals of its
+    allocation, bit for bit, and its availabilities are theirs."""
+    assert not report.loads.flags.writeable
+    assert report.loads.tobytes() == \
+        node_arrivals(report.allocation, config).tobytes()
+    assert report.per_node_availability == \
+        tuple(_availability(report.loads, config.weights))
+
+
+class TestReportLoads:
+    @pytest.mark.parametrize("solver", REPORTERS)
+    @pytest.mark.parametrize("rho", [None, 0.1, 0.5, 0.9])
+    @pytest.mark.parametrize("name", PRESET_NAMES)
+    def test_preset_reports(self, name, rho, solver):
+        config = preset(name, rho=rho)
+        assert_report_loads(REPORTERS[solver](config), config)
+
+    @pytest.mark.parametrize("solver", REPORTERS)
+    @pytest.mark.parametrize("seed", range(4))
+    def test_loaded_pool_reports(self, seed, solver):
+        config = hot_pool(seed, size=40)
+        assert_report_loads(REPORTERS[solver](config), config)
+
+    @pytest.mark.parametrize("solver", ["solve", "bsa_solve"])
+    def test_partial_report(self, solver):
+        config = preset("table1-table2", max_cycles=1)
+        with pytest.raises(NotConverged) as got:
+            REPORTERS[solver](config)
+        assert not got.value.report.converged
+        assert_report_loads(got.value.report, config)
 
 
 class TestPeakMemory:
