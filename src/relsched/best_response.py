@@ -46,12 +46,13 @@ from .errors import NoFeasibleResponse
 from .model import Allocation, SystemConfig, _index, others_load_vector
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BestResponseResult:
     """One scheduler's optimal row with the other rows fixed.
 
     active_count is the size of the accepted active set; an entry of that
     set can be exactly zero when the multiplier sits on its boundary.
+    Results compare and hash by identity.
     """
 
     row: np.ndarray

@@ -30,7 +30,7 @@ from .model import (
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EquilibriumReport:
     """Outcome of an iterative solve.
 
@@ -40,7 +40,8 @@ class EquilibriumReport:
     objective and per_node_availability were computed from.  converged is
     False when the last change exceeded epsilon_threshold: on a
     single_pass report, which is returned, or on the partial report
-    attached to a NotConverged error.
+    attached to a NotConverged error.  Reports compare and hash by
+    identity, so two solves of one config are unequal.
     """
 
     allocation: Allocation

@@ -169,7 +169,7 @@ class SchedulerParams:
             _checked("lam", self.lam)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Allocation:
     """Task-slicing matrix: entry (i, j) is the fraction of scheduler i's
     stream sent to node j.  Entries are finite and nonnegative and every
@@ -181,7 +181,8 @@ class Allocation:
     writable array, a view, another dtype, a list) is copied, so changing
     it later leaves the Allocation as it was.  The solvers, uniform and
     replace_row hand over the matrix they built this way, so none is held
-    twice."""
+    twice.  Instances compare by identity and hash by it, as SystemConfig
+    does: equality over an ndarray field has no single truth value."""
 
     entries: np.ndarray
 

@@ -36,11 +36,23 @@ import numpy as np
 
 from .errors import ValidationError
 from .model import (Allocation, SystemConfig, _checked, _entries, _index,
-                    objective, others_load_vector)
+                    _objective_of_loads, objective, others_load_vector)
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 # Width at which a pair line search stops, in units of row share.
 _LINE_TOL = 1e-9
+
+
+def _pair(op: float, oq: float, wp: float, wq: float, lam_i: float,
+          yp: float, yq: float) -> float:
+    """The two availability reciprocals a pair line search minimises, with
+    shares yp and yq on nodes p and q, or inf where either availability
+    leaves (0, 1]."""
+    ap = 1.0 - (op + lam_i * yp) * wp
+    aq = 1.0 - (oq + lam_i * yq) * wq
+    if not (0.0 < ap <= 1.0 and 0.0 < aq <= 1.0):
+        return math.inf
+    return 1.0 / ap + 1.0 / aq
 
 
 def _line_search(row: list, p: int, q: int, others: list, weights: list,
@@ -54,49 +66,66 @@ def _line_search(row: list, p: int, q: int, others: list, weights: list,
     keep both positive: caps[j] is the largest share node j can take
     before its availability reaches zero.  The row is updated in place
     only when the move strictly lowers those two terms.
+
+    The loop's probe is written out in each of its two branches instead of
+    calling _pair: a search makes about 43 probes, and the call costs more
+    than their arithmetic.  Each copy keeps _pair's operation order, so
+    every float is the one _pair gives; tests/test_oracle.py's
+    TestReferenceDescent pins that order bit for bit against a reference
+    search that makes every probe through one closure.  _pair is a module
+    function, not a closure, so the search's floats stay plain locals.
     """
     xp, xq = row[p], row[q]
-    lo, hi = max(-xp, xq - caps[q]), min(xq, caps[p] - xp)
+    # Conditional expressions stand in for max and min, here and at the
+    # clip below, with their exact results (max keeps its first argument
+    # unless the second is greater) and without a builtin call each.
+    lo, hi = xq - caps[q], caps[p] - xp
+    lo = lo if lo > -xp else -xp  # max(-xp, xq - caps[q])
+    hi = hi if hi < xq else xq  # min(xq, caps[p] - xp)
     if hi - lo <= tol:
         return
     op, oq, wp, wq = others[p], others[q], weights[p], weights[q]
 
-    def pair(yp: float, yq: float) -> float:
-        ap = 1.0 - (op + lam_i * yp) * wp
-        aq = 1.0 - (oq + lam_i * yq) * wq
-        if not (0.0 < ap <= 1.0 and 0.0 < aq <= 1.0):
-            return math.inf
-        return 1.0 / ap + 1.0 / aq
-
     a, b = lo, hi
     x1 = b - _GOLDEN * (b - a)
     x2 = a + _GOLDEN * (b - a)
-    f1, f2 = pair(xp + x1, xq - x1), pair(xp + x2, xq - x2)
+    f1 = _pair(op, oq, wp, wq, lam_i, xp + x1, xq - x1)
+    f2 = _pair(op, oq, wp, wq, lam_i, xp + x2, xq - x2)
     while b - a > tol:
         if f1 <= f2:
             b, x2, f2 = x2, x1, f1
             x1 = b - _GOLDEN * (b - a)
-            f1 = pair(xp + x1, xq - x1)
+            ap = 1.0 - (op + lam_i * (xp + x1)) * wp
+            aq = 1.0 - (oq + lam_i * (xq - x1)) * wq
+            f1 = (1.0 / ap + 1.0 / aq
+                  if 0.0 < ap <= 1.0 and 0.0 < aq <= 1.0 else math.inf)
         else:
             a, x1, f1 = x1, x2, f2
             x2 = a + _GOLDEN * (b - a)
-            f2 = pair(xp + x2, xq - x2)
+            ap = 1.0 - (op + lam_i * (xp + x2)) * wp
+            aq = 1.0 - (oq + lam_i * (xq - x2)) * wq
+            f2 = (1.0 / ap + 1.0 / aq
+                  if 0.0 < ap <= 1.0 and 0.0 < aq <= 1.0 else math.inf)
     t = (a + b) / 2.0
-    bp = min(max(xp + t, 0.0), 1.0)
-    bq = min(max(xq - t, 0.0), 1.0)
-    if pair(bp, bq) < pair(xp, xq):
+    bp, bq = xp + t, xq - t  # each clipped as min(max(y, 0.0), 1.0)
+    bp = 0.0 if 0.0 > bp else (1.0 if 1.0 < bp else bp)
+    bq = 0.0 if 0.0 > bq else (1.0 if 1.0 < bq else bq)
+    if (_pair(op, oq, wp, wq, lam_i, bp, bq)
+            < _pair(op, oq, wp, wq, lam_i, xp, xq)):
         row[p], row[q] = bp, bq
 
 
 def _descend(i: int, alloc: Allocation, config: SystemConfig,
-             start=None) -> np.ndarray:
+             start=None, others=None) -> np.ndarray:
     """Scheduler i's row optimum by the descent numeric_best_response
     describes, from start, a row at which every availability is positive,
-    or, when start is None, from numeric_best_response's start.  Sweeps
-    stop once one moves no entry by 1e-10."""
+    or, when start is None, from numeric_best_response's start.  others is
+    others_load_vector(i, alloc, config), computed here when None (which
+    checks alloc's shape).  Sweeps stop once one moves no entry by 1e-10."""
     m = config.n_nodes
     lam_i = float(config.lam[i])
-    others = others_load_vector(i, alloc, config)  # checks alloc's shape
+    if others is None:
+        others = others_load_vector(i, alloc, config)
     if lam_i == 0.0:
         return np.array(alloc.entries[i])
     if m == 1:
@@ -165,14 +194,26 @@ def nash_check(alloc: Allocation, config: SystemConfig,
     depend on it, up to rounding.  At an equilibrium a descent stops after
     one sweep, or two where the first accepts a move of rounding size.
     alloc must be n x m for config, else a ValidationError.
+
+    The loads delta = entries.T @ lam are computed once per check: they
+    give the current objective, and each descent's others load is
+    delta - lam_i * entries[i], which is others_load_vector's result.
+    Each candidate row is scored on a raw copy of the matrix with row i
+    replaced, the matrix replace_row would build, without validating it
+    as an Allocation: the descent's row is nonnegative and normalised.
     """
     _checked("tolerance", tolerance)
+    entries = _entries(alloc, config)
+    lam = config.lam
+    delta = entries.T @ lam
+    current = _objective_of_loads(delta, config.weights)
     worst = 0.0
-    current = objective(alloc, config)
     for i in range(config.n_schedulers):
-        candidate = _descend(i, alloc, config, alloc.entries[i])
-        value = objective(alloc.replace_row(i, candidate), config)
-        worst = max(worst, current - value)
+        candidate = _descend(i, alloc, config, entries[i],
+                             delta - lam[i] * entries[i])
+        trial = entries.copy()
+        trial[i] = candidate
+        worst = max(worst, current - objective(trial, config))
     return worst <= tolerance, worst
 
 

@@ -146,6 +146,29 @@ class TestSolve:
         assert validate_config(partial.allocation, config).all_passed
 
 
+class TestIdentityEquality:
+    # reports, allocations and best-response results hold ndarrays, so they
+    # compare and hash by identity, as SystemConfig does: field equality
+    # over an ndarray has no single truth value
+
+    def test_reports_compare_by_identity(self, table12):
+        first, second = solve(table12), solve(table12)
+        assert first == first
+        assert first != second
+        assert first.allocation == first.allocation
+        assert first.allocation != second.allocation
+        assert np.array_equal(first.allocation.entries,
+                              second.allocation.entries)
+
+    def test_hashable(self, table12):
+        report = solve(table12)
+        result = best_response_row(0, report.allocation, table12)
+        assert result == result
+        assert result != best_response_row(0, report.allocation, table12)
+        assert len({report, report.allocation, result, report}) == 3
+        assert hash(report.allocation) == hash(report.allocation)
+
+
 class TestObjectiveAllSchedulers:
     def test_identical_entries(self, table12):
         alloc = Allocation.uniform(table12.n_schedulers, table12.n_nodes)

@@ -1,5 +1,6 @@
 """Numeric-minimiser and traffic-simulation oracles."""
 
+import math
 from itertools import combinations
 from math import comb
 from unittest import mock
@@ -265,6 +266,148 @@ class TestNashCheckStart:
         n, m = config.n_schedulers, config.n_nodes
         assert ok
         assert spy.call_count <= 2 * n * m * (m - 1) // 2
+
+
+GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+LINE_TOL = 1e-9
+
+
+def reference_line_search(row, p, q, others, weights, caps, lam_i, tol):
+    """Plain reference for oracle._line_search: every probe, the loop's
+    too, goes through one pair closure, and min and max clip."""
+    xp, xq = row[p], row[q]
+    lo, hi = max(-xp, xq - caps[q]), min(xq, caps[p] - xp)
+    if hi - lo <= tol:
+        return
+    op, oq, wp, wq = others[p], others[q], weights[p], weights[q]
+
+    def pair(yp, yq):
+        ap = 1.0 - (op + lam_i * yp) * wp
+        aq = 1.0 - (oq + lam_i * yq) * wq
+        if not (0.0 < ap <= 1.0 and 0.0 < aq <= 1.0):
+            return math.inf
+        return 1.0 / ap + 1.0 / aq
+
+    a, b = lo, hi
+    x1 = b - GOLDEN * (b - a)
+    x2 = a + GOLDEN * (b - a)
+    f1, f2 = pair(xp + x1, xq - x1), pair(xp + x2, xq - x2)
+    while b - a > tol:
+        if f1 <= f2:
+            b, x2, f2 = x2, x1, f1
+            x1 = b - GOLDEN * (b - a)
+            f1 = pair(xp + x1, xq - x1)
+        else:
+            a, x1, f1 = x1, x2, f2
+            x2 = a + GOLDEN * (b - a)
+            f2 = pair(xp + x2, xq - x2)
+    t = (a + b) / 2.0
+    bp = min(max(xp + t, 0.0), 1.0)
+    bq = min(max(xq - t, 0.0), 1.0)
+    if pair(bp, bq) < pair(xp, xq):
+        row[p], row[q] = bp, bq
+
+
+def reference_descend(i, alloc, config, start=None):
+    """Plain reference for oracle._descend, on reference_line_search and
+    others_load_vector."""
+    m = config.n_nodes
+    lam_i = float(config.lam[i])
+    others = others_load_vector(i, alloc, config)
+    if lam_i == 0.0:
+        return np.array(alloc.entries[i])
+    if m == 1:
+        return np.ones(1)
+    weights = config.weights
+    caps = (1.0 / weights - others) / lam_i
+    if start is not None:
+        row = np.array(start, dtype=float)
+    else:
+        row = np.full(m, 1.0 / m)
+        if (caps <= row).any():
+            spare = np.maximum(caps, 0.0)
+            if spare.sum() > 0.0:
+                row = spare / spare.sum()
+    others, weights, caps = others.tolist(), weights.tolist(), caps.tolist()
+    for _ in range(500):
+        before = row
+        trial = row.tolist()
+        for p in range(m):
+            for q in range(p + 1, m):
+                reference_line_search(trial, p, q, others, weights, caps,
+                                      lam_i, LINE_TOL)
+        row = np.maximum(trial, 0.0)
+        row /= row.sum()
+        if np.max(np.abs(row - before)) < 1e-10:
+            break
+    return row
+
+
+def reference_nash_check(alloc, config):
+    """Plain reference for nash_check at its default tolerance: (ok, worst)
+    and every candidate row's bytes, each candidate scored on a validated
+    Allocation."""
+    worst = 0.0
+    rows = []
+    current = objective(alloc, config)
+    for i in range(config.n_schedulers):
+        candidate = reference_descend(i, alloc, config, alloc.entries[i])
+        rows.append(candidate.tobytes())
+        value = objective(alloc.replace_row(i, candidate), config)
+        worst = max(worst, current - value)
+    return (worst <= 1e-6, worst), rows
+
+
+def package_nash_check(alloc, config):
+    """nash_check's (ok, worst) and the bytes of every candidate row its
+    descents return."""
+    rows = []
+    descend = oracle._descend
+
+    def recorded(*args, **kwargs):
+        row = descend(*args, **kwargs)
+        rows.append(row.tobytes())
+        return row
+
+    with mock.patch.object(oracle, "_descend", recorded):
+        verdict = nash_check(alloc, config)
+    return verdict, rows
+
+
+# the benchmark's oracle-verify instances: (preset, node count)
+ORACLE_VERIFY = [("table1-table2", 4), ("table6-table7", 6),
+                 ("table1-table2", 10), ("table6-table7", 15),
+                 ("table1-table2", None)]
+
+
+class TestReferenceDescent:
+    # the package's search writes its loop probe out and clips without min
+    # and max, and nash_check forms the loads once; all must give the
+    # reference's floats bit for bit
+
+    @pytest.mark.parametrize("name,m", ORACLE_VERIFY)
+    def test_nash_check_at_equilibrium(self, name, m):
+        config = preset(name, n_nodes=m)
+        alloc = solve(config).allocation
+        assert (package_nash_check(alloc, config)
+                == reference_nash_check(alloc, config))
+
+    @pytest.mark.parametrize("name", PRESET_NAMES)
+    @pytest.mark.parametrize("where", ["uniform", "nudged"])
+    def test_nash_check_off_equilibrium(self, name, where):
+        config = preset(name)
+        alloc = (Allocation.uniform(config.n_schedulers, config.n_nodes)
+                 if where == "uniform" else nudged_equilibrium(config))
+        assert (package_nash_check(alloc, config)
+                == reference_nash_check(alloc, config))
+
+    @pytest.mark.parametrize("name", PRESET_NAMES)
+    def test_numeric_best_response_from_uniform(self, name):
+        config = preset(name)
+        alloc = Allocation.uniform(config.n_schedulers, config.n_nodes)
+        for i in (0, config.n_schedulers - 1):
+            assert (numeric_best_response(i, alloc, config).tobytes()
+                    == reference_descend(i, alloc, config).tobytes())
 
 
 class TestTrafficEmpiricalRates:
