@@ -23,8 +23,8 @@ from .errors import NotConverged
 from .model import (
     Allocation,
     SystemConfig,
+    _allocation_entries,
     _availability,
-    _entries,
     _objective_of_loads,
     objective,
 )
@@ -70,14 +70,14 @@ def _sweep_until_stable(config: SystemConfig, respond,
     exactly once per sweep, which also gives that sweep's objective and the
     report's loads and availabilities, so rounding drift never outlives a
     sweep.
-    Raises ValidationError for an initial allocation that is not n x m, and
+    Raises ValidationError unless initial is an n x m allocation, and
     NotConverged (with the partial report) when the cycle cap is hit first.
     """
     n, m = config.n_schedulers, config.n_nodes
     if initial is None:
         entries = np.full((n, m), 1.0 / m)
     else:
-        entries = np.array(_entries(initial, config))
+        entries = np.array(_allocation_entries(initial, config))
     lam, weights = config.lam, config.weights
     rates = lam.tolist()
 

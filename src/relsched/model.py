@@ -399,6 +399,12 @@ def _entries(alloc, config: SystemConfig) -> np.ndarray:
     return entries
 
 
+def _allocation_entries(alloc, config: SystemConfig) -> np.ndarray:
+    """_entries of alloc, a raw matrix validated as an Allocation first."""
+    return _entries(alloc if isinstance(alloc, Allocation)
+                    else Allocation(alloc), config)
+
+
 def _availability(delta: np.ndarray, weights: np.ndarray) -> np.ndarray:
     """A_j = 1 - delta_j * W_j for every node.
 

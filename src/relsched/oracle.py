@@ -2,12 +2,12 @@
 
 Three checkers that deliberately avoid the closed-form solver's algebra:
 
-* a numeric minimiser of one scheduler's row objective (sweeps of
-  pairwise line searches descending from the uniform row, or from the
-  residual-capacity row when uniform would overload a node), used to
-  validate the closed-form best response.  Each line search moves mass
-  between two nodes, is clipped in closed form to the moves that keep
-  both availabilities positive, evaluates only their two availability
+* a numeric minimiser of one scheduler's row objective, used to validate
+  the closed-form best response: an array kernel on the others' node
+  loads, like best_response._best_row, that runs sweeps of pairwise line
+  searches from a feasible row.  Each line search moves mass between two
+  nodes, is clipped in closed form to the moves that keep both
+  availabilities positive, evaluates only their two availability
   reciprocals, and keeps a move only when it strictly lowers them;
 * an equilibrium checker that asks whether any scheduler could gain by
   switching to its numerically optimised row.  Its descents start from
@@ -35,8 +35,9 @@ import math
 import numpy as np
 
 from .errors import ValidationError
-from .model import (Allocation, SystemConfig, _checked, _entries, _index,
-                    _objective_of_loads, objective, others_load_vector)
+from .model import (Allocation, SystemConfig, _allocation_entries, _checked,
+                    _entries, _index, _objective_of_loads, objective,
+                    others_load_vector)
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 # Width at which a pair line search stops, in units of row share.
@@ -115,33 +116,15 @@ def _line_search(row: list, p: int, q: int, others: list, weights: list,
         row[p], row[q] = bp, bq
 
 
-def _descend(i: int, alloc: Allocation, config: SystemConfig,
-             start=None, others=None) -> np.ndarray:
-    """Scheduler i's row optimum by the descent numeric_best_response
-    describes, from start, a row at which every availability is positive,
-    or, when start is None, from numeric_best_response's start.  others is
-    others_load_vector(i, alloc, config), computed here when None (which
-    checks alloc's shape).  Sweeps stop once one moves no entry by 1e-10."""
-    m = config.n_nodes
-    lam_i = float(config.lam[i])
-    if others is None:
-        others = others_load_vector(i, alloc, config)
-    if lam_i == 0.0:
-        return np.array(alloc.entries[i])
-    if m == 1:
-        return np.ones(1)
-
-    weights = config.weights
+def _descend(lam_i: float, others: np.ndarray, weights: np.ndarray,
+             row: np.ndarray) -> np.ndarray:
+    """Row optimum of a scheduler of rate lam_i > 0, given the others'
+    per-node load others and the load weights W: sweeps of _line_search
+    over every node pair from row, a start at which every availability is
+    positive.  Each sweep makes a new row, clipped at 0 and normalised;
+    they stop once one moves no entry by 1e-10, or after 500."""
     caps = (1.0 / weights - others) / lam_i
-    if start is not None:
-        row = np.array(start, dtype=float)
-    else:
-        row = np.full(m, 1.0 / m)
-        if (caps <= row).any():
-            spare = np.maximum(caps, 0.0)
-            if spare.sum() > 0.0:  # else the others saturate every node
-                row = spare / spare.sum()
-
+    m = row.size
     others, weights, caps = others.tolist(), weights.tolist(), caps.tolist()
     for _ in range(500):
         before = row
@@ -164,9 +147,9 @@ def numeric_best_response(i: int, alloc: Allocation,
     Sweeps of pairwise mass-moving golden-section searches descend from
     the uniform row; they converge to the global optimum because the row
     objective is strictly convex on the simplex.  When the uniform row
-    would overload a node, the descent starts instead from the row
-    proportional to each node's residual capacity max(1/W_j - o_j, 0),
-    which is feasible whenever any row is.
+    would overload a node and some node has spare capacity, the descent
+    starts instead from the row proportional to each node's residual
+    capacity max(1/W_j - o_j, 0), which is feasible whenever any row is.
 
     Each line search is clipped in closed form to the moves that keep
     both of its nodes' availabilities positive, evaluates only the two
@@ -174,11 +157,20 @@ def numeric_best_response(i: int, alloc: Allocation,
     when it strictly lowers them, so equal-valued jitter never counts as
     progress.  Each search stops at width _LINE_TOL.
 
-    A scheduler with zero arrival rate has a flat objective; its current
-    row is returned unchanged.  i is an integer from 0 to n - 1 and alloc
+    A scheduler with zero arrival rate has a flat objective; a copy of its
+    current row is returned.  i is an integer from 0 to n - 1 and alloc
     is n x m for config, else a ValidationError.
     """
-    return _descend(_index("i", i, config.n_schedulers), alloc, config)
+    i = _index("i", i, config.n_schedulers)
+    others = others_load_vector(i, alloc, config)
+    lam_i, weights = float(config.lam[i]), config.weights
+    if lam_i == 0.0:
+        return np.array(_entries(alloc, config)[i])
+    row = np.full(config.n_nodes, 1.0 / config.n_nodes)
+    spare = np.maximum((1.0 / weights - others) / lam_i, 0.0)
+    if (spare <= row).any() and spare.sum() > 0.0:
+        row = spare / spare.sum()
+    return _descend(lam_i, others, weights, row)
 
 
 def nash_check(alloc: Allocation, config: SystemConfig,
@@ -193,7 +185,8 @@ def nash_check(alloc: Allocation, config: SystemConfig,
     reaches the same optimum from any feasible start and the gain does not
     depend on it, up to rounding.  At an equilibrium a descent stops after
     one sweep, or two where the first accepts a move of rounding size.
-    alloc must be n x m for config, else a ValidationError.
+    A zero-rate scheduler's candidate is its own row (a flat objective).
+    alloc is read as an Allocation, n x m for config, else a ValidationError.
 
     The loads delta = entries.T @ lam are computed once per check: they
     give the current objective, and each descent's others load is
@@ -203,14 +196,14 @@ def nash_check(alloc: Allocation, config: SystemConfig,
     as an Allocation: the descent's row is nonnegative and normalised.
     """
     _checked("tolerance", tolerance)
-    entries = _entries(alloc, config)
-    lam = config.lam
+    entries = _allocation_entries(alloc, config)
+    lam, weights = config.lam, config.weights
     delta = entries.T @ lam
-    current = _objective_of_loads(delta, config.weights)
+    current = _objective_of_loads(delta, weights)
     worst = 0.0
-    for i in range(config.n_schedulers):
-        candidate = _descend(i, alloc, config, entries[i],
-                             delta - lam[i] * entries[i])
+    for i, lam_i in enumerate(lam.tolist()):
+        candidate = entries[i] if lam_i == 0.0 else _descend(
+            lam_i, delta - lam_i * entries[i], weights, entries[i])
         trial = entries.copy()
         trial[i] = candidate
         worst = max(worst, current - objective(trial, config))
@@ -227,13 +220,13 @@ def traffic_empirical_rates(alloc: Allocation, config: SystemConfig,
     independent per-arrival thinning.  Randomness comes from numpy's
     seeded PCG64 generator, so runs are bit-reproducible and portable.
     horizon (> 0) and seed (an integer >= 0) are checked by their _BOUNDS
-    rules before any draw, and so is alloc's shape, n x m for config; a
-    horizon that puts a Poisson mean beyond numpy's sampler (about 9.2e18)
-    is a ValidationError too.
+    rules before any draw, and alloc is read as an Allocation, n x m for
+    config; a horizon that puts a Poisson mean beyond numpy's sampler
+    (about 9.2e18) is a ValidationError too.
     """
     _checked("horizon", horizon)
     _checked("seed", seed)
-    entries = _entries(alloc, config)
+    entries = _allocation_entries(alloc, config)
     rng = np.random.default_rng(seed)
     counts = np.zeros(config.n_nodes)
     for i, lam_i in enumerate(config.lam.tolist()):

@@ -10,8 +10,9 @@ An argument ending in ``.json`` names a config file in ``tests/golden/``.
 The cases are the paper's experiments as the benchmark runs them, plus
 the paths those leave out: the default artifact name, the single-pass
 baseline, a node-count convergence sweep, sweeps over a config file,
-infeasible sweep points, a non-converging solve, the oracle check and a
-file whose nodes have W_j*mu_j < 1.
+infeasible sweep points, a non-converging solve, the oracle check (on a
+preset and on a file with a zero-rate scheduler) and a file whose nodes
+have W_j*mu_j < 1.
 
 To rewrite the expected files after an intended artifact change, run
 ``PYTHONPATH=src python tests/test_golden_cli.py`` from the repository root.
@@ -82,6 +83,10 @@ CASES = {
     # though the load equals sum(mu) and exceeds mu_1 there
     "compare.w-mu-below-one": ("compare", "--config", "w-mu-below-one.json",
                                "--out", OUT),
+    # scheduler 3 has phi 0: its row objective is flat, so its nash_check
+    # candidate is its own row and it draws no traffic
+    "oracle-check.zero-rate": ("oracle-check", "--config", "zero-rate.json",
+                               "--horizon", "1e6", "--out", OUT),
 }
 
 

@@ -15,6 +15,7 @@ from relsched import (
     SystemConfig,
     ValidationError,
     best_response_row,
+    bsa_solve,
     build_config,
     nash_check,
     node_arrivals,
@@ -24,6 +25,7 @@ from relsched import (
     objective_curvature,
     objective_marginal,
     per_node_reciprocals,
+    solve,
     traffic_empirical_rates,
     validate_config,
 )
@@ -305,6 +307,35 @@ class TestAllocationShape:
         with pytest.raises(ValidationError, match=re.escape(
                 "allocation has shape (15,), expected (10, 15)")):
             self.CALLS[call](np.full(15, 0.1), table12)
+
+
+class TestAllocationBoundary:
+    """nash_check, the traffic oracle and the solvers' initial read a raw
+    matrix as an Allocation, so one that is not an allocation is the
+    ValidationError naming its entry or row.  nash_check used to pass a
+    zero row, the traffic oracle raised numpy's bare ValueError or
+    renormalised a row summing to 1.4, and the solvers solved from it."""
+
+    CALLS = {
+        "nash_check": nash_check,
+        "traffic_empirical_rates": lambda alloc, config:
+            traffic_empirical_rates(alloc, config, 10.0, 0),
+        "solve": lambda alloc, config: solve(config, initial=alloc),
+        "bsa_solve": lambda alloc, config: bsa_solve(config, initial=alloc),
+    }
+
+    @pytest.mark.parametrize("matrix,error", [
+        ([[-0.5, 1.5]], "allocation entry (0, 0) is -0.5, expected a finite "
+                        "number >= 0"),
+        ([[0.0, 0.0]], "allocation row 0 sums to 0.0, expected 1"),
+        ([[0.7, 0.7]], "allocation row 0 sums to 1.4, expected 1"),
+    ])
+    @pytest.mark.parametrize("call", CALLS)
+    def test_raw_matrix_that_is_not_an_allocation_is_rejected(
+            self, two_node_config, call, matrix, error):
+        with pytest.raises(ValidationError) as got:
+            self.CALLS[call](np.array(matrix), two_node_config)
+        assert str(got.value) == error
 
 
 class TestDeriveLambdas:

@@ -101,6 +101,24 @@ class TestNumericBestResponse:
         assert row.tolist() == [0.9, 0.1]
         assert not np.shares_memory(row, alloc.entries)
 
+    @pytest.mark.parametrize("raw", [False, True], ids=["allocation", "raw"])
+    def test_zero_rate_scheduler_at_equilibrium(self, raw):
+        # scheduler 0's row does not move the loads, so the others' solved
+        # rows stay an equilibrium whatever it holds; on a raw matrix both
+        # calls used to raise AttributeError reading alloc.entries
+        config = build_config(
+            nodes=[NodeParams.from_rate(0.02), NodeParams.from_rate(0.04)],
+            schedulers=[SchedulerParams(lam=0.0), SchedulerParams(lam=0.005)],
+            rho=0.5,
+        )
+        entries = np.array(solve(config).allocation.entries)
+        entries[0] = [0.9, 0.1]
+        alloc = entries if raw else Allocation(entries)
+        assert nash_check(alloc, config) == (True, 0.0)
+        row = numeric_best_response(0, alloc, config)
+        assert row.tolist() == [0.9, 0.1]
+        assert not np.shares_memory(row, alloc if raw else alloc.entries)
+
     def test_descent_path_used_beyond_grid_limit(self, table12):
         # no node count takes a lattice seed any more; the full 15 nodes,
         # beyond the old grid limit, must still descend to the optimum
@@ -408,6 +426,17 @@ class TestReferenceDescent:
         for i in (0, config.n_schedulers - 1):
             assert (numeric_best_response(i, alloc, config).tobytes()
                     == reference_descend(i, alloc, config).tobytes())
+
+
+def test_one_node_rows_are_exactly_one():
+    # with one node every descent returns its start divided by itself
+    config = preset("table1-table2", n_nodes=1)
+    alloc = Allocation.uniform(config.n_schedulers, 1)
+    verdict, rows = package_nash_check(alloc, config)
+    assert verdict == (True, 0.0)
+    assert rows == [np.ones(1).tobytes()] * config.n_schedulers
+    for i in range(config.n_schedulers):
+        assert numeric_best_response(i, alloc, config).tolist() == [1.0]
 
 
 class TestTrafficEmpiricalRates:
