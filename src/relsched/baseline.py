@@ -31,15 +31,10 @@ _balanced_row; the input alone decides which:
 
 - some node starts the sweep loaded beyond its service rate (c_0 < 0), so
   the clamp may bind.  From the uniform start this needs a node with
-  W_j*mu_j < 1, which a config file may give the CLI, or an initial
-  allocation that overloads a node;
+  W_j*mu_j < 1, which a config file may give the CLI;
 - s <= 0: no spare capacity at all;
 - P_n is below the smallest normal double, so 1/P_k loses precision or
   overflows (many heavy schedulers on little spare capacity).
-
-The scan assumes rows that sum to 1.  A row of an initial allocation that
-sums to 1 only within ROW_SUM_TOL keeps that deviation in the rows the scan
-derives from it, where the row-by-row sweep would normalise it away.
 """
 
 from __future__ import annotations
@@ -48,7 +43,7 @@ import numpy as np
 
 from .equilibrium import EquilibriumReport, _sweep_until_stable
 from .errors import AllNodesSaturated
-from .model import Allocation, SystemConfig
+from .model import SystemConfig
 
 # The scan divides by the running products P_k of the weights; below the
 # smallest normal double a product loses precision and its reciprocal can
@@ -94,10 +89,10 @@ def _scan_sweep(entries: np.ndarray, delta: np.ndarray,
     return True
 
 
-def bsa_solve(config: SystemConfig, initial: Allocation | None = None,
+def bsa_solve(config: SystemConfig, *,
               single_pass: bool = False) -> EquilibriumReport:
     """Iterate balanced rows to a fixed point (or one sweep if single_pass)."""
     mu = config.mu
     return _sweep_until_stable(
         config, lambda i, lam_i, others: _balanced_row(i, others, mu),
-        initial, single_pass, scan=_scan_sweep)
+        single_pass, scan=_scan_sweep)

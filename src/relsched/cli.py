@@ -72,11 +72,12 @@ def _read_config(path) -> dict:
 
     Every value is type-checked once, a ParseError: a number must be finite
     and not a boolean, and a JSON null is a wrong type.  So is a key outside
-    _KEYS, which a typo would otherwise turn into a default.  Each node and
-    scheduler value is range-checked once by its _BOUNDS rule, _checked
-    raising the ValidationError that names it, so a sweep exits 2 before
-    any point is solved; _source checks the settings, which an override
-    may replace.
+    _KEYS, which a typo would otherwise turn into a default, and a key an
+    object repeats, which would otherwise be read as its last value.  Each
+    node and scheduler value is range-checked once by its _BOUNDS rule,
+    _checked raising the ValidationError that names it, so a sweep exits 2
+    before any point is solved; _source checks the settings, which an
+    override may replace.
     """
     path = Path(path)
     try:
@@ -84,7 +85,9 @@ def _read_config(path) -> dict:
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
     try:
-        raw = json.loads(text)
+        # Each object as a tuple of its (key, value) pairs, so a repeated
+        # key stays visible; an array is a list.
+        raw = json.loads(text, object_pairs_hook=tuple)
     except json.JSONDecodeError as exc:
         raise ParseError(
             f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}"
@@ -92,16 +95,19 @@ def _read_config(path) -> dict:
 
     def read(obj, kind, where) -> dict:
         """The values of obj, an object of kind, by their _KEYS rule."""
-        if not isinstance(obj, dict):
+        if not isinstance(obj, tuple):
             raise ParseError(f"{path}: {where} must be an object")
-        values = {}
-        for key, value in obj.items():
+        values, keys = {}, set()
+        for key, value in obj:
             rule = _KEYS[kind].get(key)
             if rule is None:
                 raise ParseError(f"{path}: unknown field {key!r} of {where}")
+            if key in keys:
+                raise ParseError(f"{path}: {where} gives {key!r} twice")
             if rule in values:
                 raise ParseError(f"{path}: {where} gives both 'lambda' and "
                                  "'lam'")
+            keys.add(key)
             bounds = _BOUNDS.get(rule)  # None for a list of entries
             if not (_is_number(value, bounds[3]) if bounds
                     else isinstance(value, list)):

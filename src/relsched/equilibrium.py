@@ -23,7 +23,6 @@ from .errors import NotConverged
 from .model import (
     Allocation,
     SystemConfig,
-    _allocation_entries,
     _availability,
     _objective_of_loads,
     objective,
@@ -53,8 +52,7 @@ class EquilibriumReport:
     converged: bool
 
 
-def _sweep_until_stable(config: SystemConfig, respond,
-                        initial: Allocation | None, single_pass: bool,
+def _sweep_until_stable(config: SystemConfig, respond, single_pass: bool,
                         scan=None) -> EquilibriumReport:
     """The one convergence loop of both solvers: the only code that replaces
     rows or builds a report.
@@ -70,14 +68,11 @@ def _sweep_until_stable(config: SystemConfig, respond,
     exactly once per sweep, which also gives that sweep's objective and the
     report's loads and availabilities, so rounding drift never outlives a
     sweep.
-    Raises ValidationError unless initial is an n x m allocation, and
-    NotConverged (with the partial report) when the cycle cap is hit first.
+    Raises NotConverged (with the partial report) when the cycle cap is hit
+    first.
     """
     n, m = config.n_schedulers, config.n_nodes
-    if initial is None:
-        entries = np.full((n, m), 1.0 / m)
-    else:
-        entries = np.array(_allocation_entries(initial, config))
+    entries = np.full((n, m), 1.0 / m)
     lam, weights = config.lam, config.weights
     rates = lam.tolist()
 
@@ -116,8 +111,7 @@ def _sweep_until_stable(config: SystemConfig, respond,
     return report
 
 
-def solve(config: SystemConfig,
-          initial: Allocation | None = None) -> EquilibriumReport:
+def solve(config: SystemConfig) -> EquilibriumReport:
     """Iterate best responses until the objective settles.
 
     At the returned allocation every scheduler's row is its own best
@@ -127,7 +121,7 @@ def solve(config: SystemConfig,
     return _sweep_until_stable(
         config,
         lambda i, lam_i, others: _best_row(i, lam_i, others, weights)[0],
-        initial, single_pass=False)
+        single_pass=False)
 
 
 def objective_all_schedulers(alloc: Allocation,

@@ -5,23 +5,31 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import EmptyInput
-from .model import (Allocation, SystemConfig, _nonzero_availability,
-                    node_arrivals)
+from .model import (Allocation, SystemConfig, _checked,
+                    _nonzero_availability, node_arrivals)
 
 
 def fairness_index(values) -> float:
     """Jain-style fairness index: (sum v)**2 / (n * sum v**2).
 
     Equals 1 exactly when all values are equal and decreases as they
-    spread.  Empty or all-zero input has no defined index and raises
-    EmptyInput rather than returning 0/0.
+    spread; it does not depend on scale, so the values are divided by the
+    largest first, which keeps tiny and huge ones from under- or
+    overflowing.  values is a 1-D sequence of finite numbers >= 0, not
+    booleans, else a ValidationError naming values[k].  Empty or all-zero
+    input has no defined index and raises EmptyInput rather than returning
+    0/0.
     """
-    values = np.asarray(values, dtype=float)
+    if not isinstance(values, np.ndarray):  # each entry as given:
+        values = np.array(values, dtype=object)  # [1, True] is not 1.0
     if values.size == 0:
         raise EmptyInput("fairness index of an empty value list")
-    square_sum = float(np.sum(values**2))
-    if square_sum == 0.0:
+    values = _checked("values", values)
+    largest = values.max()
+    if largest == 0.0:
         raise EmptyInput("fairness index of an all-zero value list")
+    values = values / largest
+    square_sum = float(np.sum(values**2))
     return float(np.sum(values)) ** 2 / (values.size * square_sum)
 
 

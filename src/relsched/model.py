@@ -40,7 +40,8 @@ ROW_SUM_TOL = 1e-9
 # A value is a number (an integer where flagged), not a boolean, above low
 # (or at it where allowed) and below high; high = inf rejects infinities.
 # sweep_bound and sweep_step govern the parts of a CLI --range, n_schedulers
-# and n_nodes the counts of Allocation.uniform.
+# and n_nodes the counts of Allocation.uniform, values the list of
+# fairness_index.
 _INF = np.inf
 _BOUNDS = dict(
     mu=(0.0, False, _INF, False), mu_prime=(0.0, True, _INF, False),
@@ -51,9 +52,11 @@ _BOUNDS = dict(
     seed=(0, True, _INF, True), tolerance=(0.0, True, _INF, False),
     sweep_bound=(-_INF, False, _INF, False),
     sweep_step=(0.0, False, _INF, False),
-    n_schedulers=(1, True, _INF, True), n_nodes=(1, True, _INF, True))
+    n_schedulers=(1, True, _INF, True), n_nodes=(1, True, _INF, True),
+    values=(0.0, True, _INF, False))
 _NODE_FIELDS = ("mu", "mu_prime", "gamma", "beta1")
 _ARRAY_FIELDS = (*_NODE_FIELDS, "phi", "lam")
+_ARRAY_RULES = (*_ARRAY_FIELDS, "values")
 
 
 def _is_number(value, integer: bool = False) -> bool:
@@ -78,12 +81,12 @@ def _within(x, low, inclusive, high):
 def _checked(name: str, values, label: str | None = None):
     """values checked by the rule of name in _BOUNDS: a number comes back
     as given, an array (nonempty, 1-D) of a per-node or per-scheduler field
-    as a new read-only float array.  Anything else, or a value the rule
-    rejects, is a ValidationError naming label (default name), the first
-    bad index and its value."""
+    or of values as a new read-only float array.  Anything else, or a value
+    the rule rejects, is a ValidationError naming label (default name), the
+    first bad index and its value."""
     low, inclusive, high, integer = _BOUNDS[name]
     label = label or name
-    if not (isinstance(values, np.ndarray) and name in _ARRAY_FIELDS):
+    if not (isinstance(values, np.ndarray) and name in _ARRAY_RULES):
         if ((_is_number(values, True) if integer else _is_float(values))
                 and _within(values, low, inclusive, high)):
             return values

@@ -22,7 +22,8 @@ PRESET_FILE = GOLDEN_DIR / "table1-table2.json"
 
 def write_json(tmp_path, payload, name="config.json"):
     path = tmp_path / name
-    path.write_text(json.dumps(payload))
+    path.write_text(payload if isinstance(payload, str)
+                    else json.dumps(payload))
     return path
 
 
@@ -101,6 +102,14 @@ class TestLoadConfig:
         ({"rho": 0.5, "nodes": [{"mu": 0.02}, {"mu": 0.04}],
           "schedulers": [{"phi": 0.01}, {}]},
          "scheduler 1 is missing 'phi' or 'lambda'$"),
+        # a repeated key used to be read silently as its last value
+        ('{"rho": 0.5, "rho": 0.9, "nodes": [{"mu": 0.02}], '
+         '"schedulers": [{"phi": 1}]}', "top level gives 'rho' twice$"),
+        ('{"rho": 0.5, "nodes": [{"mu": 0.02}, {"mu": 0.02, "mu": 0.5}], '
+         '"schedulers": [{"phi": 1}]}', "node 1 gives 'mu' twice$"),
+        ('{"rho": 0.5, "nodes": [{"mu": 0.02}], '
+         '"schedulers": [{"lambda": 0.001, "lambda": 0.002}]}',
+         "scheduler 0 gives 'lambda' twice$"),
     ])
     def test_structure_errors_named(self, payload, message, tmp_path):
         with pytest.raises(ParseError, match=message):

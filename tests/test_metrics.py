@@ -8,6 +8,7 @@ from relsched import (
     EmptyInput,
     NodeParams,
     SchedulerParams,
+    ValidationError,
     build_config,
     fairness_index,
     objective,
@@ -50,6 +51,39 @@ class TestFairnessIndex:
             fairness_index([])
         with pytest.raises(EmptyInput):
             fairness_index([0.0, 0.0])
+
+    @pytest.mark.parametrize("values,error", [
+        ([float("nan"), 1.0], "values[0] must be a finite number >= 0, "
+                              "got nan"),
+        ([1.0, float("inf")], "values[1] must be a finite number >= 0, "
+                              "got inf"),
+        ([True, False], "values[0] must be a finite number >= 0, got True"),
+        ([1.0, True], "values[1] must be a finite number >= 0, got True"),
+        (np.array([True, False]), "values[0] must be a finite number >= 0, "
+                                  "got True"),
+        (["1", "2"], "values[0] must be a finite number >= 0, got '1'"),
+        ([-1.0, 2.0], "values[0] must be a finite number >= 0, got -1.0"),
+        ([[1.0, 2.0]], "values must be a nonempty 1-D array, "
+                       "got shape (1, 2)"),
+        (np.ones((2, 2)), "values must be a nonempty 1-D array, "
+                          "got shape (2, 2)"),
+    ])
+    def test_values_that_are_not_finite_nonnegative_numbers_are_rejected(
+            self, values, error):
+        # used to return nan, 0.5, 0.9 or 0.1, or to flatten a matrix
+        with pytest.raises(ValidationError) as got:
+            fairness_index(values)
+        assert str(got.value) == error
+
+    @pytest.mark.parametrize("values,index", [
+        ([1e-200, 1e-200], 1.0),  # used to raise EmptyInput ("all-zero")
+        ([1e200, 1e200], 1.0),  # used to raise a bare OverflowError
+        ([5e-324, 1e-323], 0.9),
+        ([1e200, 3e200], 0.8),
+        ([1e-200, 3e-200], 0.8),
+    ])
+    def test_extreme_scales_give_the_index(self, values, index):
+        assert fairness_index(values) == pytest.approx(index, rel=1e-12)
 
 
 class TestPerNodeReciprocals:

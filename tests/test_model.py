@@ -15,7 +15,6 @@ from relsched import (
     SystemConfig,
     ValidationError,
     best_response_row,
-    bsa_solve,
     build_config,
     nash_check,
     node_arrivals,
@@ -25,7 +24,6 @@ from relsched import (
     objective_curvature,
     objective_marginal,
     per_node_reciprocals,
-    solve,
     traffic_empirical_rates,
     validate_config,
 )
@@ -310,18 +308,16 @@ class TestAllocationShape:
 
 
 class TestAllocationBoundary:
-    """nash_check, the traffic oracle and the solvers' initial read a raw
-    matrix as an Allocation, so one that is not an allocation is the
-    ValidationError naming its entry or row.  nash_check used to pass a
-    zero row, the traffic oracle raised numpy's bare ValueError or
-    renormalised a row summing to 1.4, and the solvers solved from it."""
+    """nash_check and the traffic oracle read a raw matrix as an
+    Allocation, so one that is not an allocation is the ValidationError
+    naming its entry or row.  nash_check used to pass a zero row, and the
+    traffic oracle raised numpy's bare ValueError or renormalised a row
+    summing to 1.4."""
 
     CALLS = {
         "nash_check": nash_check,
         "traffic_empirical_rates": lambda alloc, config:
             traffic_empirical_rates(alloc, config, 10.0, 0),
-        "solve": lambda alloc, config: solve(config, initial=alloc),
-        "bsa_solve": lambda alloc, config: bsa_solve(config, initial=alloc),
     }
 
     @pytest.mark.parametrize("matrix,error", [
