@@ -8,46 +8,45 @@ the comparison between the two algorithms symmetric.  A single-pass mode
 (one sweep, no iteration) is available for sensitivity checks.
 
 A sweep replaces the rows in order, each row seeing the rows before it.
-Row i is r_i = max(mu - o_i, 0) / its sum, where o_i is the load of every
-scheduler but i.  Write a_i for row i before the sweep, c_i = mu - delta
-for the spare capacity once rows 1..i are replaced, and s = sum(c_0).
-Then mu - o_i = c_{i-1} + lam_i*a_i.  If c_0 >= 0, no row clamps for the
-whole sweep, by induction: while c_{i-1} = s*r_{i-1} (r_0 = c_0/s), the
-residual c_{i-1} + lam_i*a_i is a nonnegative combination of c_0 and
-earlier rows, so the clamp is idle; it sums to s + lam_i because a_i sums
-to 1, and c_i = c_{i-1} + lam_i*a_i - lam_i*r_i = s*r_i again.  So
+Row i becomes r_i = max(mu - o_i, 0) / its sum, where o_i is the load of
+every scheduler but i.  Every row sums to 1, so the loads sum to
+Lambda = sum(lam), and the spare capacity c = mu - delta sums to
 
-    r_i = w_i*r_{i-1} + (1 - w_i)*a_i,   r_0 = c_0/s,   w_i = s/(s + lam_i).
+    s = sum(mu) - Lambda
 
-That first-order linear recurrence has the closed form
+at the start of every sweep.  Where c >= 0 no row clamps during the
+sweep: with a_i the old row i, row i's residual is c_{i-1} + lam_i*a_i, a
+nonnegative vector that sums to s + lam_i, and c_i = s*r_i, by induction
+from r_0 = c/s.  So r_i = w_i*r_{i-1} + (1 - w_i)*a_i, a prefix scan:
 
-    r_i = P_i * (c_0/s + sum_{k<=i} (1 - w_k)/P_k * a_k),   P_i = w_1...w_i,
+    r_i = P_i/s * (c + sum_{k<=i} lam_k*w_k/P_k * a_k),
+    w_k = s/(s + lam_k),   P_i = w_1...w_i.
 
-one cumprod over the schedulers and one cumsum down the columns, which
-_scan_sweep computes in place on the entries.  Every term is nonnegative,
-so the sums carry only rounding error relative to the entry.  A sweep the
-scan cannot take is left to the loop, which runs it row by row through
-_balanced_row; the input alone decides which:
+The weights and products depend on lam and s alone, so a solve computes
+them once.
 
-- some node starts the sweep loaded beyond its service rate (c_0 < 0), so
-  the clamp may bind.  From the uniform start this needs a node with
-  W_j*mu_j < 1, which a config file may give the CLI;
-- s <= 0: no spare capacity at all;
-- P_n is below the smallest normal double, so 1/P_k loses precision or
-  overflows (many heavy schedulers on little spare capacity).
+The scan is linear in c and the old rows, so it keeps the rows in any
+span that holds c and them.  The uniform start is (1/m, 0) in the basis
+{1, mu}.  If the rows are x_i*1 + y_i*mu and (X, Y) = lam @ (x, y), the
+loads are X*1 + Y*mu and c is -X*1 + (1 - Y)*mu, in the span again.  So
+_scan runs on the n x 2 coordinates, a sweep costs O(n + m), and the
+n x m matrix is built once, for the report.
+
+A sweep whose start has c < 0 on some node, possible only where
+W_j*mu_j < 1, runs row by row through _balanced_row.  The matrix is built
+for it, and later sweeps scan that matrix, as coordinates in the identity
+basis.  If s <= 0, or if P_n is below the smallest normal double (so
+1/P_k loses precision or overflows), the whole solve runs row by row.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .equilibrium import EquilibriumReport, _sweep_until_stable
+from .equilibrium import EquilibriumReport, _row_sweep, _sweep_until_stable
 from .errors import AllNodesSaturated
 from .model import SystemConfig
 
-# The scan divides by the running products P_k of the weights; below the
-# smallest normal double a product loses precision and its reciprocal can
-# overflow, so such a sweep runs row by row.
 _SMALLEST_SCAN_PRODUCT = np.finfo(float).tiny
 
 
@@ -65,34 +64,74 @@ def _balanced_row(i: int, others: np.ndarray, mu: np.ndarray) -> np.ndarray:
     return residual / total
 
 
-def _scan_sweep(entries: np.ndarray, delta: np.ndarray,
-                config: SystemConfig) -> bool:
-    """One balanced sweep as a prefix scan, in place, from the node loads
-    delta at the sweep's start.  Returns False, leaving entries untouched,
-    when the sweep must run row by row (see the module docstring)."""
-    spare, lam = config.mu - delta, config.lam
-    if spare.min() < 0.0:
-        return False
-    s = float(np.add.reduce(spare))
-    if s <= 0.0:
-        return False
-    total = s + lam
-    weight = s / total
-    product = np.cumprod(weight)
-    if product[-1] < _SMALLEST_SCAN_PRODUCT:
-        return False
-    # lam/total is 1 - weight without the cancellation where lam << s.
-    entries *= (lam / total / product)[:, None]
-    np.cumsum(entries, axis=0, out=entries)
-    entries += spare / s
-    entries *= product[:, None]
-    return True
+def _scan(coords: np.ndarray, spare: np.ndarray, scale: np.ndarray,
+          product: np.ndarray) -> None:
+    """One balanced sweep as a prefix scan, in place, on the rows'
+    coordinates in one basis: spare holds the coordinates of c, scale the
+    column lam*w/P and product the column P/s, so that row i ends as
+    P_i/s * (c + sum_{k<=i} lam_k*w_k/P_k * a_k) (module docstring)."""
+    coords *= scale
+    np.add.accumulate(coords, axis=0, out=coords)
+    coords += spare
+    coords *= product
 
 
 def bsa_solve(config: SystemConfig, *,
               single_pass: bool = False) -> EquilibriumReport:
     """Iterate balanced rows to a fixed point (or one sweep if single_pass)."""
-    mu = config.mu
-    return _sweep_until_stable(
-        config, lambda i, lam_i, others: _balanced_row(i, others, mu),
-        single_pass, scan=_scan_sweep)
+    mu, lam = config.mu, config.lam
+    n, m = config.n_schedulers, config.n_nodes
+    s = float(np.add.reduce(mu)) - float(np.add.reduce(lam))
+    scans = s > 0.0
+    if scans:
+        weight = s / (s + lam)
+        product = np.multiply.accumulate(weight)
+        scans = product[-1] >= _SMALLEST_SCAN_PRODUCT
+    if scans:
+        scale = (lam * weight / product)[:, None]
+        product = (product / s)[:, None]
+        basis = np.ones((2, m))
+        basis[1] = mu
+        mu_coords = np.array([0.0, 1.0])  # mu itself, in that basis
+        coords = np.zeros((n, 2))  # rows x_i*1 + y_i*mu, uniform at start
+        coords[:, 0] = 1.0 / m
+        xy = lam @ coords
+        delta = xy @ basis
+        entries = None
+    else:
+        # Row sweeps return the loads of their matrix, so the start's loads
+        # come from its matrix too: a sweep that leaves the rows as they
+        # were then changes the objective by exactly zero.
+        entries = np.full((n, m), 1.0 / m)
+        delta = entries.T @ lam
+
+    def rows():
+        nonlocal entries
+        if entries is None:
+            # Built by ufuncs, not a matrix product: where a process makes
+            # no other, BLAS's buffer for one adds about 0.3 MB resident.
+            entries = np.multiply.outer(coords[:, 1], mu)
+            entries += coords[:, :1]
+            # Where an entry is zero (a zero-rate scheduler's row c/s on a
+            # node without spare), x_i + y_i*mu_j cancels and may round
+            # below zero (-4.9e-18 as a fused multiply-add): clip it.
+            np.maximum(entries, 0.0, out=entries)
+        return entries
+
+    def respond(i, lam_i, others):
+        return _balanced_row(i, others, mu)
+
+    def sweep(delta):
+        nonlocal xy
+        if scans:
+            spare = mu - delta
+            if spare.min() >= 0.0:
+                if entries is None:
+                    _scan(coords, mu_coords - xy, scale, product)
+                    xy = lam @ coords
+                    return xy @ basis
+                _scan(entries, spare, scale, product)
+                return entries.T @ lam
+        return _row_sweep(rows(), delta, lam, respond)
+
+    return _sweep_until_stable(config, delta, sweep, rows, single_pass)

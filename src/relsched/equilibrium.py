@@ -2,14 +2,14 @@
 
 Starting from the uniform allocation, schedulers take turns replacing
 their row with the closed-form best response, each update visible to the
-next scheduler within the same sweep.  The loop keeps the node load
+next scheduler within the same sweep.  The sweep keeps the node load
 vector current by a rank-1 update after each row, and resynchronises the
-loads exactly once per sweep, so a sweep costs O(n*m log m) rather than
+loads exactly once at its end, so a sweep costs O(n*m log m) rather than
 recomputing every load for every row.  The loop stops when the objective
 changes by no more than the configured threshold between sweeps.  At
 least one sweep always runs.  The balanced baseline hands the same loop
-its own row rule, plus a prefix scan that takes a whole sweep at once
-where it can (see baseline.py).
+its own sweep, which takes a whole sweep at once as a prefix scan on two
+coordinates per scheduler where it can (see baseline.py).
 """
 
 from __future__ import annotations
@@ -23,7 +23,8 @@ from .errors import NotConverged
 from .model import (
     Allocation,
     SystemConfig,
-    _availability,
+    _nonzero_availability,
+    _objective_of_availability,
     _objective_of_loads,
     objective,
 )
@@ -35,9 +36,9 @@ class EquilibriumReport:
 
     epsilon_trace holds the absolute objective change after each sweep;
     cycles is its length.  loads is the read-only node load vector
-    delta = entries.T @ lam of the last sweep's resync, the one the
-    objective and per_node_availability were computed from.  converged is
-    False when the last change exceeded epsilon_threshold: on a
+    delta = entries.T @ lam, computed once from the final matrix; the
+    objective and per_node_availability are computed from it.  converged
+    is False when the last change exceeded epsilon_threshold: on a
     single_pass report, which is returned, or on the partial report
     attached to a NotConverged error.  Reports compare and hash by
     identity, so two solves of one config are unequal.
@@ -52,57 +53,64 @@ class EquilibriumReport:
     converged: bool
 
 
-def _sweep_until_stable(config: SystemConfig, respond, single_pass: bool,
-                        scan=None) -> EquilibriumReport:
-    """The one convergence loop of both solvers: the only code that replaces
-    rows or builds a report.
+def _row_sweep(entries: np.ndarray, delta: np.ndarray, lam: np.ndarray,
+               respond) -> np.ndarray:
+    """One sweep that replaces the rows of entries in place, one at a time,
+    with respond(i, lam_i, others), the new row of scheduler i, where others
+    is the per-node load of every scheduler except i.
 
-    A sweep replaces the rows one at a time with respond(i, lam_i, others),
-    the new row of scheduler i, where others is the per-node load of every
-    scheduler except i.  Rows are written back immediately, so later
-    schedulers in a sweep see earlier updates, and the node load vector
-    delta is kept current with one rank-1 update per row, so a sweep costs
-    n row kernels plus O(n*m).  scan(entries, delta, config), if given, is
-    tried first: it takes the whole sweep in place or returns False and
-    leaves it to the rows.  The loop recomputes delta = entries.T @ lam
-    exactly once per sweep, which also gives that sweep's objective and the
-    report's loads and availabilities, so rounding drift never outlives a
-    sweep.
+    Rows are written back immediately, so later schedulers in the sweep see
+    earlier updates, and the node loads delta of the sweep's start are kept
+    current with one rank-1 update per row, so a sweep costs n row kernels
+    plus O(n*m).  Returns the loads entries.T @ lam, recomputed once, so
+    rounding drift never outlives a sweep.
+    """
+    for i, lam_i in enumerate(lam.tolist()):
+        others = delta - lam_i * entries[i]
+        row = respond(i, lam_i, others)
+        entries[i] = row
+        delta = others + lam_i * row
+    return entries.T @ lam
+
+
+def _sweep_until_stable(config: SystemConfig, delta: np.ndarray, sweep, rows,
+                        single_pass: bool) -> EquilibriumReport:
+    """The one convergence loop of both solvers: the only code that keeps a
+    trace, applies the stop test or builds a report.
+
+    delta is the node load vector of the start, and sweep(delta) takes one
+    sweep from the loads delta and returns the loads it leaves; each
+    sweep's objective is computed from them.  rows() returns the solver's
+    n x m matrix once the loop stops.  The report keeps it, uncopied, and
+    resynchronises its loads delta = entries.T @ lam from it once, which
+    gives the report's objective and availabilities.
     Raises NotConverged (with the partial report) when the cycle cap is hit
     first.
     """
-    n, m = config.n_schedulers, config.n_nodes
-    entries = np.full((n, m), 1.0 / m)
-    lam, weights = config.lam, config.weights
-    rates = lam.tolist()
-
-    delta = entries.T @ lam
+    weights = config.weights
     latter = _objective_of_loads(delta, weights)
     trace: list[float] = []
     while True:
         former = latter
-        if scan is None or not scan(entries, delta, config):
-            for i, lam_i in enumerate(rates):
-                others = delta - lam_i * entries[i]
-                row = respond(i, lam_i, others)
-                entries[i] = row
-                delta = others + lam_i * row
-        delta = entries.T @ lam
+        delta = sweep(delta)
         latter = _objective_of_loads(delta, weights)
         eps = abs(former - latter)
         trace.append(eps)
         converged = eps <= config.epsilon_threshold
         if single_pass or converged or len(trace) >= config.max_cycles:
             break
+    entries = rows()
+    loads = entries.T @ config.lam
     entries.setflags(write=False)  # the report keeps it, uncopied
-    delta.setflags(write=False)
+    loads.setflags(write=False)
+    avail = _nonzero_availability(loads, weights)
     report = EquilibriumReport(
         allocation=Allocation(entries),
-        objective=latter,
+        objective=_objective_of_availability(avail),
         cycles=len(trace),
         epsilon_trace=tuple(trace),
-        loads=delta,
-        per_node_availability=tuple(_availability(delta, weights)),
+        loads=loads,
+        per_node_availability=tuple(avail),
         converged=converged,
     )
     if not (single_pass or converged):
@@ -117,11 +125,17 @@ def solve(config: SystemConfig) -> EquilibriumReport:
     At the returned allocation every scheduler's row is its own best
     response to the others, i.e. no scheduler can improve unilaterally.
     """
-    weights = config.weights
+    lam, weights = config.lam, config.weights
+    entries = np.full((config.n_schedulers, config.n_nodes),
+                      1.0 / config.n_nodes)
+
+    def respond(i, lam_i, others):
+        return _best_row(i, lam_i, others, weights)[0]
+
     return _sweep_until_stable(
-        config,
-        lambda i, lam_i, others: _best_row(i, lam_i, others, weights)[0],
-        single_pass=False)
+        config, entries.T @ lam,
+        lambda delta: _row_sweep(entries, delta, lam, respond),
+        lambda: entries, single_pass=False)
 
 
 def objective_all_schedulers(alloc: Allocation,

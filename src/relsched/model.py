@@ -449,7 +449,12 @@ def objective(alloc, config: SystemConfig) -> float:
 def _objective_of_loads(delta: np.ndarray, weights: np.ndarray) -> float:
     """Objective from the node loads delta_j = sum_i lam_i a_ij; the sweep
     loop calls it directly with the load vector it already holds."""
-    return float(np.add.reduce(1.0 / _nonzero_availability(delta, weights)))
+    return _objective_of_availability(_nonzero_availability(delta, weights))
+
+
+def _objective_of_availability(avail: np.ndarray) -> float:
+    """Objective from nonzero node availabilities: sum_j 1/A_j."""
+    return float(np.add.reduce(1.0 / avail))
 
 
 def others_load_vector(i: int, alloc: Allocation,

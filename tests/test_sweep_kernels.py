@@ -4,7 +4,9 @@ The solvers keep the node load vector current by rank-1 updates and search
 the active set in one vectorised pass.  These tests hold that machinery to
 the plain versions it replaced: a descending scalar search over active-set
 sizes, and a sweep that recomputes every load for every row.  The balanced
-baseline's prefix-scan sweep is held to the row-by-row sweep it replaces.
+baseline's prefix-scan sweep is held to the row-by-row sweep it replaces,
+and to the facts about those sweeps that let it scan two coordinates per
+scheduler instead of the matrix.
 """
 
 import math
@@ -547,6 +549,185 @@ class TestBalancedScan:
         assert report.cycles == 1
         assert report.objective == pytest.approx(400000.0000151431,
                                                  rel=1e-9)
+
+
+def clamped_pool(size, seed=0):
+    """hot_pool's kind of pool with node 0 at a third of the others' rate
+    but their weight, so W_0*mu_0 = 1/2: the uniform start loads node 0
+    beyond its service rate, so the first sweep runs row by row."""
+    rng = np.random.default_rng(seed)
+    mu = 0.03 * rng.uniform(0.9, 1.1, size)
+    nodes = [NodeParams.from_rate(float(x)) for x in mu]
+    nodes[0] = NodeParams(mu=0.01, mu_prime=0.0, gamma=0.0, beta1=50.0)
+    phi = rng.uniform(0.5, 1.5, size)
+    phi *= (2.0 / 3.0) / phi.sum()
+    return build_config(
+        nodes=nodes,
+        schedulers=[SchedulerParams(phi=float(p)) for p in phi],
+        rho=0.85,
+    )
+
+
+def zero_spare_config():
+    """Two schedulers of rate 0.03 on three nodes of rate 0.02: the loads
+    fill every node exactly, so sum(mu) - sum(lam) is 0."""
+    return build_config(
+        nodes=[NodeParams(mu=0.02, mu_prime=0.0, gamma=0.0, beta1=10.0)] * 3,
+        schedulers=[SchedulerParams(lam=0.03)] * 2,
+        rho=0.5,
+    )
+
+
+# Instances whose uniform start leaves every node spare capacity.
+SPAN_CASES = [*(f"{name}@{rho}" for name in PRESET_NAMES
+                for rho in (None, 0.1, 0.5, 0.9)),
+              *(f"pool60-{seed}" for seed in range(4))]
+
+
+def span_config(case):
+    name, _, arg = case.partition("@")
+    if name.startswith("pool60-"):
+        return hot_pool(int(name[-1]), 60)
+    return preset(name, rho=None if arg == "None" else float(arg))
+
+
+def span_residual(entries, mu):
+    """Per row, the largest residual of its least-squares fit by
+    x_i*1 + y_i*mu, relative to the row's largest entry."""
+    basis = np.column_stack((np.ones(mu.size), mu))
+    coords = np.linalg.lstsq(basis, entries.T, rcond=None)[0]
+    return np.abs(basis @ coords - entries.T).max(axis=0) / entries.max(axis=1)
+
+
+@st.composite
+def spread_instances(draw):
+    """1-12 schedulers, some with rate zero, on 1-10 nodes whose rates
+    spread over up to six decades and whose W_j*mu_j is 0.5, 1, 1.5 or 3.
+    They carry up to all of the largest total rate that leaves the uniform
+    start's spare capacity mu_j - Lambda/m nonnegative and 1 % of every
+    node's availability.  So the slowest nodes may start with no spare
+    capacity at all, but not every node: then the total spare s, and with
+    it a zero-rate scheduler's row c/s, would be rounding noise.  Nor is
+    an availability exactly zero: there rounding alone decides whether
+    the start is feasible."""
+    m = draw(st.integers(min_value=1, max_value=10))
+    n = draw(st.integers(min_value=1, max_value=12))
+    decades = draw(st.lists(st.floats(min_value=0.0, max_value=6.0),
+                            min_size=m, max_size=m))
+    mu = 1e-4 * 10.0 ** np.array(decades)
+    ratio = np.array(draw(st.lists(st.sampled_from([0.5, 1.0, 1.5, 3.0]),
+                                   min_size=m, max_size=m)))
+    share = np.array(draw(st.lists(
+        st.one_of(st.just(0.0), st.floats(min_value=0.01, max_value=1.0)),
+        min_size=n, max_size=n)))
+    utilisation = draw(st.one_of(st.floats(min_value=0.01, max_value=0.99),
+                                 st.just(1.0)))
+    if share.sum() > 0.0:
+        bound = m * min(mu.min(), 0.99 * (mu / ratio).min())
+        if mu.sum() - m * mu.min() <= 1e-6 * mu.sum():
+            bound *= 0.99  # every node would start without spare capacity
+        share *= utilisation * bound / share.sum()
+    return build_config(
+        nodes=[NodeParams(mu=float(a), mu_prime=0.0, gamma=0.0,
+                          beta1=float(b / a)) for a, b in zip(mu, ratio)],
+        schedulers=[SchedulerParams(lam=float(x)) for x in share],
+        rho=0.5,
+    )
+
+
+class TestBalancedSpan:
+    """The coordinate scan rests on two facts, checked here on the plain
+    row-by-row sweeps: from a start with spare capacity everywhere, every
+    row is x_i*1 + y_i*mu, and the spare capacity sums to sum(mu) - Lambda
+    in every sweep.  bsa_solve is then held to those sweeps entry by entry
+    and to the closed-form fixed point mu/sum(mu)."""
+
+    @pytest.mark.parametrize("single_pass", [True, False])
+    @pytest.mark.parametrize("case", SPAN_CASES)
+    def test_rows_stay_in_the_span(self, case, single_pass):
+        config = span_config(case)
+        mu, lam = config.mu, config.lam
+        assert (mu - lam.sum() / config.n_nodes).min() >= 0.0
+        entries, _ = reference_iteration(config, balanced_response(config),
+                                         single_pass=single_pass)
+        assert span_residual(entries, mu).max() <= 1e-12
+        spare = np.sum(mu - entries.T @ lam)
+        assert spare == pytest.approx(mu.sum() - lam.sum(), rel=1e-12)
+
+    @pytest.mark.parametrize("case", [*SPAN_CASES, "clamped60"])
+    def test_entries_match_row_by_row(self, case):
+        config = clamped_pool(60) if case == "clamped60" else span_config(case)
+        report = bsa_solve(config)
+        entries, trace = reference_iteration(config,
+                                             balanced_response(config))
+        assert report.cycles == len(trace)
+        assert np.abs(report.allocation.entries - entries).max() <= \
+            1e-12 * entries.max()
+
+    @pytest.mark.parametrize("case", SPAN_CASES)
+    def test_fixed_point_is_the_rate_share(self, case):
+        config = span_config(case)
+        mu = config.mu
+        entries = bsa_solve(config).allocation.entries
+        assert np.abs(entries - mu / mu.sum()).max() <= 1e-6
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(spread_instances(), st.booleans())
+    def test_spread_rates_match_row_by_row(self, config, single_pass):
+        report = assert_balanced_matches_rows(config, single_pass)
+        if report is not None:
+            assert report.allocation.entries.min() >= 0.0
+
+    def test_node_without_spare_keeps_entries_nonnegative(self):
+        """Node 0's start spare mu_0 - Lambda/m is exactly zero, so the
+        zero-rate scheduler's entry there is x_0 + y_0*mu_0 = 0, a sum that
+        cancels: evaluated as a fused multiply-add and not clipped, it is
+        -4.9e-18, which no allocation may hold."""
+        config = build_config(
+            nodes=[NodeParams(mu=1e-4, mu_prime=0.0, gamma=0.0, beta1=5e3),
+                   NodeParams(mu=1e-3, mu_prime=0.0, gamma=0.0, beta1=5e2)],
+            schedulers=[SchedulerParams(lam=0.0), SchedulerParams(lam=2e-4)],
+            rho=0.5,
+        )
+        assert config.mu[0] - config.lam.sum() / config.n_nodes == 0.0
+        report = assert_balanced_matches_rows(config, single_pass=True)
+        assert report.allocation.entries.min() >= 0.0
+
+    def test_zero_spare_runs_row_by_row(self, monkeypatch):
+        config = zero_spare_config()
+        assert config.mu.sum() - config.lam.sum() == 0.0
+        calls = count_balanced_rows(monkeypatch)
+        report = assert_balanced_matches_rows(config)
+        assert calls == [0, 1]
+        assert report.cycles == 1
+        assert report.objective == pytest.approx(3.75, rel=1e-12)
+
+    def test_clamped_pool_runs_one_row_sweep(self, monkeypatch):
+        """Only the clamped first sweep runs row by row; the later sweeps
+        scan the matrix it built."""
+        config = clamped_pool(60)
+        assert config.mu[0] < config.lam.sum() / config.n_nodes
+        calls = count_balanced_rows(monkeypatch)
+        report = bsa_solve(config)
+        assert report.cycles > 1
+        assert calls == list(range(config.n_schedulers))
+
+    def test_coordinate_sweeps_hold_no_matrix(self, monkeypatch):
+        """The sweeps of an unclamped solve allocate O(n + m) bytes; the
+        matrix is built once, for the report."""
+        config = hot_pool(0, 300)
+        held = {}
+
+        def capture(config, delta, sweep, rows, single_pass):
+            held.update(delta=delta, sweep=sweep)
+
+        monkeypatch.setattr(baseline, "_sweep_until_stable", capture)
+        bsa_solve(config)
+        delta, sweep = held["delta"], held["sweep"]
+        matrix_bytes = config.n_schedulers * config.n_nodes * 8
+        peak = TestPeakMemory.peak_bytes(
+            lambda: [sweep(delta) for _ in range(5)])
+        assert peak <= 0.1 * matrix_bytes
 
 
 def overload_config(lam):
