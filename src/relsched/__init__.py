@@ -13,7 +13,6 @@ from .equilibrium import EquilibriumReport, objective_all_schedulers, solve
 from .errors import (
     AllNodesSaturated,
     AvailabilityOutOfRange,
-    DivisionByZeroAvailability,
     EmptyInput,
     NoFeasibleResponse,
     NotConverged,
@@ -47,7 +46,6 @@ __all__ = [
     "AvailabilityOutOfRange",
     "BestResponseResult",
     "CheckResult",
-    "DivisionByZeroAvailability",
     "EmptyInput",
     "EquilibriumReport",
     "NoFeasibleResponse",

@@ -20,6 +20,7 @@ import functools
 import json
 import sys
 from pathlib import Path
+from statistics import NormalDist
 
 import numpy as np
 
@@ -340,8 +341,14 @@ def _cmd_oracle_check(args) -> tuple:
         report.allocation, config, horizon=args.horizon, seed=args.seed)
     expected = report.loads
     sigma = np.sqrt(expected / args.horizon)
-    within = np.abs(measured - expected) <= 3.0 * sigma
-    traffic_ok = bool(within.all())
+    off = np.abs(measured - expected)
+    within = off <= 3.0 * sigma
+    # The verdict tests each of the k loaded nodes at z_k >= 3, so the
+    # whole check has one 3-sigma test's false-alarm rate; an unloaded
+    # node (sigma 0) must measure exactly 0.
+    tail = NormalDist().cdf(-3.0) / max(np.count_nonzero(expected), 1)
+    z = max(3.0, -NormalDist().inv_cdf(tail))
+    traffic_ok = bool((off <= z * sigma).all())
     return (0 if ok and traffic_ok else 2,
             [f"nash_check={'PASS' if ok else 'FAIL'} "
              f"worst_gain={worst:{_SUMMARY_DIGITS}}",

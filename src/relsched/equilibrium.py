@@ -10,6 +10,21 @@ changes by no more than the configured threshold between sweeps.  At
 least one sweep always runs.  The balanced baseline hands the same loop
 its own sweep, which takes a whole sweep at once as a prefix scan on two
 coordinates per scheduler where it can (see baseline.py).
+
+The first sweep already reaches the optimum's loads, the water-fill of
+the whole stream; the second only confirms it.  Let x_j(v) be the load at
+which node j's marginal W_j/A_j**2 reaches the level v (0 where it is
+above v at zero load).  Scheduler k's exact best response fills the
+others' loads o up to one level v_k: delta_j = max(o_j, x_j(v_k)).
+(a) The level never has to fall: if v_{k+1} < v_k, no delta_j rises while
+the total stays sum(lam), so the loads do not change and v_k is a valid
+level for step k+1 too.  (b) By induction, the summed load of the
+schedulers that have moved is at most x_j(v_k) on every node.  (c) When
+the last scheduler moves all the others have moved, so o <= x(v) and
+delta = max(o, x(v)) = x(v): the water-fill.  The argument needs a cost
+separable and convex in the loads, one weight per node for every
+scheduler and exact best responses; it holds from any feasible start and
+in any sweep order.
 """
 
 from __future__ import annotations
@@ -23,7 +38,7 @@ from .errors import NotConverged
 from .model import (
     Allocation,
     SystemConfig,
-    _nonzero_availability,
+    _availability,
     _objective_of_availability,
     _objective_of_loads,
     objective,
@@ -103,7 +118,7 @@ def _sweep_until_stable(config: SystemConfig, delta: np.ndarray, sweep, rows,
     loads = entries.T @ config.lam
     entries.setflags(write=False)  # the report keeps it, uncopied
     loads.setflags(write=False)
-    avail = _nonzero_availability(loads, weights)
+    avail = _availability(loads, weights)
     report = EquilibriumReport(
         allocation=Allocation(entries),
         objective=_objective_of_availability(avail),

@@ -6,22 +6,15 @@ class RelschedError(Exception):
 
 
 class AvailabilityOutOfRange(RelschedError):
-    """Steady-state availability left [0, 1]; the offered load is infeasible."""
+    """Steady-state availability outside (0, 1], NaN included: the offered
+    load is infeasible and 1/A is undefined."""
 
     def __init__(self, node: int, value: float):
         super().__init__(
-            f"availability of node {node} is {value:.6g}, outside [0, 1]"
+            f"availability of node {node} is {value:.6g}, outside (0, 1]"
         )
         self.node = node
         self.value = value
-
-
-class DivisionByZeroAvailability(RelschedError):
-    """A node's availability is exactly zero, so its reciprocal is undefined."""
-
-    def __init__(self, node: int):
-        super().__init__(f"availability of node {node} is exactly zero")
-        self.node = node
 
 
 class NoFeasibleResponse(RelschedError):

@@ -5,8 +5,8 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import EmptyInput
-from .model import (Allocation, SystemConfig, _checked,
-                    _nonzero_availability, node_arrivals)
+from .model import (Allocation, SystemConfig, _availability, _checked,
+                    node_arrivals)
 
 
 def fairness_index(values) -> float:
@@ -35,5 +35,5 @@ def fairness_index(values) -> float:
 
 def per_node_reciprocals(alloc: Allocation, config: SystemConfig) -> list[float]:
     """Reciprocal steady-state availability of each node; sums to the objective."""
-    avail = _nonzero_availability(node_arrivals(alloc, config), config.weights)
+    avail = _availability(node_arrivals(alloc, config), config.weights)
     return [float(x) for x in 1.0 / avail]

@@ -28,11 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (
-    AvailabilityOutOfRange,
-    DivisionByZeroAvailability,
-    ValidationError,
-)
+from .errors import AvailabilityOutOfRange, ValidationError
 
 ROW_SUM_TOL = 1e-9
 
@@ -227,10 +223,6 @@ class Allocation:
     def n_schedulers(self) -> int:
         return self.entries.shape[0]
 
-    @property
-    def n_nodes(self) -> int:
-        return self.entries.shape[1]
-
     def row(self, i: int) -> np.ndarray:
         return self.entries[_index("i", i, self.n_schedulers)]
 
@@ -408,28 +400,24 @@ def _allocation_entries(alloc, config: SystemConfig) -> np.ndarray:
                     else Allocation(alloc), config)
 
 
+def _feasible(avail: np.ndarray) -> np.ndarray:
+    """The model's one feasibility rule, 0 < A_j <= 1, entrywise; a
+    positive test, so NaN fails it."""
+    return (avail > 0.0) & (avail <= 1.0)
+
+
 def _availability(delta: np.ndarray, weights: np.ndarray) -> np.ndarray:
     """A_j = 1 - delta_j * W_j for every node.
 
-    Out-of-range results raise AvailabilityOutOfRange (at the first such
-    node) rather than being clamped: a clamp would silently hide an
-    infeasible load.
+    A node outside (0, 1], NaN included, raises AvailabilityOutOfRange (at
+    the first such node) rather than being clamped: a clamp would silently
+    hide an infeasible load, and 1/A_j exists only inside.
     """
     avail = 1.0 - delta * weights
-    bad = (avail < 0.0) | (avail > 1.0)
-    if bad.any():
-        j = int(np.argmax(bad))
+    ok = _feasible(avail)
+    if not ok.all():
+        j = int(ok.argmin())
         raise AvailabilityOutOfRange(j, float(avail[j]))
-    return avail
-
-
-def _nonzero_availability(delta: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """As _availability, and raises DivisionByZeroAvailability where a node's
-    availability is exactly zero, for callers that divide by it."""
-    avail = _availability(delta, weights)
-    zero = avail == 0.0
-    if zero.any():
-        raise DivisionByZeroAvailability(int(np.argmax(zero)))
     return avail
 
 
@@ -449,11 +437,11 @@ def objective(alloc, config: SystemConfig) -> float:
 def _objective_of_loads(delta: np.ndarray, weights: np.ndarray) -> float:
     """Objective from the node loads delta_j = sum_i lam_i a_ij; the sweep
     loop calls it directly with the load vector it already holds."""
-    return _objective_of_availability(_nonzero_availability(delta, weights))
+    return _objective_of_availability(_availability(delta, weights))
 
 
 def _objective_of_availability(avail: np.ndarray) -> float:
-    """Objective from nonzero node availabilities: sum_j 1/A_j."""
+    """Objective from feasible node availabilities: sum_j 1/A_j."""
     return float(np.add.reduce(1.0 / avail))
 
 
@@ -470,7 +458,7 @@ def _derivative_terms(i: int, j: int, alloc,
     node, because the objective is defined only where all are feasible."""
     i = _index("i", i, config.n_schedulers)
     j = _index("j", j, config.n_nodes)
-    avail = _nonzero_availability(node_arrivals(alloc, config), config.weights)
+    avail = _availability(node_arrivals(alloc, config), config.weights)
     return float(config.lam[i]), float(config.weights[j]), float(avail[j])
 
 
@@ -494,30 +482,26 @@ def objective_curvature(i: int, j: int, alloc, config: SystemConfig) -> float:
 
 
 def validate_config(alloc, config: SystemConfig) -> ValidationReport:
-    """Run every feasibility check and report pass/fail per check.
+    """Check the model's two rules and report pass/fail per check:
+    row-simplex (every row's entries >= 0, summing to 1 within
+    ROW_SUM_TOL) and availability-range (0 < A_j <= 1, by _feasible).
 
-    A library diagnostic that no solver or CLI path calls: they need only
-    A_j > 0 at the start, which the M/M/1-style delta_j < mu_j is not.
-    Accepts a raw matrix as well as an Allocation so that malformed inputs
-    can be diagnosed instead of rejected at construction.  Raises only a
-    ValidationError, for a matrix that is not n x m.
+    Rows that sum to 1 put the whole load sum(lam) on the nodes, so a
+    feasible availability at every node already keeps sum(lam) below
+    sum_j 1/W_j; the model has no other stability rule.  A library
+    diagnostic that no solver or CLI path calls.  Accepts a raw matrix as
+    well as an Allocation so that malformed inputs can be diagnosed instead
+    of rejected at construction.  Raises only a ValidationError, for a
+    matrix that is not n x m.
     """
     entries = _entries(alloc, config)
-    lam, mu, weights = config.lam, config.mu, config.weights
-
     # Written so that a NaN entry fails both tests.
     row_ok = (entries >= 0.0).all(axis=1) & (
         np.abs(entries.sum(axis=1) - 1.0) <= ROW_SUM_TOL)
     row_bad = tuple(np.flatnonzero(~row_ok).tolist())
-    total_ok = float(lam.sum()) < float(mu.sum())
-    deltas = entries.T @ lam
-    node_bad = tuple(np.flatnonzero(deltas >= mu).tolist())
-    avail = 1.0 - deltas * weights
-    avail_bad = tuple(np.flatnonzero((avail < 0.0) | (avail > 1.0)).tolist())
-
+    avail = 1.0 - (entries.T @ config.lam) * config.weights
+    avail_bad = tuple(np.flatnonzero(~_feasible(avail)).tolist())
     return ValidationReport(checks=(
         CheckResult("row-simplex", not row_bad, row_bad),
-        CheckResult("total-stability", total_ok, ()),
-        CheckResult("per-node-stability", not node_bad, node_bad),
         CheckResult("availability-range", not avail_bad, avail_bad),
     ))

@@ -8,6 +8,8 @@ from relsched import (
     build_config,
     preset,
 )
+from relsched.best_response import _best_row
+from relsched.equilibrium import _row_sweep
 
 
 @pytest.fixture
@@ -78,3 +80,19 @@ def closed_form_fractions(i, alpha, alloc, config):
     others = alloc.entries.T @ lam - lam[i] * alloc.entries[i]
     return (1.0 - weights * others - np.sqrt(weights * lam[i] / alpha)) / (
         weights * lam[i])
+
+
+def first_sweep_and_water_fill(config):
+    """The node loads one round-robin sweep of best responses leaves from
+    the uniform start, and the water-fill: the loads of one scheduler that
+    places the whole stream Lambda alone, _best_row(0, Lambda, 0, W) *
+    Lambda, which are the optimum's loads."""
+    lam, weights = config.lam, config.weights
+    entries = np.full((config.n_schedulers, config.n_nodes),
+                      1.0 / config.n_nodes)
+    loads = _row_sweep(entries, entries.T @ lam, lam,
+                       lambda i, lam_i, others:
+                       _best_row(i, lam_i, others, weights)[0])
+    total = float(lam.sum())
+    fill = _best_row(0, total, np.zeros(config.n_nodes), weights)[0] * total
+    return loads, fill

@@ -4,6 +4,7 @@ import csv
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from relsched import (
@@ -11,6 +12,8 @@ from relsched import (
     ParseError,
     ValidationError,
     cli,
+    node_arrivals,
+    oracle,
     solve,
 )
 from relsched.cli import VARY, _sweep_values, load_config, main, parse_range
@@ -729,6 +732,33 @@ class TestMainExitCodes:
         assert "nash_check=PASS" in printed
         assert "traffic_check=PASS" in printed
         assert out.exists()
+
+    def test_oracle_check_verdict_corrects_for_node_count(self, capsys):
+        # one of 15 loaded nodes lands outside 3 sigma, as about 1 in 20
+        # seeds does on a correct solve; the verdict tests each node at
+        # z_15 = 3.75, so the whole check keeps one 3-sigma test's rate
+        assert main(["oracle-check", "--preset", "table1-table3",
+                     "--seed", "31"]) == 0
+        printed = capsys.readouterr().out
+        assert "traffic_check=PASS nodes_within_3sigma=14/15" in printed
+
+    @pytest.mark.parametrize("preset_name, node", [
+        ("table1-table3", "loaded"), ("table1-table2", "loaded"),
+        ("table1-table2", "unloaded")])
+    def test_oracle_check_fails_a_wrong_rate(self, monkeypatch, capsys,
+                                             preset_name, node):
+        """A loaded node measured 6 sigma off, or an unloaded one measured
+        at any positive rate, fails the traffic check (exit 2)."""
+        def measure(alloc, config, horizon, seed):
+            rates = node_arrivals(alloc, config)
+            j = int(np.flatnonzero((rates > 0.0) == (node == "loaded"))[0])
+            rates[j] += (6.0 * np.sqrt(rates[j] / horizon) if rates[j]
+                         else 1.0 / horizon)
+            return rates
+
+        monkeypatch.setattr(oracle, "traffic_empirical_rates", measure)
+        assert main(["oracle-check", "--preset", preset_name]) == 2
+        assert "traffic_check=FAIL" in capsys.readouterr().out
 
     def test_oracle_check_horizon_beyond_sampler_is_2(self, tmp_path,
                                                        capsys):

@@ -21,7 +21,10 @@ from relsched import (
     solve,
     validate_config,
 )
+from relsched.model import _objective_of_loads
 from relsched.presets import preset
+
+from conftest import first_sweep_and_water_fill
 
 
 def solve_with_order(config, order):
@@ -218,6 +221,17 @@ class TestSolverProperties:
         loads = node_arrivals(game.allocation, config)
         marginal = (weights / (1.0 - loads * weights) ** 2)[loads > 0.0]
         assert (marginal.max() - marginal.min()) / marginal.min() <= 1e-9
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(instances())
+    def test_first_sweep_reaches_the_optimum(self, config):
+        # D is flat near the optimum, so its loads are less well
+        # conditioned than D itself: hence the looser load tolerance
+        loads, fill = first_sweep_and_water_fill(config)
+        weights = config.weights
+        assert _objective_of_loads(loads, weights) == pytest.approx(
+            _objective_of_loads(fill, weights), rel=1e-12)
+        assert np.abs(loads - fill).max() <= 1e-9 * fill.max()
 
     @settings(max_examples=30, deadline=None, derandomize=True)
     @given(instances(feasible=False))

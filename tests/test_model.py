@@ -2,6 +2,7 @@
 
 import dataclasses
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,12 +10,12 @@ import pytest
 from relsched import (
     Allocation,
     AvailabilityOutOfRange,
-    DivisionByZeroAvailability,
     NodeParams,
     SchedulerParams,
     SystemConfig,
     ValidationError,
     best_response_row,
+    bsa_solve,
     build_config,
     nash_check,
     node_arrivals,
@@ -24,10 +25,12 @@ from relsched import (
     objective_curvature,
     objective_marginal,
     per_node_reciprocals,
+    solve,
     traffic_empirical_rates,
     validate_config,
 )
 from relsched.best_response import _best_row
+from relsched.cli import load_config
 from relsched.model import _availability, _checked
 from relsched.presets import (
     _PRESETS,
@@ -38,6 +41,8 @@ from relsched.presets import (
 )
 
 from conftest import feasible_random_allocation
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 class TestNodeParams:
@@ -623,6 +628,36 @@ class TestAvailability:
             availabilities(alloc, config)
         assert err.value.value == pytest.approx(-0.5, rel=1e-12)
 
+    def test_first_failing_node_named(self):
+        # W = 3 on both nodes: node 0 at A = 0, node 1 at A = -2; the zero
+        # is the first node outside (0, 1], so it is the one named
+        config = build_config(
+            nodes=[NodeParams.from_rate(0.5)] * 2,
+            schedulers=[SchedulerParams(lam=1 / 3), SchedulerParams(lam=1)],
+            rho=0.5,
+        )
+        with pytest.raises(AvailabilityOutOfRange) as err:
+            availabilities(np.eye(2), config)
+        assert (err.value.node, err.value.value) == (0, 0.0)
+
+    @pytest.mark.parametrize("call", [
+        objective, per_node_reciprocals,
+        lambda m, config: objective_marginal(1, 1, m, config),
+        lambda m, config: objective_curvature(1, 1, m, config),
+    ], ids=["objective", "per_node_reciprocals", "objective_marginal",
+            "objective_curvature"])
+    def test_nan_entry_raises_naming_node(self, table12, call):
+        """A raw matrix is not checked as an Allocation, so a NaN entry
+        reaches the loads; 0 < A <= 1 is a positive test, so NaN fails it
+        instead of passing on as a NaN objective."""
+        entries = np.array(Allocation.uniform(table12.n_schedulers,
+                                              table12.n_nodes).entries)
+        entries[0, 0] = np.nan
+        with pytest.raises(AvailabilityOutOfRange,
+                           match=r"^availability of node 0 is nan") as err:
+            call(entries, table12)
+        assert err.value.node == 0 and np.isnan(err.value.value)
+
     def test_strictly_decreasing_in_own_fraction(self, two_node_config):
         values = []
         for frac in (0.1, 0.3, 0.5, 0.7, 0.9):
@@ -653,11 +688,13 @@ class TestObjective:
             schedulers=[SchedulerParams(lam=1 / 3)],
             rho=0.5,
         )
-        alloc = Allocation(np.array([[1.0]]))
-        assert availabilities(alloc, config)[0] == 0.0
-        with pytest.raises(DivisionByZeroAvailability) as err:
-            objective(alloc, config)
-        assert err.value.node == 0
+        delta = node_arrivals(Allocation(np.array([[1.0]])), config)
+        assert 1.0 - delta[0] * config.weights[0] == 0.0
+        with pytest.raises(AvailabilityOutOfRange,
+                           match=r"^availability of node 0 is 0, "
+                                 r"outside \(0, 1\]$") as err:
+            objective(Allocation(np.array([[1.0]])), config)
+        assert (err.value.node, err.value.value) == (0, 0.0)
 
     def test_concentrated_on_fast_node(self, two_node_config):
         alloc = Allocation(np.array([[0.0, 1.0]]))
@@ -762,18 +799,19 @@ class TestValidateConfig:
             Allocation.uniform(table12.n_schedulers, table12.n_nodes), table12
         )
         assert report.all_passed
-        assert {c.name for c in report.checks} == {
-            "row-simplex", "total-stability", "per-node-stability",
-            "availability-range",
-        }
+        assert [c.name for c in report.checks] == [
+            "row-simplex", "availability-range"]
 
     def test_total_stability_failure(self):
+        # sum(lam) beyond the nodes' whole capacity sum_j 1/W_j: rows that
+        # sum to 1 put all of it on the nodes, so availability-range fails
         mu = np.array(TABLE2_MU)
         config = SystemConfig(mu=mu, mu_prime=mu / 10.0, gamma=5.0 / mu,
                               beta1=1.0 / mu, phi=[0.0], lam=[0.5], rho=0.5)
         report = validate_config(Allocation.uniform(1, len(TABLE2_MU)), config)
-        failed = {c.name for c in report.failed()}
-        assert "total-stability" in failed
+        assert 0.5 > (1.0 / config.weights).sum()
+        failed = {c.name: c.offending for c in report.failed()}
+        assert failed == {"availability-range": tuple(range(len(mu)))}
 
     def test_bad_row_reported_not_raised(self, two_node_config):
         report = validate_config(np.array([[0.6, 0.6]]), two_node_config)
@@ -796,9 +834,33 @@ class TestValidateConfig:
         )
         report = validate_config(np.array([[1.0, 0.0]]), config)
         by_name = {c.name: c for c in report.checks}
-        assert not by_name["per-node-stability"].passed
-        assert by_name["per-node-stability"].offending == (0,)
+        assert by_name["row-simplex"].passed
         assert not by_name["availability-range"].passed
+        assert by_name["availability-range"].offending == (0,)
+
+    def test_nan_and_zero_availability_flagged(self):
+        # W = 3 on both nodes; lam * W = 1 puts node 0 at A = 0 exactly
+        config = build_config(
+            nodes=[NodeParams.from_rate(0.5)] * 3,
+            schedulers=[SchedulerParams(lam=1 / 3)],
+            rho=0.5,
+        )
+        report = validate_config(np.array([[1.0, 0.0, 0.0]]), config)
+        assert [c.name for c in report.failed()] == ["availability-range"]
+        assert report.failed()[0].offending == (0,)
+        report = validate_config(np.array([[np.nan, 0.0, 1.0]]), config)
+        by_name = {c.name: c for c in report.checks}
+        assert by_name["row-simplex"].offending == (0,)
+        assert by_name["availability-range"].offending == (0, 2)
+
+    def test_agrees_with_the_solvers_where_w_mu_below_one(self):
+        """Both solvers solve a pool whose nodes have W_j * mu_j < 1, and
+        validate_config passes both reports: the model has no
+        delta_j < mu_j rule."""
+        config = load_config(GOLDEN / "w-mu-below-one.json")
+        assert (config.weights * config.mu < 1.0).all()
+        for report in (solve(config), bsa_solve(config)):
+            assert validate_config(report.allocation, config).all_passed
 
 
 class TestNodeLoad:

@@ -40,6 +40,8 @@ from relsched.best_response import _best_row
 from relsched.model import _availability
 from relsched.presets import preset
 
+from conftest import first_sweep_and_water_fill
+
 LOAD_RTOL = 1e-12
 
 
@@ -728,6 +730,17 @@ class TestBalancedSpan:
         peak = TestPeakMemory.peak_bytes(
             lambda: [sweep(delta) for _ in range(5)])
         assert peak <= 0.1 * matrix_bytes
+
+
+class TestFirstSweep:
+    """Round robin's first sweep reaches the optimum's loads (the proof
+    sketch in equilibrium.py): from the uniform start, one sweep of exact
+    best responses leaves the water-fill of the whole stream."""
+
+    @pytest.mark.parametrize("case", SPAN_CASES)
+    def test_first_sweep_leaves_the_water_fill(self, case):
+        loads, fill = first_sweep_and_water_fill(span_config(case))
+        assert np.abs(loads - fill).max() <= 1e-12 * fill.max()
 
 
 def overload_config(lam):
