@@ -50,10 +50,11 @@ from .model import SystemConfig
 _SMALLEST_SCAN_PRODUCT = np.finfo(float).tiny
 
 
-def _balanced_row(i: int, others: np.ndarray, mu: np.ndarray) -> np.ndarray:
-    """Balanced row for scheduler i: the residual capacity mu - others that
-    each node still offers it, normalised; others is the per-node load of
-    every scheduler except i."""
+def _balanced_row(i: int, others: np.ndarray, mu: np.ndarray,
+                  out: np.ndarray) -> None:
+    """Write scheduler i's balanced row into out: the residual capacity
+    mu - others that each node still offers it, normalised; others is the
+    per-node load of every scheduler except i.  Raises before it writes."""
     # A node saturated by the others gets no share rather than a negative one.
     residual = np.maximum(mu - others, 0.0)
     total = np.add.reduce(residual)
@@ -61,7 +62,7 @@ def _balanced_row(i: int, others: np.ndarray, mu: np.ndarray) -> np.ndarray:
         raise AllNodesSaturated(
             f"no node has spare capacity for scheduler {i}"
         )
-    return residual / total
+    np.divide(residual, total, out=out)
 
 
 def _scan(coords: np.ndarray, spare: np.ndarray, scale: np.ndarray,
@@ -118,8 +119,8 @@ def bsa_solve(config: SystemConfig, *,
             np.maximum(entries, 0.0, out=entries)
         return entries
 
-    def respond(i, lam_i, others):
-        return _balanced_row(i, others, mu)
+    def respond(i, lam_i, others, row):
+        _balanced_row(i, others, mu, row)
 
     def sweep(delta):
         nonlocal xy

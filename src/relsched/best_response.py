@@ -10,7 +10,10 @@ finding is involved, and a row costs O(m log m): the solvers pass in the
 load of the other schedulers instead of the whole allocation.  The array
 kernel ``_best_row`` is the only implementation of these formulas; the
 solvers call it directly and ``best_response_row`` wraps it for one row
-of an Allocation.
+of an Allocation.  The kernel writes the row in place, into the solver's
+matrix, and takes 1/sqrt(W_j), which depends on the weights alone, from
+its caller, which computes it once per solve.  Both are elementwise, so
+the row has the same bits as one built fresh with 1/sqrt(W_j) per call.
 
 Writing W_j for a node's load weight, o_j for the load the other
 schedulers already impose on it and theta_j = W_j*lam_i/(1 - W_j*o_j)**2
@@ -65,12 +68,15 @@ class BestResponseResult:
         object.__setattr__(self, "row", row)
 
 
-def _best_row(i: int, lam_i: float, others: np.ndarray,
-              weights: np.ndarray) -> tuple[np.ndarray, int, float]:
+def _best_row(i: int, lam_i: float, others: np.ndarray, weights: np.ndarray,
+              inv_sqrt_w: np.ndarray, out: np.ndarray) -> tuple[int, float]:
     """Array-level core of best_response_row; used directly by the solvers.
 
+    Writes scheduler i's row into out and returns (active_count, alpha).
     others is the per-node load of every scheduler except i, so one call
-    costs O(m log m) whatever the number of schedulers.
+    costs O(m log m) whatever the number of schedulers; inv_sqrt_w is
+    1/sqrt(weights), which depends on the weights alone.  Every raise
+    comes before the first write, so a failed call leaves out as it was.
     """
     headroom = 1.0 - others * weights
     usable = headroom > 0.0
@@ -82,23 +88,28 @@ def _best_row(i: int, lam_i: float, others: np.ndarray,
     if lam_i == 0.0:
         # Objective is flat in this row; spread it uniformly over the
         # usable nodes for a deterministic result.
-        return usable / count, count, 0.0
+        np.divide(usable, count, out=out)
+        return count, 0.0
 
     wl = weights * lam_i
-    # Saturated nodes sort last on an infinite marginal and are cut off.
-    marginals = np.full(others.size, np.inf)
-    np.divide(wl, headroom ** 2, out=marginals, where=usable)
-    order = marginals.argsort(kind="stable")[:count]
+    if count == others.size:
+        marginals = wl / headroom ** 2
+        order = marginals.argsort(kind="stable")
+    else:
+        # Saturated nodes sort last on an infinite marginal and are cut off.
+        marginals = np.full(others.size, np.inf)
+        np.divide(wl, headroom ** 2, out=marginals, where=usable)
+        order = marginals.argsort(kind="stable")[:count]
     theta_sorted = marginals[order]
     h_sorted = headroom[order]
     wl_sorted = wl[order]
-    inv_sqrt_w = (1.0 / np.sqrt(weights[order])).cumsum()
-    spare = (h_sorted / wl_sorted).cumsum()
+    root_sum = np.add.accumulate(inv_sqrt_w[order])
+    spare = np.add.accumulate(h_sorted / wl_sorted)
 
     # Only sizes whose spare capacity absorbs the stream (spare > 1) have
     # a multiplier; spare is monotone, so they form a suffix.
     k = int(spare.searchsorted(1.0, side="right"))
-    alphas = (inv_sqrt_w[k:] / (spare[k:] - 1.0)) ** 2 / lam_i
+    alphas = (root_sum[k:] / (spare[k:] - 1.0)) ** 2 / lam_i
     # Every fraction is >= 0 iff alpha >= the largest active marginal;
     # equality puts the boundary node at exactly zero and is accepted.
     # The largest accepted size is the water-filling solution.
@@ -113,9 +124,11 @@ def _best_row(i: int, lam_i: float, others: np.ndarray,
     vals = (h_sorted[:d] - np.sqrt(wl_active / alpha)) / wl_active
     # Accepted sets guarantee values in [0, 1]; strip a few ulp of
     # rounding noise at the boundaries.
-    row = np.zeros(others.size)
-    row[order[:d]] = np.minimum(np.maximum(vals, 0.0), 1.0)
-    return row, d, alpha
+    np.maximum(vals, 0.0, out=vals)
+    np.minimum(vals, 1.0, out=vals)
+    out.fill(0.0)
+    out[order[:d]] = vals
+    return d, alpha
 
 
 def best_response_row(i: int, alloc: Allocation,
@@ -128,7 +141,9 @@ def best_response_row(i: int, alloc: Allocation,
     n x m for config.
     """
     i = _index("i", i, config.n_schedulers)
-    row, active_count, alpha = _best_row(
+    weights = config.weights
+    row = np.empty(config.n_nodes)
+    active_count, alpha = _best_row(
         i, float(config.lam[i]), others_load_vector(i, alloc, config),
-        config.weights)
+        weights, 1.0 / np.sqrt(weights), row)
     return BestResponseResult(row=row, active_count=active_count, alpha=alpha)

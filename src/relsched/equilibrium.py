@@ -70,20 +70,22 @@ class EquilibriumReport:
 
 def _row_sweep(entries: np.ndarray, delta: np.ndarray, lam: np.ndarray,
                respond) -> np.ndarray:
-    """One sweep that replaces the rows of entries in place, one at a time,
-    with respond(i, lam_i, others), the new row of scheduler i, where others
-    is the per-node load of every scheduler except i.
+    """One sweep that replaces the rows of entries in place, one at a time:
+    respond(i, lam_i, others, row) writes scheduler i's new row into row,
+    the view entries[i], where others is the per-node load of every
+    scheduler except i.  respond must raise before it writes, so a failed
+    call leaves the row as it was.
 
-    Rows are written back immediately, so later schedulers in the sweep see
-    earlier updates, and the node loads delta of the sweep's start are kept
-    current with one rank-1 update per row, so a sweep costs n row kernels
-    plus O(n*m).  Returns the loads entries.T @ lam, recomputed once, so
-    rounding drift never outlives a sweep.
+    Later schedulers in the sweep see earlier updates, and the node loads
+    delta of the sweep's start are kept current with one rank-1 update per
+    row, so a sweep costs n row kernels plus O(n*m).  Returns the loads
+    entries.T @ lam, recomputed once, so rounding drift never outlives a
+    sweep.
     """
     for i, lam_i in enumerate(lam.tolist()):
-        others = delta - lam_i * entries[i]
-        row = respond(i, lam_i, others)
-        entries[i] = row
+        row = entries[i]
+        others = delta - lam_i * row
+        respond(i, lam_i, others, row)
         delta = others + lam_i * row
     return entries.T @ lam
 
@@ -143,9 +145,10 @@ def solve(config: SystemConfig) -> EquilibriumReport:
     lam, weights = config.lam, config.weights
     entries = np.full((config.n_schedulers, config.n_nodes),
                       1.0 / config.n_nodes)
+    inv_sqrt_w = 1.0 / np.sqrt(weights)
 
-    def respond(i, lam_i, others):
-        return _best_row(i, lam_i, others, weights)[0]
+    def respond(i, lam_i, others, row):
+        _best_row(i, lam_i, others, weights, inv_sqrt_w, row)
 
     return _sweep_until_stable(
         config, entries.T @ lam,

@@ -8,6 +8,7 @@ from relsched import (
     build_config,
     preset,
 )
+from relsched.baseline import _balanced_row
 from relsched.best_response import _best_row
 from relsched.equilibrium import _row_sweep
 
@@ -82,17 +83,33 @@ def closed_form_fractions(i, alpha, alloc, config):
         weights * lam[i])
 
 
+def best_row(i, lam_i, others, weights):
+    """_best_row written into a fresh row: (row, active_count, alpha)."""
+    row = np.empty(others.size)
+    count, alpha = _best_row(i, lam_i, others, weights,
+                             1.0 / np.sqrt(weights), row)
+    return row, count, alpha
+
+
+def balanced_row(i, others, mu):
+    """_balanced_row written into a fresh row, which it returns."""
+    row = np.empty(others.size)
+    _balanced_row(i, others, mu, row)
+    return row
+
+
 def first_sweep_and_water_fill(config):
     """The node loads one round-robin sweep of best responses leaves from
     the uniform start, and the water-fill: the loads of one scheduler that
-    places the whole stream Lambda alone, _best_row(0, Lambda, 0, W) *
+    places the whole stream Lambda alone, best_row(0, Lambda, 0, W) *
     Lambda, which are the optimum's loads."""
     lam, weights = config.lam, config.weights
+    inv_sqrt_w = 1.0 / np.sqrt(weights)
     entries = np.full((config.n_schedulers, config.n_nodes),
                       1.0 / config.n_nodes)
     loads = _row_sweep(entries, entries.T @ lam, lam,
-                       lambda i, lam_i, others:
-                       _best_row(i, lam_i, others, weights)[0])
+                       lambda i, lam_i, others, row:
+                       _best_row(i, lam_i, others, weights, inv_sqrt_w, row))
     total = float(lam.sum())
-    fill = _best_row(0, total, np.zeros(config.n_nodes), weights)[0] * total
+    fill = best_row(0, total, np.zeros(config.n_nodes), weights)[0] * total
     return loads, fill

@@ -12,14 +12,15 @@ from relsched import (
     build_config,
     solve,
 )
-from relsched.baseline import _balanced_row
 from relsched.model import others_load_vector
 from relsched.presets import preset
+
+from conftest import balanced_row
 
 
 def bsa_row(alloc, config):
     """Balanced row of scheduler 0 against the other rows of alloc."""
-    return _balanced_row(0, others_load_vector(0, alloc, config), config.mu)
+    return balanced_row(0, others_load_vector(0, alloc, config), config.mu)
 
 
 def unit_weight_node(mu):

@@ -29,7 +29,6 @@ from relsched import (
     traffic_empirical_rates,
     validate_config,
 )
-from relsched.best_response import _best_row
 from relsched.cli import load_config
 from relsched.model import _availability, _checked
 from relsched.presets import (
@@ -40,7 +39,7 @@ from relsched.presets import (
     preset,
 )
 
-from conftest import feasible_random_allocation
+from conftest import best_row, feasible_random_allocation
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -565,8 +564,8 @@ class TestArrayBoundary:
             node = (config.mu_prime[j], config.gamma[j], config.beta1[j])
             mu_prime, gamma, beta1 = map(float, node)
             assert config.weights[j] == (1.0 + mu_prime * gamma) * beta1
-        row, _, _ = _best_row(0, float(config.lam.sum()), np.zeros(size),
-                              config.weights)
+        row, _, _ = best_row(0, float(config.lam.sum()), np.zeros(size),
+                             config.weights)
         assert (row >= 0.0).all()
         assert abs(row.sum() - 1.0) <= 1e-9
 

@@ -40,7 +40,7 @@ from relsched.best_response import _best_row
 from relsched.model import _availability
 from relsched.presets import preset
 
-from conftest import first_sweep_and_water_fill
+from conftest import balanced_row, best_row, first_sweep_and_water_fill
 
 LOAD_RTOL = 1e-12
 
@@ -92,9 +92,9 @@ def assert_same_response(lam_i, others, weights):
         expected = loop_best_row(0, lam_i, others, weights)
     except NoFeasibleResponse:
         with pytest.raises(NoFeasibleResponse):
-            _best_row(0, lam_i, others, weights)
+            best_row(0, lam_i, others, weights)
         return None
-    row, count, alpha = _best_row(0, lam_i, others, weights)
+    row, count, alpha = best_row(0, lam_i, others, weights)
     assert row.tobytes() == expected[0].tobytes()
     assert count == expected[1]
     assert alpha == expected[2] and type(alpha) is float
@@ -108,9 +108,9 @@ def assert_near_seed_loop(lam_i, others, weights):
         seed = loop_best_row(0, lam_i, others, weights, libm_square=True)
     except NoFeasibleResponse:
         with pytest.raises(NoFeasibleResponse):
-            _best_row(0, lam_i, others, weights)
+            best_row(0, lam_i, others, weights)
         return
-    row, count, alpha = _best_row(0, lam_i, others, weights)
+    row, count, alpha = best_row(0, lam_i, others, weights)
     assert count == seed[1]
     assert alpha == pytest.approx(seed[2], rel=4 * np.finfo(float).eps)
     np.testing.assert_allclose(row, seed[0], rtol=1e-12, atol=1e-15)
@@ -135,9 +135,9 @@ def visited_rows(config):
     """Every (lam_i, others) the game solver hands its row kernel."""
     calls = []
 
-    def recording_best_row(i, lam_i, others, weights):
+    def recording_best_row(i, lam_i, others, weights, inv_sqrt_w, out):
         calls.append((lam_i, others.copy()))
-        return _best_row(i, lam_i, others, weights)
+        return _best_row(i, lam_i, others, weights, inv_sqrt_w, out)
 
     with mock.patch.object(equilibrium, "_best_row", recording_best_row):
         solve(config)
@@ -170,12 +170,12 @@ def reference_iteration(config, respond, single_pass=False):
 
 def game_response(config):
     weights = config.weights
-    return lambda i, lam_i, others: _best_row(i, lam_i, others, weights)[0]
+    return lambda i, lam_i, others: best_row(i, lam_i, others, weights)[0]
 
 
 def balanced_response(config):
     mu = config.mu
-    return lambda i, lam_i, others: _balanced_row(i, others, mu)
+    return lambda i, lam_i, others: balanced_row(i, others, mu)
 
 
 SOLVERS = {
@@ -235,7 +235,7 @@ class TestActiveSetSearch:
         weights = np.array([0.25, 0.25, 0.5])
         others = np.array([0.0, 5.0, 1.0])  # node 1 is saturated
         assert assert_same_response(0.0, others, weights) == 2
-        row, _, alpha = _best_row(0, 0.0, others, weights)
+        row, _, alpha = best_row(0, 0.0, others, weights)
         assert row.tolist() == [0.5, 0.0, 0.5]
         assert alpha == 0.0
 
@@ -245,7 +245,7 @@ class TestActiveSetSearch:
         weights = np.array([0.25, 0.25, 0.25])
         others = np.array([1.0, 2.0, 3.0])  # headroom 3/4, 1/2, 1/4
         assert assert_same_response(1.0, others, weights) == 2
-        row, count, alpha = _best_row(0, 1.0, others, weights)
+        row, count, alpha = best_row(0, 1.0, others, weights)
         theta = weights[1] * 1.0 / (1.0 - others[1] * weights[1]) ** 2
         assert alpha == theta == 1.0
         assert row.tolist() == [1.0, 0.0, 0.0]
@@ -302,9 +302,9 @@ class TestRowKernelProperties:
         total = math.fsum(residual)
         if total <= 0.0:
             with pytest.raises(AllNodesSaturated):
-                _balanced_row(0, others, mu)
+                balanced_row(0, others, mu)
             return
-        row = _balanced_row(0, others, mu)
+        row = balanced_row(0, others, mu)
         expected = np.array(residual) / total
         assert (row == 0.0).tolist() == (expected == 0.0).tolist()
         np.testing.assert_allclose(row, expected, rtol=1e-14, atol=0.0)
@@ -503,9 +503,9 @@ def underflow_config():
 def count_balanced_rows(monkeypatch):
     calls = []
 
-    def counted(i, others, mu):
+    def counted(i, others, mu, out):
         calls.append(i)
-        return _balanced_row(i, others, mu)
+        _balanced_row(i, others, mu, out)
 
     monkeypatch.setattr(baseline, "_balanced_row", counted)
     return calls
