@@ -11,9 +11,7 @@ from .baseline import bsa_solve
 from .best_response import BestResponseResult, best_response_row
 from .equilibrium import EquilibriumReport, objective_all_schedulers, solve
 from .errors import (
-    AllNodesSaturated,
     AvailabilityOutOfRange,
-    EmptyInput,
     NoFeasibleResponse,
     NotConverged,
     ParseError,
@@ -41,12 +39,10 @@ from .presets import PRESET_NAMES, REFERENCE_GAPS, preset
 __version__ = "0.1.0"
 
 __all__ = [
-    "AllNodesSaturated",
     "Allocation",
     "AvailabilityOutOfRange",
     "BestResponseResult",
     "CheckResult",
-    "EmptyInput",
     "EquilibriumReport",
     "NoFeasibleResponse",
     "NodeParams",

@@ -44,7 +44,7 @@ from __future__ import annotations
 import numpy as np
 
 from .equilibrium import EquilibriumReport, _row_sweep, _sweep_until_stable
-from .errors import AllNodesSaturated
+from .errors import NoFeasibleResponse
 from .model import SystemConfig
 
 _SMALLEST_SCAN_PRODUCT = np.finfo(float).tiny
@@ -54,12 +54,14 @@ def _balanced_row(i: int, others: np.ndarray, mu: np.ndarray,
                   out: np.ndarray) -> None:
     """Write scheduler i's balanced row into out: the residual capacity
     mu - others that each node still offers it, normalised; others is the
-    per-node load of every scheduler except i.  Raises before it writes."""
+    per-node load of every scheduler except i.  Raises NoFeasibleResponse,
+    before it writes, when the others leave no node spare capacity: the
+    same error as the game's best response."""
     # A node saturated by the others gets no share rather than a negative one.
     residual = np.maximum(mu - others, 0.0)
     total = np.add.reduce(residual)
     if total <= 0.0:
-        raise AllNodesSaturated(
+        raise NoFeasibleResponse(
             f"no node has spare capacity for scheduler {i}"
         )
     np.divide(residual, total, out=out)

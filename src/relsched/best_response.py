@@ -55,17 +55,13 @@ class BestResponseResult:
 
     active_count is the size of the accepted active set; an entry of that
     set can be exactly zero when the multiplier sits on its boundary.
-    Results compare and hash by identity.
+    row is read-only and owns its data: best_response_row builds it fresh
+    and hands it over.  Results compare and hash by identity.
     """
 
     row: np.ndarray
     active_count: int
     alpha: float
-
-    def __post_init__(self):
-        row = np.array(self.row, dtype=float)
-        row.setflags(write=False)
-        object.__setattr__(self, "row", row)
 
 
 def _best_row(i: int, lam_i: float, others: np.ndarray, weights: np.ndarray,
@@ -146,4 +142,5 @@ def best_response_row(i: int, alloc: Allocation,
     active_count, alpha = _best_row(
         i, float(config.lam[i]), others_load_vector(i, alloc, config),
         weights, 1.0 / np.sqrt(weights), row)
+    row.setflags(write=False)
     return BestResponseResult(row=row, active_count=active_count, alpha=alpha)

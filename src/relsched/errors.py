@@ -2,7 +2,15 @@
 
 
 class RelschedError(Exception):
-    """Base class for all package-specific errors."""
+    """Base class for all package-specific errors.
+
+    report is None unless the raiser hands over a partial result, such as
+    the loop's last report on NotConverged.
+    """
+
+    def __init__(self, *args, report=None):
+        super().__init__(*args)
+        self.report = report
 
 
 class AvailabilityOutOfRange(RelschedError):
@@ -18,23 +26,12 @@ class AvailabilityOutOfRange(RelschedError):
 
 
 class NoFeasibleResponse(RelschedError):
-    """Every candidate active set failed; the scheduler's load cannot be placed."""
+    """Scheduler i's stream cannot be placed given the others' loads; the
+    game's best response and the balanced row both raise it."""
 
 
 class NotConverged(RelschedError):
     """Iteration cap reached before the objective change fell below threshold."""
-
-    def __init__(self, message: str, report=None):
-        super().__init__(message)
-        self.report = report
-
-
-class AllNodesSaturated(RelschedError):
-    """Balanced allocation impossible: no node has spare capacity left."""
-
-
-class EmptyInput(RelschedError):
-    """Metric invoked on an empty or all-zero value list."""
 
 
 class ParseError(RelschedError):
@@ -42,8 +39,4 @@ class ParseError(RelschedError):
 
 
 class ValidationError(RelschedError):
-    """Configuration or allocation violates a feasibility constraint."""
-
-    def __init__(self, message: str, report=None):
-        super().__init__(message)
-        self.report = report
+    """Configuration, allocation or argument violates a constraint."""

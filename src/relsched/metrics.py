@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import EmptyInput
+from .errors import ValidationError
 from .model import (Allocation, SystemConfig, _availability, _checked,
                     node_arrivals)
 
@@ -15,19 +15,17 @@ def fairness_index(values) -> float:
     Equals 1 exactly when all values are equal and decreases as they
     spread; it does not depend on scale, so the values are divided by the
     largest first, which keeps tiny and huge ones from under- or
-    overflowing.  values is a 1-D sequence of finite numbers >= 0, not
-    booleans, else a ValidationError naming values[k].  Empty or all-zero
-    input has no defined index and raises EmptyInput rather than returning
-    0/0.
+    overflowing.  values is a nonempty 1-D sequence of finite numbers
+    >= 0, not booleans, else a ValidationError naming values[k] or the
+    shape.  All-zero input has no defined index and is a ValidationError
+    too, rather than 0/0.
     """
     if not isinstance(values, np.ndarray):  # each entry as given:
         values = np.array(values, dtype=object)  # [1, True] is not 1.0
-    if values.size == 0:
-        raise EmptyInput("fairness index of an empty value list")
     values = _checked("values", values)
     largest = values.max()
     if largest == 0.0:
-        raise EmptyInput("fairness index of an all-zero value list")
+        raise ValidationError("fairness index of an all-zero value list")
     values = values / largest
     square_sum = float(np.sum(values**2))
     return float(np.sum(values)) ** 2 / (values.size * square_sum)

@@ -5,8 +5,8 @@ import pytest
 
 from relsched import (
     Allocation,
-    AllNodesSaturated,
     NodeParams,
+    NoFeasibleResponse,
     SchedulerParams,
     bsa_solve,
     build_config,
@@ -64,7 +64,7 @@ class TestBsaRow:
             rho=0.5,
         )
         alloc = Allocation(np.array([[0.5, 0.5], [0.5, 0.5]]))
-        with pytest.raises(AllNodesSaturated):
+        with pytest.raises(NoFeasibleResponse):
             bsa_row(alloc, config)
 
 

@@ -14,9 +14,11 @@ from relsched import (
     objective,
     objective_marginal,
 )
+from relsched.model import others_load_vector
 from relsched.presets import preset
 
-from conftest import closed_form_fractions, feasible_random_allocation
+from conftest import (best_row, closed_form_fractions,
+                      feasible_random_allocation)
 
 
 def zero_load_marginals(i, alloc, config):
@@ -269,6 +271,52 @@ class TestBestResponseRow:
         implied = closed_form_fractions(0, result.alpha, alloc, table12)
         for j in np.nonzero(result.row > 0.0)[0]:
             assert abs(result.row[j] - implied[j]) <= 1e-10
+
+
+def unit_weight_nodes(m):
+    """m nodes of rate 1 whose load weight is 1."""
+    return [NodeParams(mu=1.0, mu_prime=0.0, gamma=0.0, beta1=1.0)] * m
+
+
+ROW_PATHS = {
+    # every node usable: the plain water-fill
+    "all-usable": (lambda: preset("table1-table2"), None),
+    # scheduler 1 loads node 0 past 1/W_0, so the masked path runs
+    "saturated": (lambda: build_config(
+        nodes=unit_weight_nodes(3),
+        schedulers=[SchedulerParams(phi=0.0, lam=0.1),
+                    SchedulerParams(phi=0.0, lam=1.2)],
+        rho=0.5), [[1 / 3, 1 / 3, 1 / 3], [1.0, 0.0, 0.0]]),
+    # a zero-rate scheduler spreads over the usable nodes
+    "zero-rate": (lambda: build_config(
+        nodes=unit_weight_nodes(3),
+        schedulers=[SchedulerParams(phi=0.0, lam=0.0),
+                    SchedulerParams(phi=0.0, lam=0.5)],
+        rho=0.5), None),
+}
+
+
+class TestResultRow:
+    @pytest.mark.parametrize("path", ROW_PATHS)
+    def test_row_is_handed_over_read_only(self, path):
+        """The result keeps the row best_response_row built: read-only,
+        owning its data, with the bits of _best_row written fresh."""
+        make_config, entries = ROW_PATHS[path]
+        config = make_config()
+        alloc = (Allocation.uniform(config.n_schedulers, config.n_nodes)
+                 if entries is None else Allocation(np.array(entries)))
+        result = best_response_row(0, alloc, config)
+        assert not result.row.flags.writeable
+        assert result.row.base is None
+        row, count, alpha = best_row(0, float(config.lam[0]),
+                                     others_load_vector(0, alloc, config),
+                                     config.weights)
+        assert result.row.tobytes() == row.tobytes()
+        assert (result.active_count, result.alpha) == (count, alpha)
+        if path == "saturated":
+            assert result.row[0] == 0.0 and count == 2
+        if path == "zero-rate":
+            assert alpha == 0.0
 
 
 class TestAgainstNumericMinimum:

@@ -541,6 +541,22 @@ class TestMainExitCodes:
         assert captured.out == ""
         assert not out.exists()
 
+    def test_baseline_that_cannot_place_a_stream_is_2(self, tmp_path,
+                                                      monkeypatch, capsys):
+        # W_j*mu_j = 0.75 on every node at 90 % utilisation: the game
+        # converges, but the balanced sweep leaves scheduler 1 no node with
+        # spare capacity, the game's NoFeasibleResponse
+        path = GOLDEN_DIR / "baseline-cannot-place.json"
+        monkeypatch.chdir(tmp_path)
+        assert main(["solve", "--config", str(path)]) == 0
+        assert capsys.readouterr().out.startswith("objective=30 cycles=1 ")
+        assert main(["compare", "--config", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == ("error: no node has spare capacity for "
+                                "scheduler 1\n")
+        assert captured.out == ""
+        assert list(tmp_path.iterdir()) == []
+
     def test_unreachable_epsilon_is_3(self, tmp_path, capsys):
         # a valid threshold that no single sweep meets
         path = write_json(tmp_path, dict(GOOD_CONFIG, max_cycles=1))

@@ -1,7 +1,17 @@
-"""The README's python examples run against the package as written."""
+"""The README runs and reports what the package measures.
 
+Its python examples run against the package as written, and its
+reproduction report prints the objectives, gaps and ratios that the
+solvers give today.
+"""
+
+import math
 import re
 from pathlib import Path
+
+import pytest
+
+from relsched import REFERENCE_GAPS, bsa_solve, preset, solve
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -13,3 +23,48 @@ def test_readme_python_blocks_run(capsys):
     for k, block in enumerate(blocks):
         exec(compile(block, f"README.md python block {k}", "exec"), {})
         assert capsys.readouterr().out  # every example prints its result
+
+
+def report_section() -> str:
+    text = README.read_text()
+    return text[text.index("## Reproduction report"):
+                text.index("## Design notes")]
+
+
+@pytest.mark.parametrize("name", sorted(REFERENCE_GAPS))
+def test_reproduction_table_is_measured(name):
+    """D_game, D_balanced and their gap at rho = 0.5, to the six decimals
+    the table prints, and the bundled reference gap it quotes."""
+    row = re.search(rf"^\| `{name}` \| (.*) \|$", report_section(),
+                    re.MULTILINE)
+    assert row, f"no reproduction row for {name}"
+    printed = [cell.strip(" *") for cell in row.group(1).split("|")]
+    config = preset(name, rho=0.5)
+    d_game = solve(config).objective
+    d_balanced = bsa_solve(config).objective
+    assert printed == [f"{d_game:.6f}", f"{d_balanced:.6f}",
+                       f"{d_balanced - d_game:.6f}",
+                       f"{REFERENCE_GAPS[name]:g}"]
+
+
+def measured_ratio(name: str) -> float:
+    config = preset(name, rho=0.5)
+    gap = bsa_solve(config).objective - solve(config).objective
+    return gap / REFERENCE_GAPS[name]
+
+
+def test_reproduction_ratios_are_measured():
+    """"9.9 times" the table1-table2 reference rounds the measured ratio
+    to one decimal, and "within 0.06%" of the table1-table3 reference is
+    the measured distance rounded up to the printed two decimals.  The
+    criterion-2 acceptance test still fails on table1-table2; this checks
+    the README's account of that failure, not the criterion."""
+    section = " ".join(report_section().split())
+    times = re.search(r"`table1-table2` measurement is ([\d.]+) times",
+                      section)
+    within = re.search(r"`table1-table3` reproduces its reference gap to "
+                       r"within ([\d.]+)%", section)
+    assert times and within
+    assert f"{measured_ratio('table1-table2'):.1f}" == times.group(1)
+    percent = abs(measured_ratio("table1-table3") - 1.0) * 100.0
+    assert f"{math.ceil(percent * 100.0) / 100.0:.2f}" == within.group(1)

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from relsched import AllNodesSaturated, NoFeasibleResponse, bsa_solve, solve
+from relsched import NoFeasibleResponse, bsa_solve, solve
 from relsched import baseline, equilibrium
 from relsched.baseline import _balanced_row
 from relsched.best_response import _best_row
@@ -69,7 +69,7 @@ def reference_balanced_row(i, others, mu):
     residual = np.maximum(mu - others, 0.0)
     total = np.add.reduce(residual)
     if total <= 0.0:
-        raise AllNodesSaturated("no spare capacity")
+        raise NoFeasibleResponse("no spare capacity")
     return residual / total
 
 
@@ -191,7 +191,7 @@ class TestInPlaceContract:
     def test_all_nodes_saturated_leaves_out(self):
         out = np.array([np.nan, 7.0, -0.0])
         before = out.tobytes()
-        with pytest.raises(AllNodesSaturated):
+        with pytest.raises(NoFeasibleResponse):
             _balanced_row(0, np.array([1.0, 2.5, 3.0]),
                           np.array([1.0, 2.0, 3.0]), out)
         assert out.tobytes() == before
@@ -221,8 +221,8 @@ class TestInPlaceContract:
         before = out.tobytes()
         try:
             row = reference_balanced_row(0, others, mu)
-        except AllNodesSaturated:
-            with pytest.raises(AllNodesSaturated):
+        except NoFeasibleResponse:
+            with pytest.raises(NoFeasibleResponse):
                 _balanced_row(0, others, mu, out)
             assert out.tobytes() == before
             return

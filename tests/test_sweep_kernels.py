@@ -20,7 +20,6 @@ from hypothesis import given, settings, strategies as st
 
 from relsched import (
     PRESET_NAMES,
-    AllNodesSaturated,
     Allocation,
     AvailabilityOutOfRange,
     NodeParams,
@@ -301,7 +300,7 @@ class TestRowKernelProperties:
                                                    others.tolist())]
         total = math.fsum(residual)
         if total <= 0.0:
-            with pytest.raises(AllNodesSaturated):
+            with pytest.raises(NoFeasibleResponse):
                 balanced_row(0, others, mu)
             return
         row = balanced_row(0, others, mu)
