@@ -223,9 +223,6 @@ class Allocation:
     def n_schedulers(self) -> int:
         return self.entries.shape[0]
 
-    def row(self, i: int) -> np.ndarray:
-        return self.entries[_index("i", i, self.n_schedulers)]
-
     def replace_row(self, i: int, row) -> "Allocation":
         i = _index("i", i, self.n_schedulers)
         entries = np.array(self.entries)

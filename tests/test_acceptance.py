@@ -254,7 +254,10 @@ def test_criterion_8_multiplier_closure():
     assert ok
 
 
-def test_criterion_9_traffic_oracle():
+def _traffic_node_runs() -> tuple[int, int]:
+    """(hits, trials): the node-runs of 20 seeded traffic simulations of
+    the table1-table2 solve whose measured rate lies within 3 standard
+    errors of the expected one, and all of them."""
     config = preset("table1-table2")
     report = solve(config)
     expected = node_arrivals(report.allocation, config)
@@ -268,6 +271,11 @@ def test_criterion_9_traffic_oracle():
         within = np.abs(measured - expected) <= 3.0 * sigma
         hits += int(within.sum())
         trials += config.n_nodes
+    return hits, trials
+
+
+def test_criterion_9_traffic_oracle():
+    hits, trials = _traffic_node_runs()
     fraction = hits / trials
     ok = fraction >= 0.95
     _criterion(9, "traffic oracle", ok,

@@ -231,7 +231,6 @@ class TestCountsAndIndices:
         assert alloc.entries.shape == (2, 4)
 
     CALLS = {
-        "row": lambda i, alloc, config: alloc.row(i),
         "replace_row": lambda i, alloc, config: alloc.replace_row(
             i, alloc.entries[0]).entries,
         "best_response_row": lambda i, alloc, config: best_response_row(

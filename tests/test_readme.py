@@ -1,8 +1,8 @@
 """The README runs and reports what the package measures.
 
 Its python examples run against the package as written, and its
-reproduction report prints the objectives, gaps and ratios that the
-solvers give today.
+reproduction report prints the objectives, gaps, ratios and gate counts
+that the solvers and the acceptance tests give today.
 """
 
 import math
@@ -12,6 +12,8 @@ from pathlib import Path
 import pytest
 
 from relsched import REFERENCE_GAPS, bsa_solve, preset, solve
+
+from test_acceptance import _grid_points, _traffic_node_runs
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -68,3 +70,18 @@ def test_reproduction_ratios_are_measured():
     assert f"{measured_ratio('table1-table2'):.1f}" == times.group(1)
     percent = abs(measured_ratio("table1-table3") - 1.0) * 100.0
     assert f"{math.ceil(percent * 100.0) / 100.0:.2f}" == within.group(1)
+
+
+def test_gate_summary_counts_are_measured():
+    """The gate summary's grid size is the acceptance grid's, its cycle
+    claim (the first sweep reaches the optimum, the second confirms it)
+    is the largest cycle count over that grid, and its node-run count is
+    criterion 9's."""
+    section = " ".join(report_section().split())
+    points = re.search(r"\((\d+) points in about", section)
+    assert points
+    assert int(points.group(1)) == sum(1 for _ in _grid_points())
+    assert "the second confirms it" in section
+    assert max(solve(config).cycles for config in _grid_points()) == 2
+    hits, trials = _traffic_node_runs()
+    assert f"within 3 standard errors in {hits}/{trials} node-runs" in section

@@ -6,7 +6,9 @@ These tests hold both solvers to the sweep that came before: a fresh row
 per call, written back by entries[i] = row, with 1/sqrt(W) gathered per
 row and prefix sums by cumsum.  Entries, loads, epsilon trace and cycle
 count must match it byte for byte.  They also check the in-place contract:
-whatever out held never shows through, and a raise leaves it untouched.
+whatever out held never shows through, and a raise leaves it untouched;
+and the warm start: a row handed the last row's ranking as a hint has the
+bits of one sorted afresh, whatever ranking the hint holds.
 """
 
 from unittest import mock
@@ -18,7 +20,8 @@ from hypothesis import given, settings, strategies as st
 from relsched import NoFeasibleResponse, bsa_solve, solve
 from relsched import baseline, equilibrium
 from relsched.baseline import _balanced_row
-from relsched.best_response import _best_row
+from relsched.best_response import _best_row, _SortHint
+from relsched.equilibrium import _SORT_HINT_MIN_NODES
 
 from conftest import best_row
 from test_sweep_kernels import (
@@ -97,11 +100,15 @@ def assert_same_bits(got, want):
 
 
 def game_config(case):
+    if case.startswith("pool160-"):
+        return hot_pool(int(case[-1]), 160)
     return hot_pool(0, 400) if case == "pool400" else span_config(case)
 
 
 class TestSameBitsAsFreshRows:
-    @pytest.mark.parametrize("case", [*SPAN_CASES, "pool400"])
+    @pytest.mark.parametrize("case", [*SPAN_CASES,
+                                      *(f"pool160-{s}" for s in range(4)),
+                                      "pool400"])
     def test_solve(self, case, monkeypatch):
         config = game_config(case)
         got = solve(config)
@@ -228,3 +235,127 @@ class TestInPlaceContract:
             return
         _balanced_row(0, others, mu, out)
         assert out.tobytes() == row.tobytes()
+
+
+@st.composite
+def hinted_rows(draw):
+    """(lam_i, others, weights, hint order) for one row of 1-40 nodes or
+    of up to 72 beyond the gate at which solve starts to pass a hint.  In
+    a twin pool the nodes come in pairs with the same weight and headroom,
+    whose marginals tie exactly.  Some nodes may be saturated, and the
+    rate runs from zero to a quarter beyond what the usable nodes absorb.
+    The hint is the ranking of the row's marginals, that ranking with one
+    adjacent pair swapped, or a random permutation."""
+    m = draw(st.one_of(st.integers(1, 40),
+                       st.integers(_SORT_HINT_MIN_NODES,
+                                   _SORT_HINT_MIN_NODES + 72)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    weights = 1.5 / (0.03 * rng.uniform(0.5, 1.5, m))
+    headroom = rng.uniform(1e-3, 1.0, m)
+    if draw(st.booleans()):  # twin nodes
+        weights = np.repeat(weights[::2], 2)[:m]
+        headroom = np.repeat(headroom[::2], 2)[:m]
+    if draw(st.booleans()):
+        headroom[rng.random(m) < 0.2] = draw(st.sampled_from([0.0, -0.25]))
+    others = (1.0 - headroom) / weights
+    capacity = float(np.sum(np.maximum(1.0 - others * weights, 0.0)
+                            / weights))
+    lam_i = draw(st.sampled_from([0.0, 1.0, None]))
+    lam_i = capacity * (draw(st.floats(1e-9, 1.25)) if lam_i is None
+                        else lam_i)
+    kind = draw(st.sampled_from(["ranking", "swap", "random"]))
+    if kind == "random":
+        order = rng.permutation(m)
+    else:
+        marginals = np.full(m, np.inf)
+        np.divide(weights * lam_i, headroom ** 2, out=marginals,
+                  where=headroom > 0.0)
+        order = marginals.argsort(kind="stable")
+        if kind == "swap" and m > 1:
+            k = int(rng.integers(m - 1))
+            order[[k, k + 1]] = order[[k + 1, k]]
+    return lam_i, others, weights, order
+
+
+def stored_hint(order, inv_sqrt_w):
+    hint = _SortHint()
+    hint.order, hint.root_sum = order, np.add.accumulate(inv_sqrt_w[order])
+    hint.order.setflags(write=False)
+    hint.root_sum.setflags(write=False)
+    return hint
+
+
+class TestSortHint:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(hinted_rows(), st.booleans())
+    def test_hint_keeps_the_row_bits(self, problem, empty):
+        """With a hint, empty or holding any ranking, the row, its active
+        count and multiplier are those of the row without one.  A row with
+        every node usable leaves its stable ranking in the hint, a row
+        with a saturated node clears it and a zero-rate row leaves it."""
+        lam_i, others, weights, order = problem
+        inv_sqrt_w = 1.0 / np.sqrt(weights)
+        hint = _SortHint() if empty else stored_hint(order, inv_sqrt_w)
+        before = hint.order, hint.root_sum
+        want_out, got_out = np.full(others.size, np.nan), \
+            np.full(others.size, np.nan)
+        try:
+            want = _best_row(0, lam_i, others, weights, inv_sqrt_w, want_out)
+        except NoFeasibleResponse:
+            with pytest.raises(NoFeasibleResponse):
+                _best_row(0, lam_i, others, weights, inv_sqrt_w, got_out,
+                          hint)
+            assert np.isnan(got_out).all()
+        else:
+            got = _best_row(0, lam_i, others, weights, inv_sqrt_w, got_out,
+                            hint)
+            assert got == want
+            assert type(got[0]) is int and type(got[1]) is float
+            assert got_out.tobytes() == want_out.tobytes()
+        headroom = 1.0 - others * weights
+        if lam_i == 0.0 or not (headroom > 0.0).any():
+            assert (hint.order, hint.root_sum) == before
+        elif not (headroom > 0.0).all():
+            assert hint.order is None and hint.root_sum is None
+        else:
+            marginals = weights * lam_i / headroom ** 2
+            assert np.array_equal(hint.order,
+                                  marginals.argsort(kind="stable"))
+            assert hint.root_sum.tobytes() == \
+                np.add.accumulate(inv_sqrt_w[hint.order]).tobytes()
+            for cached in (hint.order, hint.root_sum):
+                with pytest.raises(ValueError, match="read-only"):
+                    cached[0] = cached[-1]
+
+    def test_large_pool_sorts_few_rows(self):
+        """Above the gate solve sorts afresh in at most a quarter of its
+        rows (about 11 % on this pool), and only there does it pass a
+        hint."""
+        config = hot_pool(0, 400)
+        assert config.n_nodes >= _SORT_HINT_MIN_NODES
+        sorted_rows = []
+
+        def recording_best_row(i, lam_i, others, weights, inv_sqrt_w, out,
+                               hint):
+            order = hint.order
+            count = _best_row(i, lam_i, others, weights, inv_sqrt_w, out,
+                              hint)
+            sorted_rows.append(hint.order is not order)
+            return count
+
+        with mock.patch.object(equilibrium, "_best_row", recording_best_row):
+            report = solve(config)
+        assert len(sorted_rows) == report.cycles * config.n_schedulers
+        assert 0 < sum(sorted_rows) <= len(sorted_rows) / 4
+        assert sorted_rows[0]
+
+    def test_small_pool_passes_no_hint(self):
+        hints = []
+
+        def recording_best_row(*args):
+            hints.append(args[6])
+            return _best_row(*args)
+
+        with mock.patch.object(equilibrium, "_best_row", recording_best_row):
+            solve(hot_pool(0, _SORT_HINT_MIN_NODES - 1))
+        assert hints and set(hints) == {None}

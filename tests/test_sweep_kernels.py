@@ -134,9 +134,10 @@ def visited_rows(config):
     """Every (lam_i, others) the game solver hands its row kernel."""
     calls = []
 
-    def recording_best_row(i, lam_i, others, weights, inv_sqrt_w, out):
+    def recording_best_row(i, lam_i, others, weights, inv_sqrt_w, out,
+                           hint=None):
         calls.append((lam_i, others.copy()))
-        return _best_row(i, lam_i, others, weights, inv_sqrt_w, out)
+        return _best_row(i, lam_i, others, weights, inv_sqrt_w, out, hint)
 
     with mock.patch.object(equilibrium, "_best_row", recording_best_row):
         solve(config)
