@@ -89,6 +89,15 @@ class TestBsaSolve:
         mu = config.mu
         assert np.max(np.abs(report.allocation.entries - mu / mu.sum())) < 1e-6
 
+    def test_change_equal_to_the_threshold_converges(self):
+        # the seventh sweep changes D by exactly 0, which a threshold of 0
+        # accepts: the loop stops at eps <= threshold, not eps < threshold
+        report = bsa_solve(preset("table1-table2", epsilon_threshold=0.0,
+                                  max_cycles=200))
+        assert report.cycles == 7
+        assert report.converged
+        assert report.epsilon_trace[-1] == 0.0
+
     def test_rows_nonnegative_and_normalised(self, table12):
         report = bsa_solve(table12)
         assert (report.allocation.entries >= 0).all()

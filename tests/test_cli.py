@@ -17,6 +17,7 @@ from relsched import (
     solve,
 )
 from relsched.cli import VARY, _sweep_values, load_config, main, parse_range
+from relsched.model import build_instance
 
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
@@ -382,10 +383,19 @@ class TestConfigBoundary:
             {"mu": 0.01, "mu_prime": 0.001, "gamma": 500, "beta1": 100},
             {"mu": 0.02, "mu_prime": 0.002, "gamma": 250, "beta1": 50},
         ]
-        for schedulers in ([{"phi": 0.01}, {"lambda": 0.004}],
-                           [{"phi": 0.01, "lambda": 0.004}, {"phi": 0.02}]):
+        # the rates at the file's rho 0.5 and at 0.4, with sum(mu) = 0.03
+        for schedulers, lam_given, lam_rho_04 in (
+                ([{"phi": 0.01}, {"lambda": 0.004}],
+                 [1.5e-4, 0.004], [1.2e-4, 0.004]),
+                ([{"phi": 0.01, "lambda": 0.004}, {"phi": 0.02}],
+                 [0.004, 3e-4], [1.2e-4, 2.4e-4])):
             path = write_json(tmp_path, {"rho": 0.5, "nodes": nodes,
                                          "schedulers": schedulers})
+            source = cli._read_config(path)
+            for rho, lam in ((None, lam_given), (0.5, lam_given),
+                             (0.4, lam_rho_04)):
+                np.testing.assert_allclose(
+                    build_instance(source, rho).lam, lam, rtol=1e-12)
 
             def objective(*extra):
                 assert main(["solve", "--config", str(path), *extra]) == 0

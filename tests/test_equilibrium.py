@@ -123,6 +123,15 @@ class TestSolve:
         )
         assert np.max(np.abs(forward.entries - backward.entries)) <= 1e-6
 
+    def test_change_equal_to_the_threshold_converges(self):
+        # the second sweep changes D by exactly 0, which a threshold of 0
+        # accepts: the loop stops at eps <= threshold, not eps < threshold
+        report = solve(preset("table1-table2", epsilon_threshold=0.0,
+                              max_cycles=3))
+        assert report.cycles == 2
+        assert report.converged
+        assert report.epsilon_trace[-1] == 0.0
+
     def test_cycle_cap_raises_with_partial_report(self, table12):
         config = preset("table1-table2", max_cycles=1)
         with pytest.raises(NotConverged) as err:

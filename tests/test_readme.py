@@ -13,7 +13,14 @@ import pytest
 
 from relsched import REFERENCE_GAPS, bsa_solve, preset, solve
 
-from test_acceptance import _grid_points, _traffic_node_runs
+from test_acceptance import (
+    CLOSURE_TOL,
+    CYCLE_CAP,
+    DERIVATIVE_REL_TOL,
+    ORACLE_ENTRY_TOL,
+    _grid_points,
+    _traffic_node_runs,
+)
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -85,3 +92,18 @@ def test_gate_summary_counts_are_measured():
     assert max(solve(config).cycles for config in _grid_points()) == 2
     hits, trials = _traffic_node_runs()
     assert f"within 3 standard errors in {hits}/{trials} node-runs" in section
+
+
+def test_gate_summary_tolerances_are_the_gates():
+    """The gate summary quotes the bounds the acceptance criteria assert:
+    the cycle cap, the oracle's per-entry deviation, the derivatives'
+    relative error and the multiplier closure."""
+    section = " ".join(report_section().split())
+
+    def power(x: float) -> str:  # 1e-05 printed as 1e-5
+        return f"{x:.0e}".replace("e-0", "e-")
+
+    assert f"the second confirms it (cap {CYCLE_CAP};" in section
+    assert f"to {power(ORACLE_ENTRY_TOL)} per entry" in section
+    assert f"better than {power(DERIVATIVE_REL_TOL)} relative" in section
+    assert f"closure holds to {power(CLOSURE_TOL)}," in section
