@@ -15,7 +15,8 @@ _from_columns from columns of numbers; the records are a library
 convenience that presets and files never build.  Every input number is
 checked by its row of one rule table, _BOUNDS.  Each formula has one
 vector implementation: the node loads are delta = entries.T @ lam, and
-the objective and its derivatives accept an Allocation or a raw matrix.
+the objective and its derivatives accept an Allocation or a raw matrix;
+the derivatives return n x m arrays, one entry per fraction a_ij.
 Every function here is pure and every type is immutable after
 construction, so evaluation is thread-safe.
 """
@@ -449,33 +450,27 @@ def others_load_vector(i: int, alloc: Allocation,
     return entries.T @ config.lam - config.lam[i] * entries[i]
 
 
-def _derivative_terms(i: int, j: int, alloc,
-                      config: SystemConfig) -> tuple[float, float, float]:
-    """lam_i, W_j and the availability A_j; the range check covers every
-    node, because the objective is defined only where all are feasible."""
-    i = _index("i", i, config.n_schedulers)
-    j = _index("j", j, config.n_nodes)
+def objective_marginal(alloc, config: SystemConfig) -> np.ndarray:
+    """First derivative of the objective in every slicing fraction, an
+    n x m array: entry (i, j) is W_j * lam_i / A_j**2, positive whenever
+    lam_i > 0.  The range check covers every node, because the objective
+    is defined only where all are feasible."""
     avail = _availability(node_arrivals(alloc, config), config.weights)
-    return float(config.lam[i]), float(config.weights[j]), float(avail[j])
+    # float_power is the C library's pow, as ** on a Python float, so each
+    # entry has the bits of the scalar formula; numpy's ** squares by x*x
+    # and may round other powers differently in the last bit.
+    return (np.multiply.outer(config.lam, config.weights)
+            / np.float_power(avail, 2))
 
 
-def objective_marginal(i: int, j: int, alloc, config: SystemConfig) -> float:
-    """First derivative of the objective in the (i, j) slicing fraction:
-    W_j * lam_i / A_j**2.  Strictly positive whenever lam_i > 0.
-
-    Accepts a raw matrix as well as an Allocation so stencil points just
-    off the simplex can be probed.
-    """
-    lam_i, w, avail = _derivative_terms(i, j, alloc, config)
-    return w * lam_i / avail**2
-
-
-def objective_curvature(i: int, j: int, alloc, config: SystemConfig) -> float:
-    """Second derivative in the (i, j) fraction: 2 * W_j**2 * lam_i**2 / A_j**3.
-    Strictly positive at every feasible point, which makes each scheduler's
+def objective_curvature(alloc, config: SystemConfig) -> np.ndarray:
+    """The Hessian's diagonal, an n x m array: entry (i, j) is the second
+    derivative in that fraction, 2 * W_j**2 * lam_i**2 / A_j**3, positive
+    at every feasible point where lam_i > 0, which makes each scheduler's
     subproblem strictly convex."""
-    lam_i, w, avail = _derivative_terms(i, j, alloc, config)
-    return 2.0 * w**2 * lam_i**2 / avail**3
+    avail = _availability(node_arrivals(alloc, config), config.weights)
+    lam2, w2 = np.float_power(config.lam, 2), np.float_power(config.weights, 2)
+    return 2.0 * np.multiply.outer(lam2, w2) / np.float_power(avail, 3)
 
 
 def validate_config(alloc, config: SystemConfig) -> ValidationReport:

@@ -210,24 +210,24 @@ def test_criterion_7_derivatives(name):
         alloc = feasible_random_allocation(rng, config)
         entries = np.array(alloc.entries)
         i = int(rng.integers(config.n_schedulers))
+        marginal = objective_marginal(entries, config)[i]
+        curvature = objective_curvature(entries, config)[i]
         for j in range(config.n_nodes):
-            analytic = objective_marginal(i, j, entries, config)
             up, down = entries.copy(), entries.copy()
             up[i, j] += h
             down[i, j] -= h
             numeric = (objective_fn(up) - objective_fn(down)) / (2 * h)
             worst_first = max(worst_first,
-                              abs(numeric - analytic) / analytic)
+                              abs(numeric - marginal[j]) / marginal[j])
 
-            curvature = objective_curvature(i, j, entries, config)
-            assert curvature > 0.0
+            assert curvature[j] > 0.0
             # double differencing of the objective at h = 1e-6 drowns in
             # float64 roundoff, so the curvature is checked against the
             # central difference of the analytic first derivative
-            slope = (objective_marginal(i, j, up, config)
-                     - objective_marginal(i, j, down, config)) / (2 * h)
+            slope = (objective_marginal(up, config)[i, j]
+                     - objective_marginal(down, config)[i, j]) / (2 * h)
             worst_second = max(worst_second,
-                               abs(slope - curvature) / curvature)
+                               abs(slope - curvature[j]) / curvature[j])
     ok = (worst_first <= DERIVATIVE_REL_TOL
           and worst_second <= DERIVATIVE_REL_TOL)
     _criterion(7, f"derivatives {name}", ok,

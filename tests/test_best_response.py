@@ -58,7 +58,7 @@ class TestMarginalAtZero:
         for j, value in ((0, 0.375), (1, 0.1875)):
             cleared = np.array(even_split.entries)
             cleared[0, j] = 0.0
-            assert objective_marginal(0, j, cleared, two_node_config) == value
+            assert objective_marginal(cleared, two_node_config)[0, j] == value
 
     def test_zero_rate_scheduler(self, two_node_config):
         config = build_config(
@@ -67,8 +67,7 @@ class TestMarginalAtZero:
             rho=0.5,
         )
         alloc = Allocation.uniform(1, 2)
-        assert objective_marginal(0, 0, alloc, config) == 0.0
-        assert objective_marginal(0, 1, alloc, config) == 0.0
+        assert objective_marginal(alloc, config).tolist() == [[0.0, 0.0]]
 
     def test_saturated_node_raises(self):
         config = build_config(
@@ -81,7 +80,7 @@ class TestMarginalAtZero:
         alloc = Allocation(np.array([[1.0], [1.0]]))
         cleared = np.array([[0.0], [1.0]])
         with pytest.raises(AvailabilityOutOfRange):
-            objective_marginal(0, 0, cleared, config)
+            objective_marginal(cleared, config)
         with pytest.raises(NoFeasibleResponse):
             best_response_row(0, alloc, config)
 
@@ -92,7 +91,7 @@ class TestMarginalAtZero:
         cleared = np.array(alloc.entries)
         cleared[i, j] = 0.0
         assert zero_load_marginals(i, alloc, table12)[j] == pytest.approx(
-            objective_marginal(i, j, cleared, table12), rel=1e-12
+            objective_marginal(cleared, table12)[i, j], rel=1e-12
         )
 
 
@@ -194,8 +193,8 @@ class TestBestResponseRow:
         for i in (0, 5):
             result = best_response_row(i, alloc, table12)
             updated = alloc.replace_row(i, result.row)
-            for j in range(table12.n_nodes):
-                marginal = objective_marginal(i, j, updated, table12)
+            marginals = objective_marginal(updated, table12)[i]
+            for j, marginal in enumerate(marginals):
                 if result.row[j] > 0.0:
                     assert marginal == pytest.approx(result.alpha, rel=1e-9)
                 else:

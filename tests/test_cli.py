@@ -190,12 +190,13 @@ class TestParseRange:
 
     def test_rejects_too_many_points(self):
         # 80,001 points used to be built; a step of 1e-300 asked for
-        # about 4e299 and exhausted memory
+        # about 4e299 and exhausted memory; 10,001 points are one too many
         for sweep_range in ((0.1, 0.9, 1e-5), (0.1, 0.5, 1e-300),
-                            (0.0, 1e308, 1e-308)):
+                            (0.0, 1e308, 1e-308), (0.0, 10000.0, 1.0)):
             with pytest.raises(ValidationError, match="points"):
                 _sweep_values(sweep_range, False)
         assert len(_sweep_values((0.0, 0.9999, 1e-4), False)) == 10_000
+        assert len(_sweep_values((0.0, 9999.0, 1.0), True)) == 10_000
 
     @pytest.mark.parametrize("sweep_range", [
         (10.4, 11.4, 0.5), (10.0, 12.0, 0.5), (10.0, 11.5, 1.0)])

@@ -2,6 +2,7 @@
 
 import dataclasses
 import re
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -87,6 +88,11 @@ class TestNodeParams:
         good = self.GOOD_NODE if cls is NodeParams else self.GOOD_SCHEDULER
         with pytest.raises(ValidationError, match=name):
             cls(**dict(good, **{name: value}))
+
+    def test_largest_float_is_a_number(self):
+        # the bound is the largest finite float itself; only an int beyond
+        # it (10**400 above) is no float
+        assert _checked("mu", sys.float_info.max) == sys.float_info.max
 
     @pytest.mark.parametrize("value", [np.nan, np.inf, "0.02", True, 10**400])
     @pytest.mark.parametrize("name", ["mu", "mu_prime", "gamma", "beta1"])
@@ -237,10 +243,6 @@ class TestCountsAndIndices:
             i, alloc, config).row,
         "numeric_best_response": lambda i, alloc, config:
             numeric_best_response(i, alloc, config),
-        "objective_marginal": lambda i, alloc, config: objective_marginal(
-            i, 0, alloc, config),
-        "objective_curvature": lambda i, alloc, config: objective_curvature(
-            i, 0, alloc, config),
     }
 
     @pytest.mark.parametrize("i", [-1, 10, True, 1.0, "1", None])
@@ -256,18 +258,6 @@ class TestCountsAndIndices:
         alloc = Allocation.uniform(table12.n_schedulers, table12.n_nodes)
         assert np.array_equal(self.CALLS[call](9, alloc, table12),
                               self.CALLS[call](np.int64(9), alloc, table12))
-
-    @pytest.mark.parametrize("derivative", [objective_marginal,
-                                            objective_curvature])
-    def test_node_index_is_checked(self, table12, derivative):
-        alloc = Allocation.uniform(table12.n_schedulers, table12.n_nodes)
-        assert derivative(9, 14, alloc, table12) > 0.0
-        for j in (-1, 15, True):
-            with pytest.raises(ValidationError,
-                               match=r"^j must be an integer from 0 to 14"):
-                derivative(0, j, alloc, table12)
-        with pytest.raises(ValidationError, match=r"^i must be"):
-            derivative(-1, -1, alloc, table12)
 
 
 class TestAllocationShape:
@@ -286,10 +276,8 @@ class TestAllocationShape:
             0, alloc, config),
         "numeric_best_response": lambda alloc, config: numeric_best_response(
             0, alloc, config),
-        "objective_marginal": lambda alloc, config: objective_marginal(
-            0, 0, alloc, config),
-        "objective_curvature": lambda alloc, config: objective_curvature(
-            0, 0, alloc, config),
+        "objective_marginal": objective_marginal,
+        "objective_curvature": objective_curvature,
         "traffic_empirical_rates": lambda alloc, config:
             traffic_empirical_rates(alloc, config, 10.0, 0),
     }
@@ -640,8 +628,7 @@ class TestAvailability:
 
     @pytest.mark.parametrize("call", [
         objective, per_node_reciprocals,
-        lambda m, config: objective_marginal(1, 1, m, config),
-        lambda m, config: objective_curvature(1, 1, m, config),
+        objective_marginal, objective_curvature,
     ], ids=["objective", "per_node_reciprocals", "objective_marginal",
             "objective_curvature"])
     def test_nan_entry_raises_naming_node(self, table12, call):
@@ -761,7 +748,7 @@ class TestDerivatives:
             alloc = feasible_random_allocation(rng, config)
             i = int(rng.integers(config.n_schedulers))
             j = int(rng.integers(config.n_nodes))
-            analytic = objective_marginal(i, j, alloc, config)
+            analytic = objective_marginal(alloc, config)[i, j]
             assert analytic > 0.0
             up, down = np.array(alloc.entries), np.array(alloc.entries)
             up[i, j] += h
@@ -778,17 +765,37 @@ class TestDerivatives:
             alloc = feasible_random_allocation(rng, table12)
             i = int(rng.integers(table12.n_schedulers))
             j = int(rng.integers(table12.n_nodes))
-            analytic = objective_curvature(i, j, alloc, table12)
+            analytic = objective_curvature(alloc, table12)[i, j]
             assert analytic > 0.0
             up = np.array(alloc.entries)
             down = np.array(alloc.entries)
             up[i, j] += h
             down[i, j] -= h
             numeric = (
-                objective_marginal(i, j, up, table12)
-                - objective_marginal(i, j, down, table12)
+                objective_marginal(up, table12)[i, j]
+                - objective_marginal(down, table12)[i, j]
             ) / (2 * h)
             assert numeric == pytest.approx(analytic, rel=1e-5)
+
+
+    @pytest.mark.parametrize("point", ["uniform", "random-raw"])
+    def test_arrays_hold_the_per_entry_formulas_bit_for_bit(self, table12,
+                                                          point):
+        """Every entry has the bits of the scalar formulas on Python floats,
+        the derivatives' values when they returned one entry per call."""
+        alloc = Allocation.uniform(table12.n_schedulers, table12.n_nodes)
+        if point == "random-raw":
+            alloc = np.array(feasible_random_allocation(
+                np.random.default_rng(2), table12).entries)
+        marginal = objective_marginal(alloc, table12)
+        curvature = objective_curvature(alloc, table12)
+        assert marginal.shape == curvature.shape == (10, 15)
+        avail = _availability(node_arrivals(alloc, table12), table12.weights)
+        for i, lam_i in enumerate(table12.lam.tolist()):
+            for j, (w, a) in enumerate(zip(table12.weights.tolist(),
+                                           avail.tolist())):
+                assert marginal[i, j] == w * lam_i / a**2
+                assert curvature[i, j] == 2.0 * w**2 * lam_i**2 / a**3
 
 
 class TestValidateConfig:

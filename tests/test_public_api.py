@@ -19,6 +19,27 @@ PUBLIC_NAMES = [
     "traffic_empirical_rates", "validate_config",
 ]
 
+# The parameter names of every exported function, one line each, so that
+# a signature change is one edited line here.
+SIGNATURES = {
+    "best_response_row": "i alloc config",
+    "bsa_solve": "config single_pass",
+    "build_config": "nodes schedulers rho settings",
+    "fairness_index": "values",
+    "nash_check": "alloc config tolerance",
+    "node_arrivals": "alloc config",
+    "numeric_best_response": "i alloc config",
+    "objective": "alloc config",
+    "objective_all_schedulers": "alloc config",
+    "objective_curvature": "alloc config",
+    "objective_marginal": "alloc config",
+    "per_node_reciprocals": "alloc config",
+    "preset": "name rho n_schedulers n_nodes settings",
+    "solve": "config",
+    "traffic_empirical_rates": "alloc config horizon seed",
+    "validate_config": "alloc config",
+}
+
 ERRORS = [getattr(relsched, name) for name in PUBLIC_NAMES
           if inspect.isclass(getattr(relsched, name))
           and issubclass(getattr(relsched, name), BaseException)]
@@ -36,6 +57,13 @@ def test_all_is_pinned_and_resolves():
     assert len(set(relsched.__all__)) == len(relsched.__all__) == 32
     for name in relsched.__all__:
         assert getattr(relsched, name) is not None
+
+
+def test_exported_function_signatures_are_pinned():
+    functions = {name: getattr(relsched, name) for name in relsched.__all__
+                 if inspect.isfunction(getattr(relsched, name))}
+    assert {name: " ".join(inspect.signature(function).parameters)
+            for name, function in functions.items()} == SIGNATURES
 
 
 def test_errors_module_defines_the_exported_errors():

@@ -5,13 +5,17 @@ reproduction report prints the objectives, gaps, ratios and gate counts
 that the solvers and the acceptance tests give today.
 """
 
+import json
 import math
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from relsched import REFERENCE_GAPS, bsa_solve, preset, solve
+from relsched import (REFERENCE_GAPS, bsa_solve, node_arrivals, oracle,
+                      preset, solve)
+from relsched.cli import main
 
 from test_acceptance import (
     CLOSURE_TOL,
@@ -85,7 +89,7 @@ def test_gate_summary_counts_are_measured():
     is the largest cycle count over that grid, and its node-run count is
     criterion 9's."""
     section = " ".join(report_section().split())
-    points = re.search(r"\((\d+) points in about", section)
+    points = re.search(r"\((\d+) points\)", section)
     assert points
     assert int(points.group(1)) == sum(1 for _ in _grid_points())
     assert "the second confirms it" in section
@@ -107,3 +111,43 @@ def test_gate_summary_tolerances_are_the_gates():
     assert f"to {power(ORACLE_ENTRY_TOL)} per entry" in section
     assert f"better than {power(DERIVATIVE_REL_TOL)} relative" in section
     assert f"closure holds to {power(CLOSURE_TOL)}," in section
+
+
+def readme_z_k() -> dict:
+    """The README's examples of the oracle-check threshold, {k: z_k}."""
+    text = " ".join(README.read_text().split())
+    found = re.search(r"\(([\d.]+) at `k = 1`, ([\d.]+) at (\d+)\)", text)
+    assert found, "no z_k examples in the README"
+    return {1: float(found.group(1)),
+            int(found.group(3)): float(found.group(2))}
+
+
+@pytest.mark.parametrize("k", [1, 15])
+@pytest.mark.parametrize("side", ["inside", "outside"])
+def test_z_k_is_oracle_checks_threshold(tmp_path, monkeypatch, capsys, k,
+                                        side):
+    """oracle-check passes a loaded node measured 0.05 standard errors
+    inside the README's z_k and fails one measured 0.05 outside it: with
+    k = 1 on a one-node config file, and with k = 15 on table1-table3,
+    whose 15 nodes all carry load."""
+    z = readme_z_k()[k]
+    shift = z - 0.05 if side == "inside" else z + 0.05
+
+    def measure(alloc, config, horizon, seed):
+        rates = node_arrivals(alloc, config)
+        assert np.count_nonzero(rates) == k
+        rates[0] += shift * np.sqrt(rates[0] / horizon)
+        return rates
+
+    monkeypatch.setattr(oracle, "traffic_empirical_rates", measure)
+    if k == 1:
+        path = tmp_path / "one-node.json"
+        path.write_text(json.dumps({
+            "rho": 0.5, "nodes": [{"mu": 0.02}],
+            "schedulers": [{"phi": 0.01}, {"phi": 0.02}]}))
+        source = ["--config", str(path)]
+    else:
+        source = ["--preset", "table1-table3"]
+    assert main(["oracle-check", *source]) == (0 if side == "inside" else 2)
+    verdict = "PASS" if side == "inside" else "FAIL"
+    assert f"traffic_check={verdict}" in capsys.readouterr().out
