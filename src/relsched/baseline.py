@@ -33,10 +33,11 @@ _scan runs on the n x 2 coordinates, a sweep costs O(n + m), and the
 n x m matrix is built once, for the report.
 
 A sweep whose start has c < 0 on some node, possible only where
-W_j*mu_j < 1, runs row by row through _balanced_row.  The matrix is built
-for it, and later sweeps scan that matrix, as coordinates in the identity
-basis.  If s <= 0, or if P_n is below the smallest normal double (so
-1/P_k loses precision or overflows), the whole solve runs row by row.
+W_j*mu_j < 1, runs row by row through _balanced_row.  It needs the n x m
+matrix, so rows() builds it once and makes it the coordinates, in the
+identity basis; later sweeps scan it.  If s <= 0, or if P_n is below the
+smallest normal double (so 1/P_k loses precision or overflows), the
+solve starts in the identity basis and runs row by row.
 """
 
 from __future__ import annotations
@@ -96,21 +97,21 @@ def bsa_solve(config: SystemConfig, *,
         basis = np.ones((2, m))
         basis[1] = mu
         mu_coords = np.array([0.0, 1.0])  # mu itself, in that basis
-        coords = np.zeros((n, 2))  # rows x_i*1 + y_i*mu, uniform at start
-        coords[:, 0] = 1.0 / m
-        xy = lam @ coords
-        delta = xy @ basis
-        entries = None
+        coords = np.full((n, 2), [1.0 / m, 0.0])  # the uniform start
     else:
         # Row sweeps return the loads of their matrix, so the start's loads
         # come from its matrix too: a sweep that leaves the rows as they
         # were then changes the objective by exactly zero.
-        entries = np.full((n, m), 1.0 / m)
-        delta = entries.T @ lam
+        basis, mu_coords = None, mu  # the identity basis
+        coords = np.full((n, m), 1.0 / m)
+    xy = lam @ coords  # the loads, in the basis
+
+    def loads():
+        return xy if basis is None else xy @ basis
 
     def rows():
-        nonlocal entries
-        if entries is None:
+        nonlocal coords, basis, mu_coords
+        if basis is not None:
             # Built by ufuncs, not a matrix product: where a process makes
             # no other, BLAS's buffer for one adds about 0.3 MB resident.
             entries = np.multiply.outer(coords[:, 1], mu)
@@ -119,22 +120,19 @@ def bsa_solve(config: SystemConfig, *,
             # node without spare), x_i + y_i*mu_j cancels and may round
             # below zero (-4.9e-18 as a fused multiply-add): clip it.
             np.maximum(entries, 0.0, out=entries)
-        return entries
+            coords, basis, mu_coords = entries, None, mu
+        return coords
 
     def respond(i, lam_i, others, row):
         _balanced_row(i, others, mu, row)
 
     def sweep(delta):
         nonlocal xy
-        if scans:
-            spare = mu - delta
-            if spare.min() >= 0.0:
-                if entries is None:
-                    _scan(coords, mu_coords - xy, scale, product)
-                    xy = lam @ coords
-                    return xy @ basis
-                _scan(entries, spare, scale, product)
-                return entries.T @ lam
-        return _row_sweep(rows(), delta, lam, respond)
+        if scans and (mu - delta).min() >= 0.0:
+            _scan(coords, mu_coords - xy, scale, product)
+            xy = lam @ coords
+        else:
+            xy = _row_sweep(rows(), delta, lam, respond)
+        return loads()
 
-    return _sweep_until_stable(config, delta, sweep, rows, single_pass)
+    return _sweep_until_stable(config, loads(), sweep, rows, single_pass)

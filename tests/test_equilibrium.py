@@ -12,6 +12,7 @@ from relsched import (
     NodeParams,
     NotConverged,
     SchedulerParams,
+    ValidationError,
     best_response_row,
     bsa_solve,
     build_config,
@@ -22,7 +23,7 @@ from relsched import (
     validate_config,
 )
 from relsched.model import _objective_of_loads
-from relsched.presets import preset
+from relsched.presets import TABLE1_PHI, TABLE2_MU, preset
 
 from conftest import first_sweep_and_water_fill
 
@@ -122,6 +123,28 @@ class TestSolve:
             table12, reversed(range(table12.n_schedulers))
         )
         assert np.max(np.abs(forward.entries - backward.entries)) <= 1e-6
+
+    @pytest.mark.xfail(
+        raises=ValidationError,
+        reason="the closed-form row (h_j - sqrt(W_j*lam_i/alpha)) / "
+        "(W_j*lam_i) cancels for a light scheduler: its row sum is off by "
+        "up to about eps * sum_j h_j/(W_j*lam_i) over the active nodes, "
+        "which grows as 1/lam_i, beyond the Allocation check "
+        "(1.0000000025 at phi 1e-8, 0.99999886 at 1e-10, 1.000014 at "
+        "1e-12)",
+        strict=True,
+    )
+    @pytest.mark.parametrize("phi", [1e-8, 1e-10, 1e-12])
+    def test_light_scheduler_row_sums_to_one(self, phi):
+        """table1-table2 with its last scheduler's weight cut from 0.001 to
+        phi, a valid instance."""
+        config = build_config(
+            nodes=[NodeParams.from_rate(mu) for mu in TABLE2_MU],
+            schedulers=[SchedulerParams(phi=weight)
+                        for weight in (*TABLE1_PHI[:-1], phi)],
+            rho=0.5,
+        )
+        assert solve(config).converged
 
     def test_change_equal_to_the_threshold_converges(self):
         # the second sweep changes D by exactly 0, which a threshold of 0

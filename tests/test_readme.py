@@ -5,6 +5,7 @@ reproduction report prints the objectives, gaps, ratios and gate counts
 that the solvers and the acceptance tests give today.
 """
 
+import dataclasses
 import json
 import math
 import re
@@ -13,8 +14,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from relsched import (REFERENCE_GAPS, bsa_solve, node_arrivals, oracle,
-                      preset, solve)
+from relsched import (REFERENCE_GAPS, AvailabilityOutOfRange, bsa_solve,
+                      node_arrivals, oracle, preset, solve)
 from relsched.cli import main
 
 from test_acceptance import (
@@ -81,6 +82,41 @@ def test_reproduction_ratios_are_measured():
     assert f"{measured_ratio('table1-table2'):.1f}" == times.group(1)
     percent = abs(measured_ratio("table1-table3") - 1.0) * 100.0
     assert f"{math.ceil(percent * 100.0) / 100.0:.2f}" == within.group(1)
+
+
+def scaled_gap(name: str, kappa: float) -> float:
+    """The gap at rho = 0.5 with every mean service time beta1 scaled by
+    kappa."""
+    config = preset(name, rho=0.5)
+    config = dataclasses.replace(config, beta1=kappa * config.beta1)
+    return bsa_solve(config).objective - solve(config).objective
+
+
+def test_no_service_time_scale_reconciles_both_references():
+    """No uniform rescaling of beta1 puts both presets at their reference
+    gaps: over a log grid of scales kappa from 1e-4 to past the largest
+    at which both presets solve, table1-table2's gap stays above the
+    references' ratio 0.0139/0.0094 times table1-table3's."""
+    section = " ".join(report_section().split())
+    assert ("no uniform rescaling of the unspecified service times can "
+            "reconcile both references") in section
+    reference = (REFERENCE_GAPS["table1-table2"]
+                 / REFERENCE_GAPS["table1-table3"])
+    grid = np.geomspace(1e-4, 1e2, 61)  # ten points a decade
+    solved = []
+    for kappa in grid:
+        try:
+            ratio = (scaled_gap("table1-table2", kappa)
+                     / scaled_gap("table1-table3", kappa))
+        except AvailabilityOutOfRange:
+            solved.append(False)
+            continue
+        solved.append(True)
+        assert ratio > reference, f"kappa {kappa:g}: ratio {ratio:.4g}"
+    # The scales that solve run from the grid's start to past kappa = 10,
+    # and no later one does: the grid reaches past the largest.
+    edge = solved.index(False)
+    assert grid[edge - 1] > 10.0 and not any(solved[edge:])
 
 
 def test_gate_summary_counts_are_measured():

@@ -393,9 +393,17 @@ class TestReportLoads:
         assert_report_loads(REPORTERS[solver](config), config)
 
     @pytest.mark.parametrize("solver", REPORTERS)
-    @pytest.mark.parametrize("seed", range(4))
-    def test_loaded_pool_reports(self, seed, solver):
-        config = hot_pool(seed, size=40)
+    @pytest.mark.parametrize(
+        "pool", [*range(4), "clamped60", "underflow", "zero_spare"])
+    def test_loaded_pool_reports(self, pool, solver):
+        """40-node pools by seed, and three pools on which the baseline
+        holds its matrix as the rows' coordinates: built for a first sweep
+        that clamps and then scanned, or held from the start where the
+        scan cannot run (an underflowing product, s = 0)."""
+        config = {"clamped60": lambda: clamped_pool(60),
+                  "underflow": underflow_config,
+                  "zero_spare": zero_spare_config,
+                  }.get(pool, lambda: hot_pool(pool, size=40))()
         assert_report_loads(REPORTERS[solver](config), config)
 
     @pytest.mark.parametrize("solver", ["solve", "bsa_solve"])
