@@ -7,13 +7,11 @@ closed-form Lagrange multiplier of every candidate active-set size in one
 vectorised pass (prefix sums over the ranked nodes), and accept the
 largest size whose fractions are all nonnegative.  No numeric root
 finding is involved, and a row costs O(m log m): the solvers pass in the
-load of the other schedulers instead of the whole allocation.  The array
-kernel ``_best_row`` is the only implementation of these formulas; the
-solvers call it directly and ``best_response_row`` wraps it for one row
-of an Allocation.  The kernel writes the row in place, into the solver's
-matrix, and takes 1/sqrt(W_j), which depends on the weights alone, from
-its caller, which computes it once per solve.  Both are elementwise, so
-the row has the same bits as one built fresh with 1/sqrt(W_j) per call.
+load of the other schedulers instead of the whole allocation.
+``_RowKernel.row`` is the only implementation of these formulas: a solver
+makes one _RowKernel per solve, and ``best_response_row`` one per row.
+The kernel computes 1/sqrt(W_j) once and writes the row in place; both
+are elementwise, so the row has the bits of one built fresh.
 
 Writing W_j for a node's load weight, o_j for the load the other
 schedulers already impose on it and theta_j = W_j*lam_i/(1 - W_j*o_j)**2
@@ -39,22 +37,24 @@ decreases, since rounding is monotone.  The multipliers are computed on
 that suffix alone.  Nodes the others saturate (no headroom) get an
 infinite marginal, sort last and are cut off before R is formed.
 
+For a light scheduler the closed form cancels: each a_ij is a difference
+of terms near h_j/(W_j*lam_i), so the row sum is off by up to about
+eps * R_d, which grows as 1/lam_i.  Where R_d exceeds _LIGHT_ROW_SPARE the
+kernel divides the row by its sum; every other row keeps its bits.
+
 Within one sweep consecutive rows see nearly the same loads, so the
-ranking of one row mostly ranks the next as well.  A solver may pass a
-_SortHint that carries the last ranking, order, and its prefix sums
-S = accumulate(1/sqrt(W)[order]).  Where every node has headroom, the
-kernel gathers the new marginals by that order; if they strictly
-increase, the order is the only permutation that sorts them, so it is
-what argsort(kind="stable") returns, and S, which depends on the order
-and the weights alone, is the same too.  Then the kernel skips the sort
-and the prefix sum and keeps every bit.  Otherwise it sorts as before and
-stores the new pair.  A row with a saturated node clears the hint (its
-ranking is cut short), and a zero-rate row leaves it as it is.  On
-400-node pools at 85 % utilisation only 84-92 of a solve's 800 rows sort
-afresh.  The check costs a gather and a comparison.  It never passes on
-twin nodes, whose marginals tie exactly, and its hits repay it only on
-large pools: it breaks even at 96-128 nodes, so solve passes a hint from
-128 nodes up (_SORT_HINT_MIN_NODES in equilibrium.py).
+ranking of one row mostly ranks the next as well.  On pools of
+_RANKING_MIN_NODES nodes or more the kernel keeps the ranking of the last
+row it sorted with every node usable, order, and its prefix sums
+S = accumulate(1/sqrt(W)[order]).  Where every node has headroom, it
+gathers the new marginals by that order; if they strictly increase, the
+order is the only permutation that sorts them, so it is what
+argsort(kind="stable") returns, and S, which depends on the order and the
+weights alone, is the same too.  Then the kernel skips the sort and the
+prefix sum and keeps every bit.  Otherwise it sorts as before and stores
+the new pair.  A row with a saturated node clears the ranking (its order
+is cut short), and a zero-rate row leaves it as it is.  On 400-node pools
+at 85 % utilisation only 84-92 of a solve's 800 rows sort afresh.
 """
 from __future__ import annotations
 
@@ -64,6 +64,19 @@ import numpy as np
 
 from .errors import NoFeasibleResponse
 from .model import Allocation, SystemConfig, _index, others_load_vector
+
+# Smallest pool on which a kernel reuses the last row's ranking.  Below it
+# the check, a gather and a comparison, costs more than the sorts it
+# saves: with it on every size, solve ran about 14 % slower on the
+# presets, whose twin nodes tie exactly so the check never passes, 1-3 %
+# slower at m = 32-64 and broke even at 96-128.
+_RANKING_MIN_NODES = 128
+
+# R_d above which a row is divided by its sum (see above).  Below it a
+# row's sum is off by at most about eps * 1e5 = 2e-11, well within the
+# Allocation check's 1e-9.  Preset rows reach 1.3e4 (rho 0.05-0.95, every
+# n and m cut), the benchmark's 85 %-loaded pools 144.
+_LIGHT_ROW_SPARE = 1e5
 
 
 @dataclass(frozen=True, eq=False)
@@ -81,107 +94,95 @@ class BestResponseResult:
     alpha: float
 
 
-class _SortHint:
-    """The ranking of the last row one solve sorted with every node usable,
-    order, and its prefix sums root_sum = accumulate(inv_sqrt_w[order]),
-    both read-only; None until such a row has been sorted."""
+class _RowKernel:
+    """The water-fill row of one solve: its weights, inv_sqrt_w, and where
+    reuse is on, the last ranking of every node, order, and root_sum =
+    accumulate(inv_sqrt_w[order]), read-only or None."""
 
-    __slots__ = ("order", "root_sum")
+    __slots__ = ("weights", "inv_sqrt_w", "order", "root_sum", "reuse")
 
-    def __init__(self) -> None:
-        self.order: np.ndarray | None = None
-        self.root_sum: np.ndarray | None = None
+    def __init__(self, weights: np.ndarray) -> None:
+        self.weights = weights
+        self.inv_sqrt_w = 1.0 / np.sqrt(weights)
+        self.order = self.root_sum = None
+        self.reuse = weights.size >= _RANKING_MIN_NODES
 
-    def ranking(self, marginals: np.ndarray, inv_sqrt_w: np.ndarray
-                ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(order, marginals[order], root_sum) for marginals that are all
-        finite or +inf: the stored pair where it sorts marginals strictly,
-        else a stable sort's, which is stored for the next row."""
-        order = self.order
-        if order is not None:
-            theta_sorted = marginals[order]
-            if (theta_sorted[1:] > theta_sorted[:-1]).all():
-                return order, theta_sorted, self.root_sum
-        order = marginals.argsort(kind="stable")
-        root_sum = np.add.accumulate(inv_sqrt_w[order])
-        order.setflags(write=False)
-        root_sum.setflags(write=False)
-        self.order, self.root_sum = order, root_sum
-        return order, marginals[order], root_sum
+    def row(self, i: int, lam_i: float, others: np.ndarray,
+            out: np.ndarray) -> tuple[int, float]:
+        """Write into out scheduler i's best response to others, the
+        per-node load of every other scheduler; return (active_count,
+        alpha).  The bits do not depend on the ranking held.  Every raise
+        comes before the first write, so a failed call leaves out as is."""
+        weights = self.weights
+        headroom = 1.0 - others * weights
+        usable = headroom > 0.0
+        count = int(np.count_nonzero(usable))
+        if count == 0:
+            raise NoFeasibleResponse(
+                f"all nodes are saturated by schedulers other than {i}"
+            )
+        if lam_i == 0.0:
+            # Objective is flat in this row; spread it uniformly over the
+            # usable nodes for a deterministic result.
+            np.divide(usable, count, out=out)
+            return count, 0.0
 
-
-def _best_row(i: int, lam_i: float, others: np.ndarray, weights: np.ndarray,
-              inv_sqrt_w: np.ndarray, out: np.ndarray,
-              hint: _SortHint | None = None) -> tuple[int, float]:
-    """Array-level core of best_response_row; used directly by the solvers.
-
-    Writes scheduler i's row into out and returns (active_count, alpha).
-    others is the per-node load of every scheduler except i, so one call
-    costs O(m log m) whatever the number of schedulers; inv_sqrt_w is
-    1/sqrt(weights), which depends on the weights alone.  hint, which must
-    be used with one inv_sqrt_w only, lets the row reuse the last row's
-    ranking where it still sorts the marginals strictly; the row's bits
-    are the same with it or without.  Every raise comes before the first
-    write to out, so a failed call leaves out as it was.
-    """
-    headroom = 1.0 - others * weights
-    usable = headroom > 0.0
-    count = int(np.count_nonzero(usable))
-    if count == 0:
-        raise NoFeasibleResponse(
-            f"all nodes are saturated by schedulers other than {i}"
-        )
-    if lam_i == 0.0:
-        # Objective is flat in this row; spread it uniformly over the
-        # usable nodes for a deterministic result.
-        np.divide(usable, count, out=out)
-        return count, 0.0
-
-    wl = weights * lam_i
-    if hint is not None and count == others.size:
-        order, theta_sorted, root_sum = hint.ranking(wl / headroom ** 2,
-                                                     inv_sqrt_w)
-    else:
-        if hint is not None:  # a ranking cut short is no hint
-            hint.order = hint.root_sum = None
+        wl = weights * lam_i
         if count == others.size:
             marginals = wl / headroom ** 2
-            order = marginals.argsort(kind="stable")
+            order = self.order
+            if order is not None:
+                theta_sorted = marginals[order]
+                if (theta_sorted[1:] > theta_sorted[:-1]).all():
+                    root_sum = self.root_sum
+                else:
+                    order = None
+            if order is None:
+                order = marginals.argsort(kind="stable")
+                theta_sorted = marginals[order]
+                root_sum = np.add.accumulate(self.inv_sqrt_w[order])
+                if self.reuse:
+                    order.setflags(write=False)
+                    root_sum.setflags(write=False)
+                    self.order, self.root_sum = order, root_sum
         else:
+            self.order = self.root_sum = None  # a ranking cut short
             # Saturated nodes sort last on an infinite marginal and are
             # cut off.
             marginals = np.full(others.size, np.inf)
             np.divide(wl, headroom ** 2, out=marginals, where=usable)
             order = marginals.argsort(kind="stable")[:count]
-        theta_sorted = marginals[order]
-        root_sum = np.add.accumulate(inv_sqrt_w[order])
-    h_sorted = headroom[order]
-    wl_sorted = wl[order]
-    spare = np.add.accumulate(h_sorted / wl_sorted)
+            theta_sorted = marginals[order]
+            root_sum = np.add.accumulate(self.inv_sqrt_w[order])
+        h_sorted = headroom[order]
+        wl_sorted = wl[order]
+        spare = np.add.accumulate(h_sorted / wl_sorted)
 
-    # Only sizes whose spare capacity absorbs the stream (spare > 1) have
-    # a multiplier; spare is monotone, so they form a suffix.
-    k = int(spare.searchsorted(1.0, side="right"))
-    alphas = (root_sum[k:] / (spare[k:] - 1.0)) ** 2 / lam_i
-    # Every fraction is >= 0 iff alpha >= the largest active marginal;
-    # equality puts the boundary node at exactly zero and is accepted.
-    # The largest accepted size is the water-filling solution.
-    accepted = (alphas >= theta_sorted[k:]).nonzero()[0]
-    if accepted.size == 0:
-        raise NoFeasibleResponse(
-            f"no active-set size admits a feasible row for scheduler {i}"
-        )
-    d = k + int(accepted[-1]) + 1
-    alpha = float(alphas[d - 1 - k])
-    wl_active = wl_sorted[:d]
-    vals = (h_sorted[:d] - np.sqrt(wl_active / alpha)) / wl_active
-    # Accepted sets guarantee values in [0, 1]; strip a few ulp of
-    # rounding noise at the boundaries.
-    np.maximum(vals, 0.0, out=vals)
-    np.minimum(vals, 1.0, out=vals)
-    out.fill(0.0)
-    out[order[:d]] = vals
-    return d, alpha
+        # Only sizes whose spare capacity absorbs the stream (spare > 1)
+        # have a multiplier; spare is monotone, so they form a suffix.
+        k = int(spare.searchsorted(1.0, side="right"))
+        alphas = (root_sum[k:] / (spare[k:] - 1.0)) ** 2 / lam_i
+        # Every fraction is >= 0 iff alpha >= the largest active marginal;
+        # equality puts the boundary node at exactly zero and is accepted.
+        # The largest accepted size is the water-filling solution.
+        accepted = (alphas >= theta_sorted[k:]).nonzero()[0]
+        if accepted.size == 0:
+            raise NoFeasibleResponse(
+                f"no active-set size admits a feasible row for scheduler {i}"
+            )
+        d = k + int(accepted[-1]) + 1
+        alpha = float(alphas[d - 1 - k])
+        wl_active = wl_sorted[:d]
+        vals = (h_sorted[:d] - np.sqrt(wl_active / alpha)) / wl_active
+        # Accepted sets guarantee values in [0, 1]; strip a few ulp of
+        # rounding noise at the boundaries.
+        np.maximum(vals, 0.0, out=vals)
+        np.minimum(vals, 1.0, out=vals)
+        if spare[d - 1] > _LIGHT_ROW_SPARE:
+            vals /= np.add.reduce(vals)
+        out.fill(0.0)
+        out[order[:d]] = vals
+        return d, alpha
 
 
 def best_response_row(i: int, alloc: Allocation,
@@ -194,10 +195,8 @@ def best_response_row(i: int, alloc: Allocation,
     n x m for config.
     """
     i = _index("i", i, config.n_schedulers)
-    weights = config.weights
     row = np.empty(config.n_nodes)
-    active_count, alpha = _best_row(
-        i, float(config.lam[i]), others_load_vector(i, alloc, config),
-        weights, 1.0 / np.sqrt(weights), row)
+    active_count, alpha = _RowKernel(config.weights).row(
+        i, float(config.lam[i]), others_load_vector(i, alloc, config), row)
     row.setflags(write=False)
     return BestResponseResult(row=row, active_count=active_count, alpha=alpha)

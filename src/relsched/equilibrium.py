@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .best_response import _best_row, _SortHint
+from .best_response import _RowKernel
 from .errors import NotConverged
 from .model import (
     Allocation,
@@ -136,31 +136,21 @@ def _sweep_until_stable(config: SystemConfig, delta: np.ndarray, sweep, rows,
     return report
 
 
-# Smallest pool on which solve reuses the last row's ranking.  Below it the
-# check costs more than the sorts it saves: with it on every size, solve
-# ran about 14 % slower on the presets, whose twin nodes tie exactly so the
-# check never passes, 1-3 % slower at m = 32-64 and broke even at 96-128.
-_SORT_HINT_MIN_NODES = 128
-
-
 def solve(config: SystemConfig) -> EquilibriumReport:
     """Iterate best responses until the objective settles.
 
     At the returned allocation every scheduler's row is its own best
     response to the others, i.e. no scheduler can improve unilaterally.
+    Every row is written by one _RowKernel, made for this solve: it holds
+    what the rows share (see best_response.py).
     """
-    lam, weights = config.lam, config.weights
+    lam = config.lam
     entries = np.full((config.n_schedulers, config.n_nodes),
                       1.0 / config.n_nodes)
-    inv_sqrt_w = 1.0 / np.sqrt(weights)
-    hint = _SortHint() if config.n_nodes >= _SORT_HINT_MIN_NODES else None
-
-    def respond(i, lam_i, others, row):
-        _best_row(i, lam_i, others, weights, inv_sqrt_w, row, hint)
-
+    kernel = _RowKernel(config.weights)
     return _sweep_until_stable(
         config, entries.T @ lam,
-        lambda delta: _row_sweep(entries, delta, lam, respond),
+        lambda delta: _row_sweep(entries, delta, lam, kernel.row),
         lambda: entries, single_pass=False)
 
 

@@ -4,8 +4,8 @@ Three checkers that deliberately avoid the closed-form solver's algebra:
 
 * a numeric minimiser of one scheduler's row objective, used to validate
   the closed-form best response: an array kernel on the others' node
-  loads, like best_response._best_row, that runs sweeps of pairwise line
-  searches from a feasible row.  Each line search moves mass between two
+  loads, like best_response._RowKernel.row, that runs sweeps of pairwise
+  line searches from a feasible row.  Each line search moves mass between two
   nodes, is clipped in closed form to the moves that keep both
   availabilities positive, evaluates only their two availability
   reciprocals, and keeps a move only when it strictly lowers them;

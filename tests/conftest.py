@@ -9,7 +9,7 @@ from relsched import (
     preset,
 )
 from relsched.baseline import _balanced_row
-from relsched.best_response import _best_row
+from relsched.best_response import _RowKernel
 from relsched.equilibrium import _row_sweep
 
 
@@ -84,10 +84,10 @@ def closed_form_fractions(i, alpha, alloc, config):
 
 
 def best_row(i, lam_i, others, weights):
-    """_best_row written into a fresh row: (row, active_count, alpha)."""
+    """A fresh kernel's row written into a fresh array: (row, active_count,
+    alpha)."""
     row = np.empty(others.size)
-    count, alpha = _best_row(i, lam_i, others, weights,
-                             1.0 / np.sqrt(weights), row)
+    count, alpha = _RowKernel(weights).row(i, lam_i, others, row)
     return row, count, alpha
 
 
@@ -104,12 +104,10 @@ def first_sweep_and_water_fill(config):
     places the whole stream Lambda alone, best_row(0, Lambda, 0, W) *
     Lambda, which are the optimum's loads."""
     lam, weights = config.lam, config.weights
-    inv_sqrt_w = 1.0 / np.sqrt(weights)
     entries = np.full((config.n_schedulers, config.n_nodes),
                       1.0 / config.n_nodes)
     loads = _row_sweep(entries, entries.T @ lam, lam,
-                       lambda i, lam_i, others, row:
-                       _best_row(i, lam_i, others, weights, inv_sqrt_w, row))
+                       _RowKernel(weights).row)
     total = float(lam.sum())
     fill = best_row(0, total, np.zeros(config.n_nodes), weights)[0] * total
     return loads, fill

@@ -19,9 +19,10 @@ and relative ``PYTHONPATH`` entries are made absolute for the child.
 The cases are the paper's experiments as the benchmark runs them, plus
 the paths those leave out: the default artifact name, the single-pass
 baseline, a node-count convergence sweep, sweeps over a config file,
-infeasible sweep points, a non-converging solve, the oracle check (on a
-preset, on a file with a zero-rate scheduler and on a seed that puts one
-of 15 nodes outside 3 sigma), a file whose nodes have W_j*mu_j < 1,
+infeasible sweep points, a non-converging solve, a scheduler a million
+times lighter than the rest, the oracle check (on a preset, on a file
+with a zero-rate scheduler and on a seed that puts one of 15 nodes
+outside 3 sigma), a file whose nodes have W_j*mu_j < 1,
 runs that print without writing a CSV, and the exit code 2 paths: a
 balanced baseline that cannot place a stream, a directory given as
 ``--out`` and ``--rho`` on a sweep over rho.
@@ -123,6 +124,10 @@ CASES = {
                                     "baseline-cannot-place.json"),
     "compare.baseline-cannot-place": ("compare", "--config",
                                       "baseline-cannot-place.json"),
+    # table1-table2 with its last phi cut to 1e-8: the light scheduler's
+    # row is divided by its sum, which keeps it on the simplex
+    "solve.light-scheduler": ("solve", "--config", "light-scheduler.json",
+                              "--out", OUT),
     # a directory as --out is 2, and a sweep then prints nothing
     "solve.out-is-dir": ("solve", "--preset", "table1-table2",
                          "--out", WORKDIR),

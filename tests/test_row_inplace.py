@@ -1,14 +1,14 @@
 """The row kernels write in place and keep the plain sweep's bits.
 
 The solvers' row kernels write each row straight into the matrix, and the
-game's kernel takes 1/sqrt(W) from its caller, computed once per solve.
-These tests hold both solvers to the sweep that came before: a fresh row
-per call, written back by entries[i] = row, with 1/sqrt(W) gathered per
-row and prefix sums by cumsum.  Entries, loads, epsilon trace and cycle
-count must match it byte for byte.  They also check the in-place contract:
+game's kernel, one _RowKernel per solve, computes 1/sqrt(W) once.  These
+tests hold both solvers to the sweep that came before: a fresh row per
+call, written back by entries[i] = row, with 1/sqrt(W) gathered per row
+and prefix sums by cumsum.  Entries, loads, epsilon trace and cycle count
+must match it byte for byte.  They also check the in-place contract:
 whatever out held never shows through, and a raise leaves it untouched;
-and the warm start: a row handed the last row's ranking as a hint has the
-bits of one sorted afresh, whatever ranking the hint holds.
+and the warm start: a row of a kernel that holds the last row's ranking
+has the bits of one sorted afresh, whatever ranking the kernel holds.
 """
 
 from unittest import mock
@@ -20,8 +20,11 @@ from hypothesis import given, settings, strategies as st
 from relsched import NoFeasibleResponse, bsa_solve, solve
 from relsched import baseline, equilibrium
 from relsched.baseline import _balanced_row
-from relsched.best_response import _best_row, _SortHint
-from relsched.equilibrium import _SORT_HINT_MIN_NODES
+from relsched.best_response import (
+    _LIGHT_ROW_SPARE,
+    _RANKING_MIN_NODES,
+    _RowKernel,
+)
 
 from conftest import best_row
 from test_sweep_kernels import (
@@ -36,7 +39,8 @@ from test_sweep_kernels import (
 
 def reference_best_row(i, lam_i, others, weights):
     """The water-fill kernel with a fresh row per call, 1/sqrt(W) gathered
-    per row and cumsum: (row, active_count, alpha)."""
+    per row and cumsum: (row, active_count, alpha).  Like the kernel, it
+    divides a light scheduler's row by its sum."""
     headroom = 1.0 - others * weights
     usable = headroom > 0.0
     count = int(np.count_nonzero(usable))
@@ -62,8 +66,11 @@ def reference_best_row(i, lam_i, others, weights):
     alpha = float(alphas[d - 1 - k])
     wl_active = wl_sorted[:d]
     vals = (h_sorted[:d] - np.sqrt(wl_active / alpha)) / wl_active
+    vals = np.minimum(np.maximum(vals, 0.0), 1.0)
+    if spare[d - 1] > _LIGHT_ROW_SPARE:
+        vals /= vals.sum()
     row = np.zeros(others.size)
-    row[order[:d]] = np.minimum(np.maximum(vals, 0.0), 1.0)
+    row[order[:d]] = vals
     return row, d, alpha
 
 
@@ -153,7 +160,7 @@ KERNEL_CASES = ["all-usable", "some-saturated", "zero-rate"]
 
 
 def call_into(out, lam_i, others, weights):
-    return _best_row(0, lam_i, others, weights, 1.0 / np.sqrt(weights), out)
+    return _RowKernel(weights).row(0, lam_i, others, out)
 
 
 class TestInPlaceContract:
@@ -238,17 +245,18 @@ class TestInPlaceContract:
 
 
 @st.composite
-def hinted_rows(draw):
-    """(lam_i, others, weights, hint order) for one row of 1-40 nodes or
-    of up to 72 beyond the gate at which solve starts to pass a hint.  In
-    a twin pool the nodes come in pairs with the same weight and headroom,
+def ranked_rows(draw):
+    """(lam_i, others, weights, order) for one row of 1-40 nodes or of up
+    to 72 beyond the size from which a kernel keeps its ranking.  In a
+    twin pool the nodes come in pairs with the same weight and headroom,
     whose marginals tie exactly.  Some nodes may be saturated, and the
     rate runs from zero to a quarter beyond what the usable nodes absorb.
-    The hint is the ranking of the row's marginals, that ranking with one
-    adjacent pair swapped, or a random permutation."""
+    order, the ranking the kernel holds, is the ranking of the row's
+    marginals, that ranking with one adjacent pair swapped, or a random
+    permutation."""
     m = draw(st.one_of(st.integers(1, 40),
-                       st.integers(_SORT_HINT_MIN_NODES,
-                                   _SORT_HINT_MIN_NODES + 72)))
+                       st.integers(_RANKING_MIN_NODES,
+                                   _RANKING_MIN_NODES + 72)))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     weights = 1.5 / (0.03 * rng.uniform(0.5, 1.5, m))
     headroom = rng.uniform(1e-3, 1.0, m)
@@ -277,85 +285,88 @@ def hinted_rows(draw):
     return lam_i, others, weights, order
 
 
-def stored_hint(order, inv_sqrt_w):
-    hint = _SortHint()
-    hint.order, hint.root_sum = order, np.add.accumulate(inv_sqrt_w[order])
-    hint.order.setflags(write=False)
-    hint.root_sum.setflags(write=False)
-    return hint
+def ranked_kernel(weights, order):
+    """A kernel that holds order as its last ranking, whatever its size."""
+    kernel = _RowKernel(weights)
+    kernel.order = order
+    kernel.root_sum = np.add.accumulate(kernel.inv_sqrt_w[order])
+    kernel.order.setflags(write=False)
+    kernel.root_sum.setflags(write=False)
+    return kernel
+
+
+def recorded_rows(config):
+    """Solve config and return, for each row, whether its kernel held a
+    ranking before the row and whether the row stored a new one."""
+    rows = []
+    row = _RowKernel.row
+
+    def recording_row(kernel, i, lam_i, others, out):
+        order = kernel.order
+        count = row(kernel, i, lam_i, others, out)
+        rows.append((order is not None, kernel.order is not order))
+        return count
+
+    with mock.patch.object(_RowKernel, "row", recording_row):
+        report = solve(config)
+    assert len(rows) == report.cycles * config.n_schedulers
+    return rows
 
 
 class TestSortHint:
     @settings(max_examples=300, deadline=None, derandomize=True)
-    @given(hinted_rows(), st.booleans())
+    @given(ranked_rows(), st.booleans())
     def test_hint_keeps_the_row_bits(self, problem, empty):
-        """With a hint, empty or holding any ranking, the row, its active
-        count and multiplier are those of the row without one.  A row with
-        every node usable leaves its stable ranking in the hint, a row
-        with a saturated node clears it and a zero-rate row leaves it."""
+        """Holding no ranking or any ranking, a kernel gives the row,
+        active count and multiplier of a fresh kernel that holds none.  A
+        row with every node usable leaves its stable ranking in the
+        kernel, one of fewer than _RANKING_MIN_NODES nodes stores none, a
+        row with a saturated node clears the ranking and a zero-rate row
+        leaves it."""
         lam_i, others, weights, order = problem
-        inv_sqrt_w = 1.0 / np.sqrt(weights)
-        hint = _SortHint() if empty else stored_hint(order, inv_sqrt_w)
-        before = hint.order, hint.root_sum
+        kernel = _RowKernel(weights) if empty else \
+            ranked_kernel(weights, order)
+        before = kernel.order, kernel.root_sum
         want_out, got_out = np.full(others.size, np.nan), \
             np.full(others.size, np.nan)
         try:
-            want = _best_row(0, lam_i, others, weights, inv_sqrt_w, want_out)
+            want = call_into(want_out, lam_i, others, weights)
         except NoFeasibleResponse:
             with pytest.raises(NoFeasibleResponse):
-                _best_row(0, lam_i, others, weights, inv_sqrt_w, got_out,
-                          hint)
+                kernel.row(0, lam_i, others, got_out)
             assert np.isnan(got_out).all()
         else:
-            got = _best_row(0, lam_i, others, weights, inv_sqrt_w, got_out,
-                            hint)
+            got = kernel.row(0, lam_i, others, got_out)
             assert got == want
             assert type(got[0]) is int and type(got[1]) is float
             assert got_out.tobytes() == want_out.tobytes()
         headroom = 1.0 - others * weights
         if lam_i == 0.0 or not (headroom > 0.0).any():
-            assert (hint.order, hint.root_sum) == before
+            assert (kernel.order, kernel.root_sum) == before
         elif not (headroom > 0.0).all():
-            assert hint.order is None and hint.root_sum is None
+            assert kernel.order is None and kernel.root_sum is None
+        elif others.size < _RANKING_MIN_NODES:
+            assert (kernel.order, kernel.root_sum) == before
         else:
             marginals = weights * lam_i / headroom ** 2
-            assert np.array_equal(hint.order,
+            assert np.array_equal(kernel.order,
                                   marginals.argsort(kind="stable"))
-            assert hint.root_sum.tobytes() == \
-                np.add.accumulate(inv_sqrt_w[hint.order]).tobytes()
-            for cached in (hint.order, hint.root_sum):
+            assert kernel.root_sum.tobytes() == \
+                np.add.accumulate(kernel.inv_sqrt_w[kernel.order]).tobytes()
+            for cached in (kernel.order, kernel.root_sum):
                 with pytest.raises(ValueError, match="read-only"):
                     cached[0] = cached[-1]
 
     def test_large_pool_sorts_few_rows(self):
-        """Above the gate solve sorts afresh in at most a quarter of its
-        rows (about 11 % on this pool), and only there does it pass a
-        hint."""
+        """From _RANKING_MIN_NODES nodes a solve's kernel sorts afresh in
+        at most a quarter of its rows (about 11 % on this pool)."""
         config = hot_pool(0, 400)
-        assert config.n_nodes >= _SORT_HINT_MIN_NODES
-        sorted_rows = []
-
-        def recording_best_row(i, lam_i, others, weights, inv_sqrt_w, out,
-                               hint):
-            order = hint.order
-            count = _best_row(i, lam_i, others, weights, inv_sqrt_w, out,
-                              hint)
-            sorted_rows.append(hint.order is not order)
-            return count
-
-        with mock.patch.object(equilibrium, "_best_row", recording_best_row):
-            report = solve(config)
-        assert len(sorted_rows) == report.cycles * config.n_schedulers
+        assert config.n_nodes >= _RANKING_MIN_NODES
+        rows = recorded_rows(config)
+        sorted_rows = [stored for _, stored in rows]
         assert 0 < sum(sorted_rows) <= len(sorted_rows) / 4
         assert sorted_rows[0]
 
     def test_small_pool_passes_no_hint(self):
-        hints = []
-
-        def recording_best_row(*args):
-            hints.append(args[6])
-            return _best_row(*args)
-
-        with mock.patch.object(equilibrium, "_best_row", recording_best_row):
-            solve(hot_pool(0, _SORT_HINT_MIN_NODES - 1))
-        assert hints and set(hints) == {None}
+        rows = recorded_rows(hot_pool(0, _RANKING_MIN_NODES - 1))
+        assert rows and set(rows) == {(False, False)}

@@ -33,9 +33,9 @@ from relsched import (
     objective,
     solve,
 )
-from relsched import baseline, equilibrium
+from relsched import baseline
 from relsched.baseline import _balanced_row
-from relsched.best_response import _best_row
+from relsched.best_response import _LIGHT_ROW_SPARE, _RowKernel
 from relsched.model import _availability
 from relsched.presets import preset
 
@@ -53,6 +53,8 @@ def loop_best_row(i, lam_i, others, weights, libm_square=False):
     in the last bit from the array square of the vectorised search.  By
     default the loop squares by multiplication, which is the same
     correctly rounded operation; libm_square=True keeps the seed's form.
+    Like the kernel, it divides a light scheduler's row, one whose
+    accepted set's spare sum exceeds _LIGHT_ROW_SPARE, by its sum.
     """
     headroom = 1.0 - others * weights
     usable = np.nonzero(headroom > 0.0)[0]
@@ -80,7 +82,10 @@ def loop_best_row(i, lam_i, others, weights, libm_square=False):
             vals = (headroom[active]
                     - np.sqrt(weights[active] * lam_i / alpha)) / (
                         weights[active] * lam_i)
-            row[active] = np.clip(vals, 0.0, 1.0)
+            vals = np.clip(vals, 0.0, 1.0)
+            if spare[d - 1] > _LIGHT_ROW_SPARE:
+                vals /= vals.sum()
+            row[active] = vals
             return row, int(d), float(alpha)
     raise NoFeasibleResponse("no feasible active-set size")
 
@@ -133,13 +138,13 @@ def hot_pool(seed, size, utilisation=0.85, max_cycles=1000):
 def visited_rows(config):
     """Every (lam_i, others) the game solver hands its row kernel."""
     calls = []
+    row = _RowKernel.row
 
-    def recording_best_row(i, lam_i, others, weights, inv_sqrt_w, out,
-                           hint=None):
+    def recording_row(kernel, i, lam_i, others, out):
         calls.append((lam_i, others.copy()))
-        return _best_row(i, lam_i, others, weights, inv_sqrt_w, out, hint)
+        return row(kernel, i, lam_i, others, out)
 
-    with mock.patch.object(equilibrium, "_best_row", recording_best_row):
+    with mock.patch.object(_RowKernel, "row", recording_row):
         solve(config)
     return calls
 
