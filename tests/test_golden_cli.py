@@ -22,7 +22,8 @@ baseline, a node-count convergence sweep, sweeps over a config file,
 infeasible sweep points, a non-converging solve, a scheduler a million
 times lighter than the rest, the oracle check (on a preset, on a file
 with a zero-rate scheduler and on a seed that puts one of 15 nodes
-outside 3 sigma), a file whose nodes have W_j*mu_j < 1,
+outside 3 sigma), a file whose nodes have W_j*mu_j < 1, a 160-node
+pool large enough for the row kernel to reuse its ranking,
 runs that print without writing a CSV, and the exit code 2 paths: a
 balanced baseline that cannot place a stream, a directory given as
 ``--out`` and ``--rho`` on a sweep over rho.
@@ -136,6 +137,12 @@ CASES = {
     # --rho cannot set the load of a sweep over rho
     "sweep-load.rho-given": ("sweep-load", "--preset", "table1-table2",
                              "--rho", "0.3"),
+    # 160 x 160 at 85 % effective utilisation, past the size from which the
+    # game's row kernel reuses the last row's ranking
+    "solve.hot-pool-160": ("solve", "--config", "hot-pool-160.json",
+                           "--out", OUT),
+    "compare.hot-pool-160": ("compare", "--config", "hot-pool-160.json",
+                             "--out", OUT),
 }
 
 
