@@ -9,6 +9,9 @@ must match it byte for byte.  They also check the in-place contract:
 whatever out held never shows through, and a raise leaves it untouched;
 and the warm start: a row of a kernel that holds the last row's ranking
 has the bits of one sorted afresh, whatever ranking the kernel holds.
+Pinned rows check the edges of the largest-size-first rule: the last
+size accepted at equality or rejected, a light row of every node and a
+saturated node while a ranking is held.
 """
 
 from unittest import mock
@@ -286,12 +289,10 @@ def ranked_rows(draw):
 
 
 def ranked_kernel(weights, order):
-    """A kernel that holds order as its last ranking, whatever its size."""
+    """A kernel that holds order as its last ranking, whatever its size,
+    stored as a row stores it."""
     kernel = _RowKernel(weights)
-    kernel.order = order
-    kernel.root_sum = np.add.accumulate(kernel.inv_sqrt_w[order])
-    kernel.order.setflags(write=False)
-    kernel.root_sum.setflags(write=False)
+    kernel._hold(order, np.add.accumulate(kernel.inv_sqrt_w[order]))
     return kernel
 
 
@@ -326,7 +327,7 @@ class TestSortHint:
         lam_i, others, weights, order = problem
         kernel = _RowKernel(weights) if empty else \
             ranked_kernel(weights, order)
-        before = kernel.order, kernel.root_sum
+        before = kernel.order, kernel.root_sum, kernel.ranked_weights
         want_out, got_out = np.full(others.size, np.nan), \
             np.full(others.size, np.nan)
         try:
@@ -341,19 +342,22 @@ class TestSortHint:
             assert type(got[0]) is int and type(got[1]) is float
             assert got_out.tobytes() == want_out.tobytes()
         headroom = 1.0 - others * weights
+        held = kernel.order, kernel.root_sum, kernel.ranked_weights
         if lam_i == 0.0 or not (headroom > 0.0).any():
-            assert (kernel.order, kernel.root_sum) == before
+            assert held == before
         elif not (headroom > 0.0).all():
-            assert kernel.order is None and kernel.root_sum is None
+            assert held == (None, None, None)
         elif others.size < _RANKING_MIN_NODES:
-            assert (kernel.order, kernel.root_sum) == before
+            assert held == before
         else:
             marginals = weights * lam_i / headroom ** 2
             assert np.array_equal(kernel.order,
                                   marginals.argsort(kind="stable"))
             assert kernel.root_sum.tobytes() == \
                 np.add.accumulate(kernel.inv_sqrt_w[kernel.order]).tobytes()
-            for cached in (kernel.order, kernel.root_sum):
+            assert kernel.ranked_weights.tobytes() == \
+                weights[kernel.order].tobytes()
+            for cached in held:
                 with pytest.raises(ValueError, match="read-only"):
                     cached[0] = cached[-1]
 
@@ -370,3 +374,93 @@ class TestSortHint:
     def test_small_pool_passes_no_hint(self):
         rows = recorded_rows(hot_pool(0, _RANKING_MIN_NODES - 1))
         assert rows and set(rows) == {(False, False)}
+
+
+# (lam_i, others, weights, active count) of rows at the edges of the
+# largest-size-first rule, each of whose marginals strictly increase.
+PINNED_ROWS = {
+    # headroom 3/4 and 1/2: at size 2 = m, alpha = (4/(5 - 1))**2 = 1.0, the
+    # last node's marginal 0.25/0.5**2 exactly, so that node gets zero
+    "last-size-at-equality": (1.0, np.array([1.0, 2.0]),
+                              np.array([0.25, 0.25]), 2),
+    # headroom 3/4, 3/4 - 2**-40, 1/4: size 3 has alpha about 1, below its
+    # last marginal 4, and size 2 is accepted
+    "last-size-rejected": (1.0, np.array([1.0, 1.0 + 2.0**-38, 3.0]),
+                           np.full(3, 0.25), 2),
+    # near-twin nodes under a rate of 1e-8: every node is active, R_4 is
+    # about 4e8 > _LIGHT_ROW_SPARE, and the row is divided by its sum
+    "light-row-all-nodes": (1e-8, np.zeros(4),
+                            1.0 + 1e-12 * np.arange(4), 4),
+}
+
+
+class TestPinnedRows:
+    @pytest.mark.parametrize("held", [False, True], ids=["fresh", "held"])
+    @pytest.mark.parametrize("case", sorted(PINNED_ROWS))
+    def test_row_matches_reference(self, case, held):
+        """A kernel holding no ranking, or the row's own ranking, which it
+        then takes without sorting, writes the reference row."""
+        lam_i, others, weights, count = PINNED_ROWS[case]
+        headroom = 1.0 - others * weights
+        theta = weights * lam_i / headroom ** 2
+        order = theta.argsort(kind="stable")
+        assert (np.diff(theta[order]) > 0.0).all()
+        kernel = ranked_kernel(weights, order) if held else \
+            _RowKernel(weights)
+        out = np.full(others.size, np.nan)
+        d, alpha = kernel.row(0, lam_i, others, out)
+        row, want_d, want_alpha = reference_best_row(0, lam_i, others,
+                                                     weights)
+        assert out.tobytes() == row.tobytes()
+        assert d == want_d == count and alpha == want_alpha
+        assert type(d) is int and type(alpha) is float
+        assert (kernel.order is order) == held
+        spare = np.add.accumulate(headroom[order] / (weights * lam_i)[order])
+        if case == "last-size-at-equality":
+            assert alpha == theta[order[-1]] == 1.0 and row[1] == 0.0
+        elif case == "last-size-rejected":
+            assert d < others.size and (row > 0.0).sum() == d
+        else:
+            assert spare[-1] > _LIGHT_ROW_SPARE and (row > 0.0).all()
+
+    def test_saturated_node_while_a_ranking_is_held(self):
+        """A row that finds a node saturated drops the ranking the last
+        row stored and writes the reference row over the usable nodes."""
+        m = _RANKING_MIN_NODES
+        rng = np.random.default_rng(11)
+        weights = 1.5 / (0.03 * rng.uniform(0.9, 1.1, m))
+        others = (1.0 - rng.uniform(0.05, 1.0, m)) / weights
+        lam_i = 0.4 * float(np.sum((1.0 - others * weights) / weights))
+        kernel = _RowKernel(weights)
+        kernel.row(0, lam_i, others, np.empty(m))
+        assert kernel.order is not None
+        others = others.copy()
+        others[[3, 70]] = 2.0 / weights[[3, 70]]  # headroom -1
+        out = np.full(m, np.nan)
+        d, alpha = kernel.row(1, lam_i, others, out)
+        row, want_d, want_alpha = reference_best_row(1, lam_i, others,
+                                                     weights)
+        assert out.tobytes() == row.tobytes()
+        assert (d, alpha) == (want_d, want_alpha)
+        assert type(d) is int and type(alpha) is float
+        assert out[[3, 70]].tolist() == [0.0, 0.0]
+        assert (kernel.order, kernel.root_sum, kernel.ranked_weights) == \
+            (None, None, None)
+
+    def test_loaded_pool_rows_take_every_node(self):
+        """On a 400-node pool at 85 % utilisation most rows accept the
+        largest size, the first one the kernel tries (710 of 800 here)."""
+        config = hot_pool(0, 400)
+        counts = []
+        row = _RowKernel.row
+
+        def recording_row(kernel, i, lam_i, others, out):
+            result = row(kernel, i, lam_i, others, out)
+            counts.append(result[0])
+            return result
+
+        with mock.patch.object(_RowKernel, "row", recording_row):
+            solve(config)
+        full = sum(count == config.n_nodes for count in counts)
+        assert full >= 0.85 * len(counts)
+        assert full < len(counts)  # and some row searches
