@@ -135,4 +135,10 @@ def bsa_solve(config: SystemConfig, *,
             xy = _row_sweep(rows(), delta, lam, respond)
         return loads()
 
-    return _sweep_until_stable(config, loads(), sweep, rows, single_pass)
+    def report_rows(_delta):
+        # A scan's loads come from the basis, not the matrix: resync them.
+        entries = rows()
+        return entries, entries.T @ lam
+
+    return _sweep_until_stable(config, loads(), sweep, report_rows,
+                               single_pass)

@@ -97,10 +97,11 @@ def _sweep_until_stable(config: SystemConfig, delta: np.ndarray, sweep, rows,
 
     delta is the node load vector of the start, and sweep(delta) takes one
     sweep from the loads delta and returns the loads it leaves; each
-    sweep's objective is computed from them.  rows() returns the solver's
-    n x m matrix once the loop stops.  The report keeps it, uncopied, and
-    resynchronises its loads delta = entries.T @ lam from it once, which
-    gives the report's objective and availabilities.
+    sweep's availabilities and objective are computed from them.  Once the
+    loop stops, rows(delta), given the last sweep's loads, returns the
+    solver's n x m matrix and its loads entries.T @ lam, which the report
+    keeps, uncopied.  Where those loads are delta itself, the last sweep's
+    own resync, the report reuses its availabilities and objective too.
     Raises NotConverged (with the partial report) when the cycle cap is hit
     first.
     """
@@ -110,20 +111,22 @@ def _sweep_until_stable(config: SystemConfig, delta: np.ndarray, sweep, rows,
     while True:
         former = latter
         delta = sweep(delta)
-        latter = _objective_of_loads(delta, weights)
+        avail = _availability(delta, weights)
+        latter = _objective_of_availability(avail)
         eps = abs(former - latter)
         trace.append(eps)
         converged = eps <= config.epsilon_threshold
         if single_pass or converged or len(trace) >= config.max_cycles:
             break
-    entries = rows()
-    loads = entries.T @ config.lam
-    entries.setflags(write=False)  # the report keeps it, uncopied
+    entries, loads = rows(delta)
+    if loads is not delta:
+        avail = _availability(loads, weights)
+        latter = _objective_of_availability(avail)
+    entries.setflags(write=False)  # the report keeps both, uncopied
     loads.setflags(write=False)
-    avail = _availability(loads, weights)
     report = EquilibriumReport(
         allocation=Allocation(entries),
-        objective=_objective_of_availability(avail),
+        objective=latter,
         cycles=len(trace),
         epsilon_trace=tuple(trace),
         loads=loads,
@@ -142,7 +145,8 @@ def solve(config: SystemConfig) -> EquilibriumReport:
     At the returned allocation every scheduler's row is its own best
     response to the others, i.e. no scheduler can improve unilaterally.
     Every row is written by one _RowKernel, made for this solve: it holds
-    what the rows share (see best_response.py).
+    what the rows share (see best_response.py).  The last sweep's loads,
+    recomputed from the matrix at its end, are the report's.
     """
     lam = config.lam
     entries = np.full((config.n_schedulers, config.n_nodes),
@@ -151,7 +155,7 @@ def solve(config: SystemConfig) -> EquilibriumReport:
     return _sweep_until_stable(
         config, entries.T @ lam,
         lambda delta: _row_sweep(entries, delta, lam, kernel.row),
-        lambda: entries, single_pass=False)
+        lambda delta: (entries, delta), single_pass=False)
 
 
 def objective_all_schedulers(alloc: Allocation,

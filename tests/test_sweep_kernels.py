@@ -381,12 +381,14 @@ REPORTERS = {
 
 def assert_report_loads(report, config):
     """The report's loads are the read-only node_arrivals of its
-    allocation, bit for bit, and its availabilities are theirs."""
+    allocation, bit for bit, and its availabilities and objective are
+    theirs."""
     assert not report.loads.flags.writeable
     assert report.loads.tobytes() == \
         node_arrivals(report.allocation, config).tobytes()
     assert report.per_node_availability == \
         tuple(_availability(report.loads, config.weights))
+    assert report.objective == objective(report.allocation, config)
 
 
 class TestReportLoads:
