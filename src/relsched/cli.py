@@ -9,8 +9,9 @@ the default artifact, and only then prints the lines, so a command that
 raises prints only its error and writes no CSV.  Artifacts are CSV plot
 data, never rendered images.  Floats in CSVs carry 12 significant digits
 so a file re-read reproduces the printed values; summary tables print 6
-significant digits.  Exit codes: 0 success, 2 validation failure,
-3 non-convergence.
+significant digits.  Exit codes: 0 success, 1 stdout closed before the
+summary was printed (as by ``relsched ... | head``; the CSV is written,
+and no traceback follows), 2 validation failure, 3 non-convergence.
 """
 from __future__ import annotations
 
@@ -18,6 +19,7 @@ import argparse
 import csv
 import functools
 import json
+import os
 import sys
 from pathlib import Path
 from statistics import NormalDist
@@ -454,8 +456,26 @@ def main(argv=None) -> int:
     except RelschedError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3 if isinstance(exc, NotConverged) else 2
-    print("\n".join(lines))
+    try:
+        print("\n".join(lines))
+        sys.stdout.flush()
+    except BrokenPipeError:
+        _drop_stdout()
+        return 1
     return code
+
+
+def _drop_stdout() -> None:
+    """Point the descriptor behind a closed stdout at os.devnull, so that
+    the interpreter's flush at exit has nowhere to fail either; a stream
+    without a descriptor is left as it is."""
+    try:
+        fd = sys.stdout.fileno()
+    except (AttributeError, OSError, ValueError):
+        return
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, fd)
+    os.close(devnull)
 
 
 if __name__ == "__main__":

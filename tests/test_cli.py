@@ -1,12 +1,18 @@
 """Config ingestion, experiment harness, CSV artifacts, exit codes."""
 
+import contextlib
 import csv
+import io
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import relsched
 from relsched import (
     AvailabilityOutOfRange,
     ParseError,
@@ -532,6 +538,21 @@ class TestMainExitCodes:
         assert captured.err.startswith(f"error: cannot write {tmp_path}: ")
         assert captured.out == ""
 
+    def test_closed_stdout_is_1_and_keeps_the_csv(self, tmp_path, capsys):
+        # print used to raise BrokenPipeError out of main
+        class ClosedPipe(io.StringIO):
+            def write(self, text):
+                raise BrokenPipeError(32, "Broken pipe")
+
+        out = tmp_path / "out.csv"
+        with contextlib.redirect_stdout(ClosedPipe()):
+            code = main(["compare", "--preset", "table1-table2",
+                         "--out", str(out)])
+        assert code == 1
+        assert capsys.readouterr() == ("", "")
+        assert out.read_bytes() == \
+            (GOLDEN_DIR / "compare.table1-table2.csv").read_bytes()
+
     def test_non_convergence_is_3(self, tmp_path, capsys):
         payload = dict(GOOD_CONFIG, max_cycles=1)
         path = write_json(tmp_path, payload)
@@ -809,23 +830,42 @@ class TestMainExitCodes:
                      "--bsa-single-pass", "--out", str(out)]) == 0
 
     def test_module_entry_point(self, tmp_path):
-        import os
-        import subprocess
-        import sys
-        from pathlib import Path
-
-        import relsched
-
-        # Run the package under test from an unrelated directory, where a
-        # relative PYTHONPATH would resolve to nothing.
-        package_root = str(Path(relsched.__file__).resolve().parent.parent)
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            filter(None, [package_root, env.get("PYTHONPATH")]))
         result = subprocess.run(
             [sys.executable, "-m", "relsched", "solve",
              "--preset", "table1-table3"],
-            capture_output=True, text=True, cwd=tmp_path, env=env,
+            capture_output=True, text=True, cwd=tmp_path, env=module_env(),
         )
         assert result.returncode == 0
         assert "objective=" in result.stdout
+
+    def test_closed_pipe_is_1_without_traceback(self, tmp_path):
+        # the reader of stdout is gone before the summary is printed, as
+        # with `relsched compare ... | head`: this used to end in a
+        # BrokenPipeError traceback
+        out = tmp_path / "out.csv"
+        env = module_env()
+        # stdout buffered, as a shell runs it: the interpreter's own flush
+        # at exit must not fail either
+        env.pop("PYTHONUNBUFFERED", None)
+        child = subprocess.Popen(
+            [sys.executable, "-m", "relsched", "compare", "--preset",
+             "table1-table2", "--out", str(out)],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, cwd=tmp_path,
+            env=env)
+        child.stdout.close()
+        _, err = child.communicate(timeout=300)
+        assert child.returncode == 1
+        assert err == b""
+        assert out.read_bytes() == \
+            (GOLDEN_DIR / "compare.table1-table2.csv").read_bytes()
+
+
+def module_env():
+    """The environment with the package under test first on PYTHONPATH, so
+    a child run from an unrelated directory, where a relative entry would
+    resolve to nothing, imports it."""
+    package_root = str(Path(relsched.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [package_root, env.get("PYTHONPATH")]))
+    return env
