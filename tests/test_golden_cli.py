@@ -23,10 +23,10 @@ infeasible sweep points, a non-converging solve, a scheduler a million
 times lighter than the rest, the oracle check (on a preset, on a file
 with a zero-rate scheduler and on a seed that puts one of 15 nodes
 outside 3 sigma), a file whose nodes have W_j*mu_j < 1, a 160-node
-pool large enough for the row kernel to reuse its ranking,
-runs that print without writing a CSV, and the exit code 2 paths: a
-balanced baseline that cannot place a stream, a directory given as
-``--out`` and ``--rho`` on a sweep over rho.
+pool large enough for the row kernel to reuse its ranking and one of 4
+machine types whose rankings tie, runs that print without writing a CSV,
+and the exit code 2 paths: a balanced baseline that cannot place a
+stream, a directory given as ``--out`` and ``--rho`` on a sweep over rho.
 
 From the repository root,
 
@@ -143,6 +143,12 @@ CASES = {
                            "--out", OUT),
     "compare.hot-pool-160": ("compare", "--config", "hot-pool-160.json",
                              "--out", OUT),
+    # the same size and load on 4 machine types: nodes of one type tie in
+    # every marginal, so the kernel's rankings run through ties
+    "solve.types-pool-160": ("solve", "--config", "types-pool-160.json",
+                             "--out", OUT),
+    "compare.types-pool-160": ("compare", "--config", "types-pool-160.json",
+                               "--out", OUT),
 }
 
 
