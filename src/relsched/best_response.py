@@ -51,22 +51,31 @@ kernel divides the row by its sum; every other row keeps its bits.
 
 Within one sweep consecutive rows see nearly the same loads, so the
 ranking of one row mostly ranks the next as well.  On pools of
-_RANKING_MIN_NODES nodes or more the kernel keeps the ranking of the last
-row it sorted with every node usable, order, with its prefix sums
-S = accumulate(1/sqrt(W)[order]) and the weights in that order.  A row
-with a positive rate gathers the other schedulers' loads by that order
-once and forms the headroom, W_j*lam_i and the marginals in ranked order:
-the same elementwise operations on the same operands, so the same floats.
-If one minimum shows that every node has headroom and the marginals
-strictly increase, the order is the only permutation that sorts them, so
-it is what argsort(kind="stable") returns, and S, which depends on the
-order and the weights alone, is the same too.  Then the kernel skips the
-sort and the prefix sum and keeps every bit.  Otherwise it computes the
-row in node order, sorts as before and stores the new ranking; either
-way one fill computes the water-fill from the ranked arrays.  A row with
-a saturated node clears the ranking (its order is cut short), and a
-zero-rate row leaves it as it is.  On 400-node pools at 85 % utilisation
-only 86-94 of a solve's 800 rows sort afresh.
+_RANKING_MIN_NODES nodes or more the kernel keeps the last ranking it
+stored, order, with its prefix sums S = accumulate(1/sqrt(W)[order]), the
+weights in that order and the places where the node index falls along it.
+A row with a positive rate works in one frame, the held order or, where
+none is held, node order: it gathers the other schedulers' loads by that
+order once and forms the headroom, W_j*lam_i and the marginals in it, the
+same elementwise operations on the same operands, so the same floats.
+argsort(kind="stable") in node order ranks the nodes by marginal and then
+by node index.  So if one minimum shows that every node has headroom and
+the marginals in the held order strictly increase, or tie only where the
+node index rises, the held order is what that argsort returns, and S,
+which depends on the order and the weights alone, is the same too: the
+kernel skips the sort and the prefix sum and keeps every bit.  Otherwise
+it sorts the marginals within the frame, where a held order leaves them
+nearly sorted, so the sort is about four times cheaper, and composes the
+result with the held order.  Where a tie run then lists its nodes out of
+index order, which happens where nodes share the water level exactly, it
+sorts afresh in node order instead.  Either way the order is the one a
+sort in node order gives; it is stored where reuse is on, and one fill
+computes the water-fill from the ranked arrays.  A row with a saturated
+node clears the ranking (its order is cut short), and a zero-rate row
+leaves it as it is.  On 400-node pools at 85 % utilisation 86-94 of a
+solve's 800 rows store a new ranking; on 400 nodes of 8 machine types,
+whose nodes of one type tie in every row, 44 of 800 do, where every row
+sorted afresh while a held ranking had to increase strictly.
 """
 from __future__ import annotations
 
@@ -78,10 +87,12 @@ from .errors import NoFeasibleResponse
 from .model import Allocation, SystemConfig, _index, others_load_vector
 
 # Smallest pool on which a kernel reuses the last row's ranking.  Below it
-# the check, a gather and a comparison, costs more than the sorts it
-# saves: with it on every size, solve ran about 14 % slower on the
-# presets, whose twin nodes tie exactly so the check never passes, 1-3 %
-# slower at m = 32-64 and broke even at 96-128.
+# the check and the gathers of the held order cost more than the short
+# sorts they save: with it on every size, solve ran about 29 % slower on
+# the presets (717 against 555 us); on 85 %-loaded pools of distinct rates
+# 7-8 % slower at m = 16-32, 2 % at 64 and at parity from 96; on pools of
+# 8 machine types 19-22 % slower at m = 16-32, 7-11 % at 64-96 and at
+# parity at 128.
 _RANKING_MIN_NODES = 128
 
 # R_d above which a row is divided by its sum (see above).  Below it a
@@ -89,6 +100,12 @@ _RANKING_MIN_NODES = 128
 # Allocation check's 1e-9.  Preset rows reach 1.3e4 (rho 0.05-0.95, every
 # n and m cut), the benchmark's 85 %-loaded pools 144.
 _LIGHT_ROW_SPARE = 1e5
+
+# Read-only 0-d operands: numpy takes a Python float through its scalar
+# path, about 0.2 us more per operation at m = 400.
+_ONE, _ZERO = np.array(1.0), np.array(0.0)
+_ONE.setflags(write=False)
+_ZERO.setflags(write=False)
 
 
 @dataclass(frozen=True, eq=False)
@@ -109,75 +126,106 @@ class BestResponseResult:
 class _RowKernel:
     """The water-fill row of one solve: its weights, inv_sqrt_w, and where
     reuse is on, the last ranking of every node, order, with root_sum =
-    accumulate(inv_sqrt_w[order]) and ranked_weights = weights[order],
-    all read-only, or all None."""
+    accumulate(inv_sqrt_w[order]), ranked_weights = weights[order] and
+    falls, 1 where order[k + 1] < order[k] and 0 elsewhere, all read-only,
+    or all None."""
 
     __slots__ = ("weights", "inv_sqrt_w", "order", "root_sum",
-                 "ranked_weights", "reuse")
+                 "ranked_weights", "falls", "reuse")
 
     def __init__(self, weights: np.ndarray) -> None:
         self.weights = weights
         self.inv_sqrt_w = 1.0 / np.sqrt(weights)
-        self.order = self.root_sum = self.ranked_weights = None
+        self.order = self.root_sum = self.ranked_weights = self.falls = None
         self.reuse = weights.size >= _RANKING_MIN_NODES
 
-    def _hold(self, order: np.ndarray, root_sum: np.ndarray) -> None:
-        """Keep order as the ranking held, with its prefix sums root_sum
-        and ranked_weights, all read-only."""
+    def _hold(self, order: np.ndarray, root_sum: np.ndarray,
+              falls: np.ndarray | None = None) -> None:
+        """Keep order as the ranking held, with its prefix sums root_sum,
+        ranked_weights and falls (computed here unless given), all
+        read-only."""
         ranked_weights = self.weights[order]
-        for held in (order, root_sum, ranked_weights):
+        if falls is None:
+            falls = _falls(order)
+        for held in (order, root_sum, ranked_weights, falls):
             held.setflags(write=False)
         self.order, self.root_sum = order, root_sum
-        self.ranked_weights = ranked_weights
+        self.ranked_weights, self.falls = ranked_weights, falls
 
-    def row(self, i: int, lam_i: float, others: np.ndarray,
+    def row(self, i: int, lam_i: float | np.ndarray, others: np.ndarray,
             out: np.ndarray) -> tuple[int, float]:
         """Write into out scheduler i's best response to others, the
         per-node load of every other scheduler; return (active_count,
-        alpha).  The bits do not depend on the ranking held.  Every raise
-        comes before the first write, so a failed call leaves out as is."""
-        order = self.order
-        if order is not None and lam_i > 0.0:
-            # The held ranking, in ranked order: the same elementwise
-            # operations as below on the gathered operands, so the same
-            # floats.
-            weights = self.ranked_weights
-            headroom = 1.0 - others[order] * weights
-            if np.minimum.reduce(headroom) > 0.0:
-                wl = weights * lam_i
-                theta = wl / headroom ** 2
-                if (theta[1:] > theta[:-1]).all():
-                    return self._fill(i, lam_i, order, self.root_sum,
-                                      headroom, wl, theta, out)
-        weights = self.weights
-        headroom = 1.0 - others * weights
-        wl = weights * lam_i
-        if lam_i > 0.0 and np.minimum.reduce(headroom) > 0.0:
-            marginals = wl / headroom ** 2
-            order = marginals.argsort(kind="stable")
+        alpha).  lam_i is a float or a 0-d array.  The bits do not depend
+        on the ranking held.  Every raise comes before the first write, so
+        a failed call leaves out as is."""
+        rate = float(lam_i)
+        held = self.order
+        # At most twice: in the frame of the held order, then, where that
+        # order is neither kept nor re-ranked, in node order.  The frame's
+        # elementwise operations on gathered operands give the same
+        # floats; each temporary is fresh, so it is worked in place.
+        while rate > 0.0:
+            if held is None:
+                weights = self.weights
+                headroom = others * weights
+            else:
+                weights = self.ranked_weights
+                headroom = others[held]
+                headroom *= weights
+            np.subtract(_ONE, headroom, out=headroom)
+            if not np.minimum.reduce(headroom) > 0.0:
+                break
+            wl = weights * lam_i
+            theta = headroom ** 2
+            np.divide(wl, theta, out=theta)
+            # The held order is kept where the marginals strictly increase
+            # along it, or, tested only where they do not, tie only where
+            # the node index rises.
+            if held is not None and (
+                    np.count_nonzero(theta[1:] <= theta[:-1]) == 0
+                    or _misranked(theta, self.falls) == 0):
+                return self._fill(i, rate, held, self.root_sum, headroom,
+                                  wl, theta, out)
+            # Sort within the frame: a held order leaves the marginals
+            # nearly sorted, and the sort is then cheaper.
+            rank = theta.argsort(kind="stable")
+            ranked = theta[rank]
+            if held is None:
+                order, falls = rank, None
+            else:
+                order = held[rank]
+                falls = _falls(order)
+                if _misranked(ranked, falls):
+                    held = None  # a tie run out of node order: sort afresh
+                    continue
             root_sum = np.add.accumulate(self.inv_sqrt_w[order])
             if self.reuse:
-                self._hold(order, root_sum)
-        else:
-            usable = headroom > 0.0
-            count = int(np.count_nonzero(usable))
-            if count == 0:
-                raise NoFeasibleResponse(
-                    f"all nodes are saturated by schedulers other than {i}"
-                )
-            if lam_i == 0.0:
-                # Objective is flat in this row; spread it uniformly over
-                # the usable nodes for a deterministic result.
-                np.divide(usable, count, out=out)
-                return count, 0.0
-            # A ranking cut short is not held.  Saturated nodes sort last
-            # on an infinite marginal and are cut off.
-            self.order = self.root_sum = self.ranked_weights = None
-            marginals = np.full(others.size, np.inf)
-            np.divide(wl, headroom ** 2, out=marginals, where=usable)
-            order = marginals.argsort(kind="stable")[:count]
-            root_sum = np.add.accumulate(self.inv_sqrt_w[order])
-        return self._fill(i, lam_i, order, root_sum, headroom[order],
+                self._hold(order, root_sum, falls)
+            return self._fill(i, rate, order, root_sum, headroom[rank],
+                              wl[rank], ranked, out)
+        weights = self.weights
+        headroom = 1.0 - others * weights
+        usable = headroom > 0.0
+        count = int(np.count_nonzero(usable))
+        if count == 0:
+            raise NoFeasibleResponse(
+                f"all nodes are saturated by schedulers other than {i}"
+            )
+        if rate == 0.0:
+            # Objective is flat in this row; spread it uniformly over the
+            # usable nodes for a deterministic result.
+            np.divide(usable, count, out=out)
+            return count, 0.0
+        # A ranking cut short is not held.  Saturated nodes sort last on an
+        # infinite marginal and are cut off.
+        self.order = self.root_sum = self.ranked_weights = self.falls = None
+        wl = weights * lam_i
+        marginals = np.full(others.size, np.inf)
+        np.divide(wl, headroom ** 2, out=marginals, where=usable)
+        order = marginals.argsort(kind="stable")[:count]
+        root_sum = np.add.accumulate(self.inv_sqrt_w[order])
+        return self._fill(i, rate, order, root_sum, headroom[order],
                           wl[order], marginals[order], out)
 
     @staticmethod
@@ -200,10 +248,10 @@ class _RowKernel:
         if last > 1.0:
             ratio = float(root_sum[-1]) / (last - 1.0)
             # numpy's ** 2 is the exact square; Python's ** calls pow
-            alpha = float(ratio * ratio / lam_i)
+            alpha = ratio * ratio / lam_i
         if not (last > 1.0 and alpha >= theta[-1]):
             k = int(spare.searchsorted(1.0, side="right"))
-            alphas = (root_sum[k:] / (spare[k:] - 1.0)) ** 2 / lam_i
+            alphas = (root_sum[k:] / (spare[k:] - _ONE)) ** 2 / lam_i
             accepted = (alphas >= theta[k:]).nonzero()[0]
             if accepted.size == 0:
                 raise NoFeasibleResponse(
@@ -213,17 +261,36 @@ class _RowKernel:
             d = k + int(accepted[-1]) + 1
             alpha = float(alphas[d - 1 - k])
             headroom, wl, order = headroom[:d], wl[:d], order[:d]
-        vals = (headroom - np.sqrt(wl / alpha)) / wl
+        vals = wl / alpha
+        np.sqrt(vals, out=vals)
+        np.subtract(headroom, vals, out=vals)
+        np.divide(vals, wl, out=vals)
         # Accepted sets guarantee values in [0, 1]; strip a few ulp of
         # rounding noise at the boundaries.
-        np.maximum(vals, 0.0, out=vals)
-        np.minimum(vals, 1.0, out=vals)
+        np.maximum(vals, _ZERO, out=vals)
+        np.minimum(vals, _ONE, out=vals)
         if spare[d - 1] > _LIGHT_ROW_SPARE:
             vals /= np.add.reduce(vals)
         if d < out.size:
             out.fill(0.0)
         out[order] = vals
         return d, alpha
+
+
+def _falls(order: np.ndarray) -> np.ndarray:
+    """1 where order[k + 1] < order[k], else 0, as int64."""
+    return (order[1:] < order[:-1]).astype(np.int64)
+
+
+def _misranked(theta: np.ndarray, falls: np.ndarray) -> int:
+    """How many neighbours of a ranking, given its marginals theta and its
+    falls, are out of (marginal, node index) order, the order that
+    argsort(kind="stable") gives in node order: the marginal falls, or it
+    ties where the node index falls.  The marginals W_j*lam_i/h_j**2 are
+    nonnegative, so their bits as int64 rank as they do and tie exactly
+    where they tie."""
+    bits = theta.view(np.int64)
+    return np.count_nonzero(bits[1:] - bits[:-1] < falls)
 
 
 def best_response_row(i: int, alloc: Allocation,

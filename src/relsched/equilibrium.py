@@ -72,9 +72,9 @@ def _row_sweep(entries: np.ndarray, delta: np.ndarray, lam: np.ndarray,
                respond) -> np.ndarray:
     """One sweep that replaces the rows of entries in place, one at a time:
     respond(i, lam_i, others, row) writes scheduler i's new row into row,
-    the view entries[i], where others is the per-node load of every
-    scheduler except i.  respond must raise before it writes, so a failed
-    call leaves the row as it was.
+    the view entries[i], where lam_i is the rate lam[i] as a 0-d array and
+    others is the per-node load of every scheduler except i.  respond must
+    raise before it writes, so a failed call leaves the row as it was.
 
     Later schedulers in the sweep see earlier updates, and the node loads
     delta of the sweep's start are kept current with one rank-1 update per
@@ -82,7 +82,9 @@ def _row_sweep(entries: np.ndarray, delta: np.ndarray, lam: np.ndarray,
     entries.T @ lam, recomputed once, so rounding drift never outlives a
     sweep.
     """
-    for i, lam_i in enumerate(lam.tolist()):
+    for i in range(lam.size):
+        # A 0-d array: numpy takes a Python float through a slower path.
+        lam_i = lam[i, ...]
         row = entries[i]
         others = delta - lam_i * row
         respond(i, lam_i, others, row)

@@ -8,7 +8,8 @@ and prefix sums by cumsum.  Entries, loads, epsilon trace and cycle count
 must match it byte for byte.  They also check the in-place contract:
 whatever out held never shows through, and a raise leaves it untouched;
 and the warm start: a row of a kernel that holds the last row's ranking
-has the bits of one sorted afresh, whatever ranking the kernel holds.
+has the bits of one sorted afresh, whatever ranking the kernel holds,
+also where nodes of one machine type tie.
 Pinned rows check the edges of the largest-size-first rule: the last
 size accepted at equality or rejected, a light row of every node and a
 saturated node while a ranking is held.
@@ -36,6 +37,7 @@ from test_sweep_kernels import (
     hot_pool,
     row_problems,
     span_config,
+    types_pool,
     zero_spare_config,
 )
 
@@ -112,13 +114,15 @@ def assert_same_bits(got, want):
 def game_config(case):
     if case.startswith("pool160-"):
         return hot_pool(int(case[-1]), 160)
+    if case.startswith("types"):
+        return types_pool(0, int(case[len("types"):]))
     return hot_pool(0, 400) if case == "pool400" else span_config(case)
 
 
 class TestSameBitsAsFreshRows:
     @pytest.mark.parametrize("case", [*SPAN_CASES,
                                       *(f"pool160-{s}" for s in range(4)),
-                                      "pool400"])
+                                      "pool400", "types160", "types400"])
     def test_solve(self, case, monkeypatch):
         config = game_config(case)
         got = solve(config)
@@ -250,12 +254,14 @@ class TestInPlaceContract:
 @st.composite
 def ranked_rows(draw):
     """(lam_i, others, weights, order) for one row of 1-40 nodes or of up
-    to 72 beyond the size from which a kernel keeps its ranking.  In a
-    twin pool the nodes come in pairs with the same weight and headroom,
-    whose marginals tie exactly.  Some nodes may be saturated, and the
-    rate runs from zero to a quarter beyond what the usable nodes absorb.
-    order, the ranking the kernel holds, is the ranking of the row's
-    marginals, that ranking with one adjacent pair swapped, or a random
+    to 72 beyond the size from which a kernel keeps its ranking.  The nodes
+    have distinct weights and headroom, come in twin pairs, or are
+    machines of 1-4 types; twins, and machines of one type, share weight
+    and headroom, so their marginals tie exactly.  Some nodes may be
+    saturated, and the rate runs from zero to a quarter beyond what the
+    usable nodes absorb.  order, the ranking the kernel holds, is the
+    ranking of the row's marginals, that ranking with one adjacent pair
+    swapped or with its longest tie run reversed, or a random
     permutation."""
     m = draw(st.one_of(st.integers(1, 40),
                        st.integers(_RANKING_MIN_NODES,
@@ -263,9 +269,13 @@ def ranked_rows(draw):
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     weights = 1.5 / (0.03 * rng.uniform(0.5, 1.5, m))
     headroom = rng.uniform(1e-3, 1.0, m)
-    if draw(st.booleans()):  # twin nodes
+    nodes = draw(st.sampled_from(["distinct", "twins", "types"]))
+    if nodes == "twins":
         weights = np.repeat(weights[::2], 2)[:m]
         headroom = np.repeat(headroom[::2], 2)[:m]
+    elif nodes == "types":
+        types = rng.integers(0, min(draw(st.integers(1, 4)), m), m)
+        weights, headroom = weights[types], headroom[types]
     if draw(st.booleans()):
         headroom[rng.random(m) < 0.2] = draw(st.sampled_from([0.0, -0.25]))
     others = (1.0 - headroom) / weights
@@ -274,7 +284,8 @@ def ranked_rows(draw):
     lam_i = draw(st.sampled_from([0.0, 1.0, None]))
     lam_i = capacity * (draw(st.floats(1e-9, 1.25)) if lam_i is None
                         else lam_i)
-    kind = draw(st.sampled_from(["ranking", "swap", "random"]))
+    kind = draw(st.sampled_from(["ranking", "swap", "tie-reversed",
+                                 "random"]))
     if kind == "random":
         order = rng.permutation(m)
     else:
@@ -285,6 +296,13 @@ def ranked_rows(draw):
         if kind == "swap" and m > 1:
             k = int(rng.integers(m - 1))
             order[[k, k + 1]] = order[[k + 1, k]]
+        elif kind == "tie-reversed":
+            # the longest run of equal marginals, listed in falling index
+            ranked = marginals[order]
+            starts = np.flatnonzero(np.r_[True, ranked[1:] != ranked[:-1]])
+            ends = np.r_[starts[1:], m]
+            k = int(np.argmax(ends - starts))
+            order[starts[k]:ends[k]] = order[starts[k]:ends[k]][::-1]
     return lam_i, others, weights, order
 
 
@@ -321,13 +339,14 @@ class TestSortHint:
         """Holding no ranking or any ranking, a kernel gives the row,
         active count and multiplier of a fresh kernel that holds none.  A
         row with every node usable leaves its stable ranking in the
-        kernel, one of fewer than _RANKING_MIN_NODES nodes stores none, a
-        row with a saturated node clears the ranking and a zero-rate row
-        leaves it."""
+        kernel, the one held if that is it, even through ties; one of
+        fewer than _RANKING_MIN_NODES nodes stores none, a row with a
+        saturated node clears the ranking and a zero-rate row leaves it."""
         lam_i, others, weights, order = problem
         kernel = _RowKernel(weights) if empty else \
             ranked_kernel(weights, order)
-        before = kernel.order, kernel.root_sum, kernel.ranked_weights
+        before = (kernel.order, kernel.root_sum, kernel.ranked_weights,
+                  kernel.falls)
         want_out, got_out = np.full(others.size, np.nan), \
             np.full(others.size, np.nan)
         try:
@@ -342,29 +361,38 @@ class TestSortHint:
             assert type(got[0]) is int and type(got[1]) is float
             assert got_out.tobytes() == want_out.tobytes()
         headroom = 1.0 - others * weights
-        held = kernel.order, kernel.root_sum, kernel.ranked_weights
+        held = (kernel.order, kernel.root_sum, kernel.ranked_weights,
+                kernel.falls)
         if lam_i == 0.0 or not (headroom > 0.0).any():
             assert held == before
         elif not (headroom > 0.0).all():
-            assert held == (None, None, None)
+            assert held == (None, None, None, None)
         elif others.size < _RANKING_MIN_NODES:
             assert held == before
         else:
             marginals = weights * lam_i / headroom ** 2
-            assert np.array_equal(kernel.order,
-                                  marginals.argsort(kind="stable"))
+            stable = marginals.argsort(kind="stable")
+            assert np.array_equal(kernel.order, stable)
+            if not empty and np.array_equal(order, stable):
+                assert held == before  # kept, not sorted afresh
             assert kernel.root_sum.tobytes() == \
                 np.add.accumulate(kernel.inv_sqrt_w[kernel.order]).tobytes()
             assert kernel.ranked_weights.tobytes() == \
                 weights[kernel.order].tobytes()
+            assert kernel.falls.tolist() == \
+                (np.diff(kernel.order) < 0).astype(int).tolist()
             for cached in held:
                 with pytest.raises(ValueError, match="read-only"):
                     cached[0] = cached[-1]
 
-    def test_large_pool_sorts_few_rows(self):
-        """From _RANKING_MIN_NODES nodes a solve's kernel sorts afresh in
-        at most a quarter of its rows (about 11 % on this pool)."""
-        config = hot_pool(0, 400)
+    @pytest.mark.parametrize("make", [hot_pool, types_pool],
+                             ids=["distinct", "tied"])
+    def test_large_pool_sorts_few_rows(self, make):
+        """From _RANKING_MIN_NODES nodes a solve's kernel stores a new
+        ranking in at most a quarter of its rows: about 11 % of them on
+        this pool of distinct rates and 6 % on 8 machine types, whose
+        nodes of one type tie in every row."""
+        config = make(0, 400)
         assert config.n_nodes >= _RANKING_MIN_NODES
         rows = recorded_rows(config)
         sorted_rows = [stored for _, stored in rows]
@@ -444,8 +472,8 @@ class TestPinnedRows:
         assert (d, alpha) == (want_d, want_alpha)
         assert type(d) is int and type(alpha) is float
         assert out[[3, 70]].tolist() == [0.0, 0.0]
-        assert (kernel.order, kernel.root_sum, kernel.ranked_weights) == \
-            (None, None, None)
+        assert (kernel.order, kernel.root_sum, kernel.ranked_weights,
+                kernel.falls) == (None, None, None, None)
 
     def test_loaded_pool_rows_take_every_node(self):
         """On a 400-node pool at 85 % utilisation most rows accept the

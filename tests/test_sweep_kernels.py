@@ -135,6 +135,21 @@ def hot_pool(seed, size, utilisation=0.85, max_cycles=1000):
     )
 
 
+def types_pool(seed, size):
+    """hot_pool's kind of pool whose nodes are machines of 8 types: each
+    takes one of 8 rates, so the nodes of one type tie."""
+    rng = np.random.default_rng(seed)
+    rates = 0.03 * rng.uniform(0.9, 1.1, 8)
+    mu = rates[rng.integers(0, 8, size)]
+    phi = rng.uniform(0.5, 1.5, size)
+    phi *= (2.0 / 3.0) / phi.sum()
+    return build_config(
+        nodes=[NodeParams.from_rate(float(x)) for x in mu],
+        schedulers=[SchedulerParams(phi=float(p)) for p in phi],
+        rho=0.85,
+    )
+
+
 def visited_rows(config):
     """Every (lam_i, others) the game solver hands its row kernel."""
     calls = []
