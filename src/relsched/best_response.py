@@ -74,8 +74,7 @@ computes the water-fill from the ranked arrays.  A row with a saturated
 node clears the ranking (its order is cut short), and a zero-rate row
 leaves it as it is.  On 400-node pools at 85 % utilisation 86-94 of a
 solve's 800 rows store a new ranking; on 400 nodes of 8 machine types,
-whose nodes of one type tie in every row, 44 of 800 do, where every row
-sorted afresh while a held ranking had to increase strictly.
+whose nodes of one type tie in every row, 44 of 800 do.
 """
 from __future__ import annotations
 
