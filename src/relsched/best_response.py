@@ -59,7 +59,7 @@ none is held, node order: it gathers the other schedulers' loads by that
 order once and forms the headroom, W_j*lam_i and the marginals in it, the
 same elementwise operations on the same operands, so the same floats.
 argsort(kind="stable") in node order ranks the nodes by marginal and then
-by node index.  So if one minimum shows that every node has headroom and
+by node index.  So if one count shows that every node has headroom and
 the marginals in the held order strictly increase, or tie only where the
 node index rises, the held order is what that argsort returns, and S,
 which depends on the order and the weights alone, is the same too: the
@@ -173,7 +173,8 @@ class _RowKernel:
                 headroom = others[held]
                 headroom *= weights
             np.subtract(_ONE, headroom, out=headroom)
-            if not np.minimum.reduce(headroom) > 0.0:
+            # A count, not a minimum: it is cheaper, and a NaN fails both.
+            if np.count_nonzero(headroom > _ZERO) < headroom.size:
                 break
             wl = weights * lam_i
             theta = headroom ** 2
