@@ -67,8 +67,8 @@ kernel skips the sort and the prefix sum and keeps every bit.  Otherwise
 it sorts the marginals within the frame, where a held order leaves them
 nearly sorted, so the sort is about four times cheaper, and composes the
 result with the held order.  Where a tie run then lists its nodes out of
-index order, which happens where nodes share the water level exactly, it
-sorts afresh in node order instead.  Either way the order is the one a
+index order, as the nodes a row leaves unused, which share the water
+level exactly, often do, it sorts afresh in node order instead.  Either way the order is the one a
 sort in node order gives; it is stored where reuse is on, and one fill
 computes the water-fill from the ranked arrays.  A row with a saturated
 node clears the ranking (its order is cut short), and a zero-rate row
@@ -86,12 +86,12 @@ from .errors import NoFeasibleResponse
 from .model import Allocation, SystemConfig, _index, others_load_vector
 
 # Smallest pool on which a kernel reuses the last row's ranking.  Below it
-# the check and the gathers of the held order cost more than the short
-# sorts they save: with it on every size, solve ran about 29 % slower on
-# the presets (717 against 555 us); on 85 %-loaded pools of distinct rates
-# 7-8 % slower at m = 16-32, 2 % at 64 and at parity from 96; on pools of
-# 8 machine types 19-22 % slower at m = 16-32, 7-11 % at 64-96 and at
-# parity at 128.
+# the check and the gathers of the held order mostly cost more than the
+# short sorts they save: with it on every size, solve ran about 25 %
+# slower on the presets (683 against 547 us); on 85 %-loaded pools of 8
+# machine types 12-19 % slower at m = 16-32, 7 % at 64, 2 % at 96 and at
+# parity at 128; on pools of distinct rates 2-9 % slower at m = 16-32 and
+# 3-4 % faster at 64-96.
 _RANKING_MIN_NODES = 128
 
 # R_d above which a row is divided by its sum (see above).  Below it a
