@@ -24,9 +24,10 @@ times lighter than the rest, the oracle check (on a preset, on a file
 with a zero-rate scheduler and on a seed that puts one of 15 nodes
 outside 3 sigma), a file whose nodes have W_j*mu_j < 1, a 160-node
 pool large enough for the row kernel to reuse its ranking and one of 4
-machine types whose rankings tie, runs that print without writing a CSV,
-and the exit code 2 paths: a balanced baseline that cannot place a
-stream, a directory given as ``--out`` and ``--rho`` on a sweep over rho.
+machine types whose rankings tie, a loaded pool swept over node counts,
+runs that print without writing a CSV, and the exit code 2 paths: a
+balanced baseline that cannot place a stream, a directory given as
+``--out`` and ``--rho`` on a sweep over rho.
 
 From the repository root,
 
@@ -149,6 +150,11 @@ CASES = {
                              "--out", OUT),
     "compare.types-pool-160": ("compare", "--config", "types-pool-160.json",
                                "--out", OUT),
+    # 28 schedulers on the first 12 to 28 nodes of a pool at 85 % effective
+    # utilisation, where every row of the game fills every node
+    "sweep-nodes.loaded-pool-28": ("sweep-nodes", "--config",
+                                   "loaded-pool-28.json", "--range",
+                                   "12:28:4", "--out", OUT),
 }
 
 
