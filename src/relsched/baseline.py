@@ -35,9 +35,10 @@ n x m matrix is built once, for the report.
 A sweep whose start has c < 0 on some node, possible only where
 W_j*mu_j < 1, runs row by row through _balanced_row.  It needs the n x m
 matrix, so rows() builds it once and makes it the coordinates, in the
-identity basis; later sweeps scan it.  If s <= 0, or if P_n is below the
-smallest normal double (so 1/P_k loses precision or overflows), the
-solve starts in the identity basis and runs row by row.
+identity basis; later sweeps scan it.  If s is at most _SPARE_RTOL *
+sum(mu), or if P_n is below the smallest normal double (so 1/P_k loses
+precision or overflows), the solve starts in the identity basis and runs
+row by row, where a scheduler offered no more spare than that raises.
 """
 
 from __future__ import annotations
@@ -50,18 +51,37 @@ from .model import SystemConfig
 
 _SMALLEST_SCAN_PRODUCT = np.finfo(float).tiny
 
+# Spare capacity, relative to sum(mu), at or below which there is none:
+# the scan needs s above it, and a row whose residual capacity sums to no
+# more raises NoFeasibleResponse.  A scheduler without a rate gets the
+# spare vector over s, whose sum is off by its rounding, a few eps*sum(mu),
+# over s: noise over noise where s is zero to within rounding (a row of
+# zeros, or a raise, by how s rounds), a few 1e-10 at this floor, inside
+# the Allocation check's 1e-9.  On one node at W*mu = 0.5 with 9
+# schedulers, some without a rate, a floor of 1e-9 left s at 1.5e-9
+# relative to give 19 such rows in 500 draws; with this one, s at 1.01e-6
+# to 1e-5 gave none.
+_SPARE_RTOL = 1e-6
+
+
+def _no_spare(spare: float, mu: np.ndarray) -> bool:
+    """spare, a sum of residual capacities, is at most _SPARE_RTOL times
+    the summed rates mu: no spare capacity at all."""
+    return spare <= _SPARE_RTOL * float(np.add.reduce(mu))
+
 
 def _balanced_row(i: int, others: np.ndarray, mu: np.ndarray,
                   out: np.ndarray) -> None:
     """Write scheduler i's balanced row into out: the residual capacity
     mu - others that each node still offers it, normalised; others is the
     per-node load of every scheduler except i.  Raises NoFeasibleResponse,
-    before it writes, when the others leave no node spare capacity: the
-    same error as the game's best response."""
+    before it writes, when the others leave no spare capacity (at most
+    _SPARE_RTOL * sum(mu) in all): the same error as the game's best
+    response."""
     # A node saturated by the others gets no share rather than a negative one.
     residual = np.maximum(mu - others, 0.0)
     total = np.add.reduce(residual)
-    if total <= 0.0:
+    if _no_spare(total, mu):
         raise NoFeasibleResponse(
             f"no node has spare capacity for scheduler {i}"
         )
@@ -86,7 +106,7 @@ def bsa_solve(config: SystemConfig, *,
     mu, lam = config.mu, config.lam
     n, m = config.n_schedulers, config.n_nodes
     s = float(np.add.reduce(mu)) - float(np.add.reduce(lam))
-    scans = s > 0.0
+    scans = not _no_spare(s, mu)
     if scans:
         weight = s / (s + lam)
         product = np.multiply.accumulate(weight)

@@ -8,10 +8,25 @@ vectorised pass (prefix sums over the ranked nodes), and accept the
 largest size whose fractions are all nonnegative.  No numeric root
 finding is involved, and a row costs O(m log m): the solvers pass in the
 load of the other schedulers instead of the whole allocation.
-``_RowKernel.row`` is the only implementation of these formulas: a solver
-makes one _RowKernel per solve, and ``best_response_row`` one per row.
-The kernel computes 1/sqrt(W_j) once and writes the row in place; both
-are elementwise, so the row has the bits of one built fresh.
+A solver makes one _RowKernel per solve, and ``best_response_row`` one
+per row.  The kernel computes 1/sqrt(W_j) once and writes the row in
+place; both are elementwise, so the row has the bits of one built fresh.
+It has two paths.  The array kernel, described below, takes any row and
+is the only one on pools of _ARRAY_MIN_NODES nodes or more.  On a smaller
+pool a row first tries a scalar pass on Python floats, which handles the
+common case alone: a positive rate, headroom on every node, finite
+marginals, a feasible size and a row that is not light.  In every other
+case it returns before it writes and the array kernel, the one home of
+those rules, decides.  At these sizes a row's time is numpy's per-call
+overhead (about 30 calls on 15 nodes), which Python floats do not pay.
+The pass keeps the array kernel's bits because it performs the same IEEE
+operations on the same operands in the same order: the elementwise ones
+node by node, the stable argsort as Python's stable sort of the
+marginals, np.add.accumulate as itertools.accumulate (both sum left to
+right), ** 2 as h * h (numpy's square is that product), np.sqrt as
+math.sqrt (both correctly rounded), and the clip so that -0.0 becomes
+0.0 and NaN stays, as np.maximum and np.minimum have it.  Tests hold the
+two paths to each other bit for bit.
 
 Writing W_j for a node's load weight, o_j for the load the other
 schedulers already impose on it and theta_j = W_j*lam_i/(1 - W_j*o_j)**2
@@ -79,6 +94,8 @@ whose nodes of one type tie in every row, 44 of 800 do.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
+from math import inf, sqrt
 
 import numpy as np
 
@@ -93,6 +110,21 @@ from .model import Allocation, SystemConfig, _index, others_load_vector
 # parity at 128; on pools of distinct rates 2-9 % slower at m = 16-32 and
 # 3-4 % faster at 64-96.
 _RANKING_MIN_NODES = 128
+
+# Smallest pool whose rows all take the array kernel; a row of a smaller
+# pool first tries the scalar pass (see above).  Per solve, scalar pass
+# against array kernel, medians of 300 solves interleaved call by call
+# (2 vCPUs, Python 3.11.7, numpy 2.4.6): the presets 0.80 at their 15
+# and 20 nodes, and 0.75 / 0.81 / 0.88 cut to 12 / 16 / 20 nodes; pools
+# with mu spread +-70 % at 20 % load 0.74 / 0.81 / 0.92 / 1.02 at
+# m = 12 / 16 / 20 / 24.  On pools at 85 % load, where every row fills
+# every node, the scalar pass loses from about 13 nodes: 0.95-1.03 at
+# m = 12, 1.07 at 14, 1.12-1.14 at 16, 1.18 at 18 and 1.28 at 20.  No
+# benchmark workload runs such pools below 400 nodes, and the paper's
+# 20-node presets are worth about 3 points of its grid: its 17 commands
+# in process took 0.86 of the array kernel's cycle with the gate at 16
+# and 0.83 at 21 (20 of 20 interleaved rounds each).
+_ARRAY_MIN_NODES = 21
 
 # R_d above which a row is divided by its sum (see above).  Below it a
 # row's sum is off by at most about eps * 1e5 = 2e-11, well within the
@@ -127,16 +159,19 @@ class _RowKernel:
     reuse is on, the last ranking of every node, order, with root_sum =
     accumulate(inv_sqrt_w[order]), ranked_weights = weights[order] and
     falls, 1 where order[k + 1] < order[k] and 0 elsewhere, all read-only,
-    or all None."""
+    or all None; below _ARRAY_MIN_NODES nodes also floats, the weights and
+    inv_sqrt_w as lists of Python floats for the scalar pass, else None."""
 
     __slots__ = ("weights", "inv_sqrt_w", "order", "root_sum",
-                 "ranked_weights", "falls", "reuse")
+                 "ranked_weights", "falls", "reuse", "floats")
 
     def __init__(self, weights: np.ndarray) -> None:
         self.weights = weights
         self.inv_sqrt_w = 1.0 / np.sqrt(weights)
         self.order = self.root_sum = self.ranked_weights = self.falls = None
         self.reuse = weights.size >= _RANKING_MIN_NODES
+        self.floats = (None if weights.size >= _ARRAY_MIN_NODES else
+                       (weights.tolist(), self.inv_sqrt_w.tolist()))
 
     def _hold(self, order: np.ndarray, root_sum: np.ndarray,
               falls: np.ndarray | None = None) -> None:
@@ -155,10 +190,17 @@ class _RowKernel:
             out: np.ndarray) -> tuple[int, float]:
         """Write into out scheduler i's best response to others, the
         per-node load of every other scheduler; return (active_count,
-        alpha).  lam_i is a float or a 0-d array.  The bits do not depend
-        on the ranking held.  Every raise comes before the first write, so
-        a failed call leaves out as is."""
+        alpha).  lam_i is a float or a 0-d array.  The bits depend neither
+        on the ranking held nor on the path taken.  Every raise comes
+        before the first write, so a failed call leaves out as is."""
         rate = float(lam_i)
+        if self.floats is not None and rate > 0.0:
+            try:
+                done = self._scalar_row(rate, others, out)
+            except ZeroDivisionError:  # where numpy would divide by zero
+                done = None
+            if done is not None:
+                return done
         held = self.order
         # At most twice: in the frame of the held order, then, where that
         # order is neither kept nor re-ranked, in node order.  The frame's
@@ -227,6 +269,56 @@ class _RowKernel:
         root_sum = np.add.accumulate(self.inv_sqrt_w[order])
         return self._fill(i, rate, order, root_sum, headroom[order],
                           wl[order], marginals[order], out)
+
+    def _scalar_row(self, rate: float, others: np.ndarray,
+                    out: np.ndarray) -> tuple[int, float] | None:
+        """row's common case on Python floats (module docstring): the array
+        kernel's operations, in its order, on the same operands, so the
+        same floats.  Writes out and returns (active_count, alpha), or
+        returns None before any write where the array kernel is to decide:
+        a node without headroom, a NaN, a marginal that overflows, no
+        feasible size or a light row.  rate is positive."""
+        weights, inv_sqrt_w = self.floats
+        headroom = [1.0 - o * w for o, w in zip(others.tolist(), weights)]
+        if not min(headroom) > 0.0:
+            return None
+        wl = [w * rate for w in weights]
+        theta = [x / (h * h) for x, h in zip(wl, headroom)]
+        if not sum(theta) < inf:  # a NaN load, or W_j*lam_i overflowing,
+            return None           # on which numpy warns
+        order = sorted(range(len(theta)), key=theta.__getitem__)  # stable
+        spare = list(accumulate([headroom[j] / wl[j] for j in order]))
+        root_sum = list(accumulate([inv_sqrt_w[j] for j in order]))
+        d = len(order)
+        while d:
+            last = spare[d - 1]
+            if not last > 1.0:
+                return None  # no size admits a feasible row
+            ratio = root_sum[d - 1] / (last - 1.0)
+            alpha = ratio * ratio / rate
+            if alpha >= theta[order[d - 1]]:
+                break
+            d -= 1
+        else:
+            return None
+        if last > _LIGHT_ROW_SPARE:
+            return None
+        # The clip is np.maximum(v, 0.0), then np.minimum(v, 1.0), which
+        # also turn -0.0 into 0.0.  A row that is not light has every v
+        # finite.
+        if d == len(order):  # every node, in node order
+            row = [(h - sqrt(x / alpha)) / x for h, x in zip(headroom, wl)]
+            if not (min(row) > 0.0 and max(row) <= 1.0):
+                row = [0.0 if v <= 0.0 else 1.0 if v > 1.0 else v
+                       for v in row]
+        else:
+            row = [0.0] * len(order)
+            for j in order[:d]:
+                x = wl[j]
+                v = (headroom[j] - sqrt(x / alpha)) / x
+                row[j] = 0.0 if v <= 0.0 else 1.0 if v > 1.0 else v
+        out[...] = row
+        return d, alpha
 
     @staticmethod
     def _fill(i: int, lam_i: float, order: np.ndarray, root_sum: np.ndarray,

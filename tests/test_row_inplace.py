@@ -12,7 +12,10 @@ has the bits of one sorted afresh, whatever ranking the kernel holds,
 also where nodes of one machine type tie.
 Pinned rows check the edges of the largest-size-first rule: the last
 size accepted at equality or rejected, a light row of every node and a
-saturated node while a ranking is held.
+saturated node while a ranking is held.  Below _ARRAY_MIN_NODES nodes a
+row first tries the scalar pass on Python floats: it must write the
+array path's bytes, leave every row it does not handle untouched, and
+take every preset row with a rate, while a 400-node pool never tries it.
 """
 
 from unittest import mock
@@ -21,14 +24,16 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from relsched import NoFeasibleResponse, bsa_solve, solve
+from relsched import PRESET_NAMES, NoFeasibleResponse, bsa_solve, solve
 from relsched import baseline, equilibrium
-from relsched.baseline import _balanced_row
+from relsched.baseline import _SPARE_RTOL, _balanced_row
 from relsched.best_response import (
+    _ARRAY_MIN_NODES,
     _LIGHT_ROW_SPARE,
     _RANKING_MIN_NODES,
     _RowKernel,
 )
+from relsched.presets import preset
 
 from conftest import best_row
 from test_sweep_kernels import (
@@ -80,10 +85,11 @@ def reference_best_row(i, lam_i, others, weights):
 
 
 def reference_balanced_row(i, others, mu):
-    """The balanced row as a fresh array."""
+    """The balanced row as a fresh array; a raise where the residual
+    capacity sums to no more than _SPARE_RTOL * sum(mu)."""
     residual = np.maximum(mu - others, 0.0)
     total = np.add.reduce(residual)
-    if total <= 0.0:
+    if total <= _SPARE_RTOL * float(np.add.reduce(mu)):
         raise NoFeasibleResponse("no spare capacity")
     return residual / total
 
@@ -492,3 +498,177 @@ class TestPinnedRows:
         full = sum(count == config.n_nodes for count in counts)
         assert full >= 0.85 * len(counts)
         assert full < len(counts)  # and some row searches
+
+
+def array_kernel(weights):
+    """A kernel forced onto the array path, whatever its size."""
+    kernel = _RowKernel(weights)
+    kernel.floats = None
+    return kernel
+
+
+def assert_paths_agree(lam_i, others, weights):
+    """The kernel chosen by size and one forced onto the array path write
+    the same row bytes and return the same active count and multiplier, a
+    Python float from both, or both raise and leave out as it was.
+    Returns the count, or None on a raise."""
+    want_out, got_out = np.full(others.size, np.nan), \
+        np.full(others.size, np.nan)
+    try:
+        want = array_kernel(weights).row(0, lam_i, others, want_out)
+    except NoFeasibleResponse:
+        with pytest.raises(NoFeasibleResponse):
+            _RowKernel(weights).row(0, lam_i, others, got_out)
+        assert np.isnan(got_out).all()
+        return None
+    got = _RowKernel(weights).row(0, lam_i, others, got_out)
+    assert got == want
+    assert type(got[0]) is int and type(got[1]) is float
+    assert type(want[1]) is float
+    assert got_out.tobytes() == want_out.tobytes()
+    return got[0]
+
+
+def tie_row(lam_i):
+    """Nodes 0 and 1 tie exactly (W_j*lam_i/h_j**2 = 4*lam_i on both) with
+    different weights, so the order the tie is ranked in decides how the
+    spare and root sums round."""
+    weights = np.array([1.0, 4.0, 0.5, 2.0])
+    headroom = np.array([0.5, 1.0, 0.25, 0.75])
+    others = (1.0 - headroom) / weights
+    assert (1.0 - others * weights).tolist() == headroom.tolist()
+    return lam_i, others, weights
+
+
+# (lam_i, others, weights) of rows the scalar pass writes; each also
+# matches the array path.
+SCALAR_ROWS = {
+    # every node active, the tie ranked in node order
+    "tie-every-node": tie_row(0.6512660237487807),
+    # three of four nodes active
+    "tie-three-nodes": (0.5437207168585684,
+                        (1.0 - np.array([0.5, 1.0, 0.25, 0.5]))
+                        / np.array([1.0, 4.0, 0.5, 0.5]),
+                        np.array([1.0, 4.0, 0.5, 0.5])),
+    # nodes 0 and 1 tie only with the exact square h*h: math.pow(h, 2) is
+    # one ulp below it on node 0's headroom, which would rank node 1 first
+    "tie-of-exact-squares": (0.4344105283458685,
+                             (1.0 - np.array([0.823911789370239, 1.0, 0.75]))
+                             / np.array([1.0, 1.4731214915629176,
+                                         0.518365986939551]),
+                             np.array([1.0, 1.4731214915629176,
+                                       0.518365986939551])),
+    "last-size-at-equality": PINNED_ROWS["last-size-at-equality"][:3],
+    "last-size-rejected": PINNED_ROWS["last-size-rejected"][:3],
+}
+
+# (lam_i, others, weights) of rows the scalar pass leaves to the array
+# kernel.
+DEFERRED_ROWS = {
+    "saturated-node": (0.1, np.array([0.0, 0.04]), np.array([25.0, 25.0])),
+    "nan-load": (0.1, np.array([0.0, np.nan]), np.array([25.0, 25.0])),
+    # headroom 1/4 on a weight of 1/4 at rate 1: a spare sum of exactly 1,
+    # which no size exceeds
+    "spare-sum-one": (1.0, np.array([3.0]), np.array([0.25])),
+    "beyond-capacity": (0.2, np.array([0.0, 0.0]), np.array([25.0, 25.0])),
+    "light-row": PINNED_ROWS["light-row-all-nodes"][:3],
+}
+
+
+class TestScalarPass:
+    """Below _ARRAY_MIN_NODES nodes a row first tries the scalar pass,
+    which must keep every bit of the array kernel."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(st.one_of(row_problems(), ranked_rows().map(lambda p: p[:3])),
+           st.booleans())
+    def test_same_bits_as_the_array_path(self, problem, zero_d):
+        """On pools below and at the gate, the rate as a float or as the
+        0-d array the sweep passes."""
+        lam_i, others, weights = problem
+        assert (_RowKernel(weights).floats is not None) == \
+            (weights.size < _ARRAY_MIN_NODES)
+        assert_paths_agree(np.array(lam_i) if zero_d else lam_i, others,
+                           weights)
+
+    @pytest.mark.parametrize("case", sorted(SCALAR_ROWS))
+    def test_pinned_rows_take_the_scalar_pass(self, case):
+        lam_i, others, weights = SCALAR_ROWS[case]
+        out = np.full(others.size, np.nan)
+        done = _RowKernel(weights)._scalar_row(lam_i, others, out)
+        assert done is not None and not np.isnan(out).any()
+        assert done[0] == assert_paths_agree(lam_i, others, weights)
+        if case == "last-size-at-equality":
+            assert done == (2, 1.0) and out[1] == 0.0
+        elif case.startswith("tie"):
+            headroom = 1.0 - others * weights
+            theta = weights * lam_i / (headroom * headroom)
+            assert theta[0] == theta[1]
+
+    def test_ties_rank_in_node_order(self):
+        """Ranked 0 before 1, node 0's spare term comes first in the sum."""
+        lam_i, others, weights = SCALAR_ROWS["tie-every-node"]
+        out = np.empty(4)
+        d, alpha = _RowKernel(weights)._scalar_row(lam_i, others, out)
+        wl = weights * lam_i
+        headroom = 1.0 - others * weights
+        order = [3, 0, 1, 2]
+        spare = np.add.accumulate(headroom[order] / wl[order])
+        root_sum = np.add.accumulate(1.0 / np.sqrt(weights[order]))
+        ratio = float(root_sum[-1]) / (float(spare[-1]) - 1.0)
+        assert d == 4 and alpha == ratio * ratio / lam_i
+
+    @pytest.mark.parametrize("case", sorted(DEFERRED_ROWS))
+    def test_deferred_rows_leave_out_to_the_array_path(self, case):
+        lam_i, others, weights = DEFERRED_ROWS[case]
+        out = np.full(others.size, np.nan)
+        assert _RowKernel(weights)._scalar_row(lam_i, others, out) is None
+        assert np.isnan(out).all()
+        assert_paths_agree(lam_i, others, weights)
+
+    def test_division_by_zero_is_left_to_numpy(self):
+        """W_j*lam_i underflows to 0: Python raises where numpy divides to
+        inf and warns, so the array path writes the row."""
+        lam_i, others, weights = 5e-324, np.zeros(2), np.full(2, 0.1)
+        with pytest.raises(ZeroDivisionError):
+            _RowKernel(weights)._scalar_row(lam_i, others, np.empty(2))
+        with np.errstate(all="ignore"):
+            assert_paths_agree(lam_i, others, weights)
+
+    def test_zero_rate_row_never_tries_it(self):
+        kernel = _RowKernel(np.array([25.0, 25.0]))
+        with mock.patch.object(_RowKernel, "_scalar_row") as scalar_row:
+            assert kernel.row(0, 0.0, np.zeros(2), np.empty(2)) == (2, 0.0)
+        scalar_row.assert_not_called()
+
+
+def rows_by_path(config):
+    """Solve config; return (rows the scalar pass wrote, rows in all)."""
+    counts = [0, 0]
+    scalar_row, row = _RowKernel._scalar_row, _RowKernel.row
+
+    def counting_scalar_row(kernel, rate, others, out):
+        done = scalar_row(kernel, rate, others, out)
+        counts[0] += done is not None
+        return done
+
+    def counting_row(kernel, i, lam_i, others, out):
+        counts[1] += 1
+        return row(kernel, i, lam_i, others, out)
+
+    with mock.patch.object(_RowKernel, "_scalar_row", counting_scalar_row), \
+            mock.patch.object(_RowKernel, "row", counting_row):
+        report = solve(config)
+    assert counts[1] == report.cycles * config.n_schedulers
+    return counts[0], report.cycles * int(np.count_nonzero(config.lam))
+
+
+class TestPathPerSolve:
+    @pytest.mark.parametrize("name", PRESET_NAMES)
+    def test_preset_rows_take_the_scalar_pass(self, name):
+        """Every positive-rate row of each preset, at its 15 or 20 nodes."""
+        scalar, positive = rows_by_path(preset(name))
+        assert scalar == positive > 0
+
+    def test_hot_pool_rows_take_the_array_kernel(self):
+        assert rows_by_path(hot_pool(1, 400))[0] == 0

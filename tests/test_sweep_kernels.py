@@ -34,7 +34,7 @@ from relsched import (
     solve,
 )
 from relsched import baseline
-from relsched.baseline import _balanced_row
+from relsched.baseline import _SPARE_RTOL, _balanced_row
 from relsched.best_response import _LIGHT_ROW_SPARE, _RowKernel
 from relsched.model import _availability
 from relsched.presets import preset
@@ -314,13 +314,14 @@ class TestRowKernelProperties:
     @settings(max_examples=200, deadline=None, derandomize=True)
     @given(row_problems())
     def test_balanced_row_is_the_plain_formula(self, problem):
-        """max(mu - others, 0) / its sum, with the sum taken exactly."""
+        """max(mu - others, 0) / its sum, with the sum taken exactly; a
+        raise where that sum is no spare, at most _SPARE_RTOL * sum(mu)."""
         _, others, weights = problem
         mu = 1.0 / weights
         residual = [max(a - b, 0.0) for a, b in zip(mu.tolist(),
                                                    others.tolist())]
         total = math.fsum(residual)
-        if total <= 0.0:
+        if total <= _SPARE_RTOL * math.fsum(mu.tolist()):
             with pytest.raises(NoFeasibleResponse):
                 balanced_row(0, others, mu)
             return
@@ -781,3 +782,46 @@ def overload_config(lam):
         schedulers=[SchedulerParams(lam=lam)],
         rho=0.5,
     )
+
+
+# Rates of nine schedulers, four without one, on one node whose rate they
+# sum to within rounding: sum(mu) - Lambda is +2.2e-19 exactly.
+ROUNDING_SPARE_MU = 0.004300932554429321
+ROUNDING_SPARE_RATES = [0.0, 0.00044792300740543426, 0.0,
+                        0.0007820082821110926, 0.0008835279778086252,
+                        0.0010409062849514432, 0.0, 0.001146567002152726,
+                        0.0]
+
+
+def rounding_spare_config(mu, rates):
+    """One node at W*mu = 0.5, so every A_j stays above 0 at full load."""
+    return build_config(
+        nodes=[NodeParams(mu=mu, mu_prime=0.0, gamma=0.0, beta1=0.5 / mu)],
+        schedulers=[SchedulerParams(lam=x) for x in rates],
+        rho=0.5,
+    )
+
+
+class TestSpareWithinRounding:
+    @pytest.mark.parametrize("ulps", [-1, 0, 1])
+    def test_idle_scheduler_finds_no_spare(self, ulps):
+        """Whichever way sum(mu) - Lambda rounds, a scheduler without a
+        rate finds no spare capacity: bsa_solve raises NoFeasibleResponse.
+        It used to return, for ulps 0, a row of zeros that the report's
+        Allocation refused with a ValidationError."""
+        mu = ROUNDING_SPARE_MU
+        for _ in range(abs(ulps)):
+            mu = float(np.nextafter(mu, ulps * np.inf))
+        config = rounding_spare_config(mu, ROUNDING_SPARE_RATES)
+        assert abs(config.mu.sum() - config.lam.sum()) <= 2 * np.spacing(mu)
+        with pytest.raises(NoFeasibleResponse):
+            bsa_solve(config)
+        assert solve(config).objective == pytest.approx(2.0)
+
+    def test_busy_schedulers_solve(self):
+        """Without the idle schedulers every row has its own rate to place:
+        the solve runs row by row and returns."""
+        rates = [x for x in ROUNDING_SPARE_RATES if x > 0.0]
+        config = rounding_spare_config(sum(rates), rates)
+        report = bsa_solve(config)
+        assert report.allocation.entries.tolist() == [[1.0]] * len(rates)
