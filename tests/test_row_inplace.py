@@ -529,35 +529,31 @@ def assert_paths_agree(lam_i, others, weights):
     return got[0]
 
 
-def tie_row(lam_i):
-    """Nodes 0 and 1 tie exactly (W_j*lam_i/h_j**2 = 4*lam_i on both) with
-    different weights, so the order the tie is ranked in decides how the
-    spare and root sums round."""
-    weights = np.array([1.0, 4.0, 0.5, 2.0])
-    headroom = np.array([0.5, 1.0, 0.25, 0.75])
+def headroom_row(lam_i, headroom, weights):
+    """(lam_i, others, weights) of a row whose nodes have exactly this
+    headroom 1 - W_j*o_j."""
+    headroom, weights = np.array(headroom), np.array(weights)
     others = (1.0 - headroom) / weights
     assert (1.0 - others * weights).tolist() == headroom.tolist()
     return lam_i, others, weights
 
 
 # (lam_i, others, weights) of rows the scalar pass writes; each also
-# matches the array path.
+# matches the array path.  In the first three nodes 0 and 1 tie exactly,
+# W_j*lam_i/h_j**2 equal with different weights, so the order the tie is
+# ranked in decides how the spare and root sums round.
 SCALAR_ROWS = {
-    # every node active, the tie ranked in node order
-    "tie-every-node": tie_row(0.6512660237487807),
-    # three of four nodes active
-    "tie-three-nodes": (0.5437207168585684,
-                        (1.0 - np.array([0.5, 1.0, 0.25, 0.5]))
-                        / np.array([1.0, 4.0, 0.5, 0.5]),
-                        np.array([1.0, 4.0, 0.5, 0.5])),
-    # nodes 0 and 1 tie only with the exact square h*h: math.pow(h, 2) is
-    # one ulp below it on node 0's headroom, which would rank node 1 first
-    "tie-of-exact-squares": (0.4344105283458685,
-                             (1.0 - np.array([0.823911789370239, 1.0, 0.75]))
-                             / np.array([1.0, 1.4731214915629176,
-                                         0.518365986939551]),
-                             np.array([1.0, 1.4731214915629176,
-                                       0.518365986939551])),
+    "tie-every-node": headroom_row(0.6512660237487807,
+                                   [0.5, 1.0, 0.25, 0.75],
+                                   [1.0, 4.0, 0.5, 2.0]),
+    "tie-three-nodes": headroom_row(0.5437207168585684,
+                                    [0.5, 1.0, 0.25, 0.5],
+                                    [1.0, 4.0, 0.5, 0.5]),
+    # a tie only with the exact square h*h: math.pow(h, 2) is one ulp
+    # below it on node 0's headroom, which would rank node 1 first
+    "tie-of-exact-squares": headroom_row(
+        0.4344105283458685, [0.823911789370239, 1.0, 0.75],
+        [1.0, 1.4731214915629176, 0.518365986939551]),
     "last-size-at-equality": PINNED_ROWS["last-size-at-equality"][:3],
     "last-size-rejected": PINNED_ROWS["last-size-rejected"][:3],
 }
