@@ -69,27 +69,27 @@ ranking of one row mostly ranks the next as well.  On pools of
 _RANKING_MIN_NODES nodes or more the kernel keeps the last ranking it
 stored, order, with its prefix sums S = accumulate(1/sqrt(W)[order]), the
 weights in that order and the places where the node index falls along it.
-A row with a positive rate works in one frame, the held order or, where
-none is held, node order: it gathers the other schedulers' loads by that
-order once and forms the headroom, W_j*lam_i and the marginals in it, the
-same elementwise operations on the same operands, so the same floats.
+A row with a positive rate works first in the frame of the held order,
+where one is held: it gathers the other schedulers' loads by that order
+once and forms the headroom, W_j*lam_i and the marginals in it, the same
+elementwise operations on the same operands, so the same floats.
 argsort(kind="stable") in node order ranks the nodes by marginal and then
 by node index.  So if one count shows that every node has headroom and
 the marginals in the held order strictly increase, or tie only where the
 node index rises, the held order is what that argsort returns, and S,
 which depends on the order and the weights alone, is the same too: the
-kernel skips the sort and the prefix sum and keeps every bit.  Otherwise
-it sorts the marginals within the frame, where a held order leaves them
-nearly sorted, so the sort is about four times cheaper, and composes the
-result with the held order.  Where a tie run then lists its nodes out of
-index order, as the nodes a row leaves unused, which share the water
-level exactly, often do, it sorts afresh in node order instead.  Either way the order is the one a
-sort in node order gives; it is stored where reuse is on, and one fill
-computes the water-fill from the ranked arrays.  A row with a saturated
-node clears the ranking (its order is cut short), and a zero-rate row
-leaves it as it is.  On 400-node pools at 85 % utilisation 86-94 of a
-solve's 800 rows store a new ranking; on 400 nodes of 8 machine types,
-whose nodes of one type tie in every row, 44 of 800 do.
+kernel skips the sort and the prefix sum and keeps every bit.  Otherwise,
+or where no order is held, the row forms its marginals in node order and
+sorts them there; the order is stored where reuse is on, and one fill
+computes the water-fill from the ranked arrays.  A sort of the held
+frame's nearly sorted marginals would be cheaper, but tie runs, such as
+the unused nodes at the water level, often come out of it against node
+order and must be sorted again; with it a solve on 400-node pools took
+within 2 % of the time.  A row with a saturated node clears the ranking
+(its order is cut short), and a zero-rate row leaves it as it is.  On
+400-node pools at 85 % utilisation 86-94 of a solve's 800 rows store a
+new ranking; on 400 nodes of 8 machine types, whose nodes of one type
+tie in every row, 44 of 800 do.
 """
 from __future__ import annotations
 
@@ -103,12 +103,16 @@ from .errors import NoFeasibleResponse
 from .model import Allocation, SystemConfig, _index, others_load_vector
 
 # Smallest pool on which a kernel reuses the last row's ranking.  Below it
-# the check and the gathers of the held order mostly cost more than the
-# short sorts they save: with it on every size, solve ran about 25 %
-# slower on the presets (683 against 547 us); on 85 %-loaded pools of 8
-# machine types 12-19 % slower at m = 16-32, 7 % at 64, 2 % at 96 and at
-# parity at 128; on pools of distinct rates 2-9 % slower at m = 16-32 and
-# 3-4 % faster at 64-96.
+# the check and the gathers of the held order cost pools whose nodes tie
+# more than the short sorts they save.  With it on from the array
+# kernel's 21 nodes, solve on 85 %-loaded pools of 8 machine types ran
+# 16-19 % slower at m = 24, 15 % at 32, 11-12 % at 48, 8-10 % at 64,
+# 3-5 % at 96 and 1-2 % faster at 127; on pools of distinct rates 1-4 %
+# slower at 24-32, within 2 % at 48-64 and 4-10 % faster at 96-127
+# (seeds 0 and 1, medians of 15 interleaved rounds; 2 vCPUs, Python
+# 3.11.7, numpy 2.4.6).  The presets' pools, of at most 20 nodes, would
+# gain nothing from a lower gate: each of their rows with a rate takes
+# the scalar pass, which holds no ranking.
 _RANKING_MIN_NODES = 128
 
 # Smallest pool whose rows all take the array kernel; a row of a smaller
@@ -173,14 +177,10 @@ class _RowKernel:
         self.floats = (None if weights.size >= _ARRAY_MIN_NODES else
                        (weights.tolist(), self.inv_sqrt_w.tolist()))
 
-    def _hold(self, order: np.ndarray, root_sum: np.ndarray,
-              falls: np.ndarray | None = None) -> None:
+    def _hold(self, order: np.ndarray, root_sum: np.ndarray) -> None:
         """Keep order as the ranking held, with its prefix sums root_sum,
-        ranked_weights and falls (computed here unless given), all
-        read-only."""
-        ranked_weights = self.weights[order]
-        if falls is None:
-            falls = _falls(order)
+        ranked_weights and falls, all read-only."""
+        ranked_weights, falls = self.weights[order], _falls(order)
         for held in (order, root_sum, ranked_weights, falls):
             held.setflags(write=False)
         self.order, self.root_sum = order, root_sum
@@ -203,9 +203,9 @@ class _RowKernel:
                 return done
         held = self.order
         # At most twice: in the frame of the held order, then, where that
-        # order is neither kept nor re-ranked, in node order.  The frame's
-        # elementwise operations on gathered operands give the same
-        # floats; each temporary is fresh, so it is worked in place.
+        # order fails its check, in node order.  The frame's elementwise
+        # operations on gathered operands give the same floats; each
+        # temporary is fresh, so it is worked in place.
         while rate > 0.0:
             if held is None:
                 weights = self.weights
@@ -221,31 +221,21 @@ class _RowKernel:
             wl = weights * lam_i
             theta = headroom ** 2
             np.divide(wl, theta, out=theta)
+            if held is None:
+                order = theta.argsort(kind="stable")
+                root_sum = np.add.accumulate(self.inv_sqrt_w[order])
+                if self.reuse:
+                    self._hold(order, root_sum)
+                return self._fill(i, rate, order, root_sum, headroom[order],
+                                  wl[order], theta[order], out)
             # The held order is kept where the marginals strictly increase
             # along it, or, tested only where they do not, tie only where
             # the node index rises.
-            if held is not None and (
-                    np.count_nonzero(theta[1:] <= theta[:-1]) == 0
+            if (np.count_nonzero(theta[1:] <= theta[:-1]) == 0
                     or _misranked(theta, self.falls) == 0):
                 return self._fill(i, rate, held, self.root_sum, headroom,
                                   wl, theta, out)
-            # Sort within the frame: a held order leaves the marginals
-            # nearly sorted, and the sort is then cheaper.
-            rank = theta.argsort(kind="stable")
-            ranked = theta[rank]
-            if held is None:
-                order, falls = rank, None
-            else:
-                order = held[rank]
-                falls = _falls(order)
-                if _misranked(ranked, falls):
-                    held = None  # a tie run out of node order: sort afresh
-                    continue
-            root_sum = np.add.accumulate(self.inv_sqrt_w[order])
-            if self.reuse:
-                self._hold(order, root_sum, falls)
-            return self._fill(i, rate, order, root_sum, headroom[rank],
-                              wl[rank], ranked, out)
+            held = None
         weights = self.weights
         headroom = 1.0 - others * weights
         usable = headroom > 0.0
