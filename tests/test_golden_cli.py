@@ -21,13 +21,13 @@ the paths those leave out: the default artifact name, the single-pass
 baseline, a node-count convergence sweep, sweeps over a config file,
 infeasible sweep points, a non-converging solve, a scheduler a million
 times lighter than the rest, the oracle check (on a preset, on a file
-with a zero-rate scheduler and on a seed that puts one of 15 nodes
-outside 3 sigma), a file whose nodes have W_j*mu_j < 1, a 160-node
-pool large enough for the row kernel to reuse its ranking and one of 4
-machine types whose rankings tie, a loaded pool swept over node counts,
-runs that print without writing a CSV, and the exit code 2 paths: a
-balanced baseline that cannot place a stream, a directory given as
-``--out`` and ``--rho`` on a sweep over rho.
+with a zero-rate scheduler, on a seed that puts one of 15 nodes outside
+3 sigma and on the 20-node preset), a file whose nodes have
+W_j*mu_j < 1, a 160-node pool large enough for the row kernel to reuse
+its ranking and one of 4 machine types whose rankings tie, a loaded pool
+swept over node counts, runs that print without writing a CSV, and the
+exit code 2 paths: a balanced baseline that cannot place a stream, a
+directory given as ``--out`` and ``--rho`` on a sweep over rho.
 
 From the repository root,
 
@@ -120,6 +120,9 @@ CASES = {
     # verdict's correction for the node count passes
     "oracle-check.seed-31": ("oracle-check", "--preset", "table1-table3",
                              "--seed", "31"),
+    # the 20-node preset: ten schedulers, whose solved rows load 6 nodes
+    "oracle-check.table6-table7": ("oracle-check", "--preset",
+                                   "table6-table7", "--out", OUT),
     # every W_j*mu_j = 0.75 at 90 % utilisation: the game solves it (0),
     # but the balanced baseline finds no spare capacity for a stream (2)
     "solve.baseline-cannot-place": ("solve", "--config",
