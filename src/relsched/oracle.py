@@ -4,18 +4,20 @@ Three checkers that deliberately avoid the closed-form solver's algebra:
 
 * a numeric minimiser of one scheduler's row objective, used to validate
   the closed-form best response: an array kernel on the others' node
-  loads, like best_response._RowKernel.row, that runs sweeps of pairwise
-  line searches from a feasible row.  Each line search moves mass between two
-  nodes, is clipped in closed form to the moves that keep both
-  availabilities positive, evaluates only their two availability
-  reciprocals, and keeps a move only when it strictly lowers them;
+  loads, like best_response._RowKernel.row, that runs sweeps of exact
+  pairwise steps from a feasible row.  Each step moves mass between two
+  nodes to the minimiser of their two availability reciprocals, the move
+  at which W_p/A_p^2 = W_q/A_q^2, clipped to the moves that keep both
+  shares nonnegative and both availabilities positive, and keeps a move
+  only when it strictly lowers the two reciprocals.  A step reads only
+  its pair's availabilities and weights: no sort, active set or
+  multiplier, so the row's active set comes out of the sweeps;
 * an equilibrium checker that asks whether any scheduler could gain by
   switching to its numerically optimised row.  Its descents start from
   each scheduler's own row, not the uniform one: the row objective is
   strictly convex on the simplex, so any feasible start reaches the same
-  optimum.  At a solved equilibrium a first sweep may still accept a move
-  of rounding size (about 2e-7 of share on an ulp-level drop of two
-  reciprocals), so a descent takes one sweep or two;
+  optimum.  At solve's output on the benchmark's five instances no step
+  accepts a move, so each descent stops after one sweep;
 * a Monte-Carlo splitter that draws actual Poisson traffic and routes it
   by the allocation, validating the arrival-composition layer.
 
@@ -39,16 +41,12 @@ from .model import (Allocation, SystemConfig, _allocation_entries, _checked,
                     _entries, _index, _objective_of_loads, objective,
                     others_load_vector)
 
-_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
-# Width at which a pair line search stops, in units of row share.
-_LINE_TOL = 1e-9
-
 
 def _pair(op: float, oq: float, wp: float, wq: float, lam_i: float,
           yp: float, yq: float) -> float:
-    """The two availability reciprocals a pair line search minimises, with
-    shares yp and yq on nodes p and q, or inf where either availability
-    leaves (0, 1]."""
+    """The two availability reciprocals a pair step minimises, with shares
+    yp and yq on nodes p and q, or inf where either availability leaves
+    (0, 1]."""
     ap = 1.0 - (op + lam_i * yp) * wp
     aq = 1.0 - (oq + lam_i * yq) * wq
     if not (0.0 < ap <= 1.0 and 0.0 < aq <= 1.0):
@@ -56,58 +54,43 @@ def _pair(op: float, oq: float, wp: float, wq: float, lam_i: float,
     return 1.0 / ap + 1.0 / aq
 
 
-def _line_search(row: list, p: int, q: int, others: list, weights: list,
-                 caps: list, lam_i: float, tol: float) -> None:
-    """Golden-section minimisation along moving mass from node q to node p.
+def _pair_step(row: list, p: int, q: int, others: list, weights: list,
+               caps: list, lam_i: float) -> None:
+    """Move mass from node q to node p to the exact minimiser of their two
+    availability reciprocals.
 
-    A move along (p, q) changes only the availabilities of p and q, so the
-    search minimises their two reciprocals alone; every other term of the
-    row objective is constant.  Both availabilities are linear in the move,
-    so the search interval is clipped in closed form to the moves that
-    keep both positive: caps[j] is the largest share node j can take
-    before its availability reaches zero.  The row is updated in place
-    only when the move strictly lowers those two terms.
+    A move t along (p, q) changes only the availabilities of p and q, so
+    the step minimises 1/A_p + 1/A_q alone; every other term of the row
+    objective is constant.  A_p = a_p - lam_i*W_p*t and A_q = a_q +
+    lam_i*W_q*t are linear in t, so the sum is strictly convex in t where
+    both are positive, and its stationary point W_p/A_p^2 = W_q/A_q^2,
+    A_p = s*A_q with s = sqrt(W_p/W_q), gives
 
-    The loop's probe is written out in each of its two branches instead of
-    calling _pair: a search makes about 43 probes, and the call costs more
-    than their arithmetic.  Each copy keeps _pair's operation order, so
-    every float is the one _pair gives; tests/test_oracle.py's
-    TestReferenceDescent pins that order bit for bit against a reference
-    search that makes every probe through one closure.  _pair is a module
-    function, not a closure, so the search's floats stay plain locals.
+        t = (a_p - s*a_q) / (lam_i*(W_p + s*W_q)).
+
+    That point keeps both availabilities positive: W_q*A_p + W_p*A_q does
+    not depend on t.  t is clipped to the moves that keep both shares
+    nonnegative and both availabilities positive (caps[j] is the largest
+    share node j can take before its availability reaches zero), so the
+    clipped step is the pair's minimiser over that interval.  The row is
+    updated in place only when the move strictly lowers the two terms.
     """
     xp, xq = row[p], row[q]
     # Conditional expressions stand in for max and min, here and at the
-    # clip below, with their exact results (max keeps its first argument
+    # clips below, with their exact results (max keeps its first argument
     # unless the second is greater) and without a builtin call each.
     lo, hi = xq - caps[q], caps[p] - xp
     lo = lo if lo > -xp else -xp  # max(-xp, xq - caps[q])
     hi = hi if hi < xq else xq  # min(xq, caps[p] - xp)
-    if hi - lo <= tol:
+    if hi <= lo:  # at hi == lo the one move is 0 or fills a node
         return
     op, oq, wp, wq = others[p], others[q], weights[p], weights[q]
-
-    a, b = lo, hi
-    x1 = b - _GOLDEN * (b - a)
-    x2 = a + _GOLDEN * (b - a)
-    f1 = _pair(op, oq, wp, wq, lam_i, xp + x1, xq - x1)
-    f2 = _pair(op, oq, wp, wq, lam_i, xp + x2, xq - x2)
-    while b - a > tol:
-        if f1 <= f2:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - _GOLDEN * (b - a)
-            ap = 1.0 - (op + lam_i * (xp + x1)) * wp
-            aq = 1.0 - (oq + lam_i * (xq - x1)) * wq
-            f1 = (1.0 / ap + 1.0 / aq
-                  if 0.0 < ap <= 1.0 and 0.0 < aq <= 1.0 else math.inf)
-        else:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + _GOLDEN * (b - a)
-            ap = 1.0 - (op + lam_i * (xp + x2)) * wp
-            aq = 1.0 - (oq + lam_i * (xq - x2)) * wq
-            f2 = (1.0 / ap + 1.0 / aq
-                  if 0.0 < ap <= 1.0 and 0.0 < aq <= 1.0 else math.inf)
-    t = (a + b) / 2.0
+    ap = 1.0 - (op + lam_i * xp) * wp
+    aq = 1.0 - (oq + lam_i * xq) * wq
+    s = math.sqrt(wp / wq)
+    t = (ap - s * aq) / (lam_i * (wp + s * wq))
+    t = lo if lo > t else t  # min(max(t, lo), hi)
+    t = hi if hi < t else t
     bp, bq = xp + t, xq - t  # each clipped as min(max(y, 0.0), 1.0)
     bp = 0.0 if 0.0 > bp else (1.0 if 1.0 < bp else bp)
     bq = 0.0 if 0.0 > bq else (1.0 if 1.0 < bq else bq)
@@ -119,7 +102,7 @@ def _line_search(row: list, p: int, q: int, others: list, weights: list,
 def _descend(lam_i: float, others: np.ndarray, weights: np.ndarray,
              row: np.ndarray) -> np.ndarray:
     """Row optimum of a scheduler of rate lam_i > 0, given the others'
-    per-node load others and the load weights W: sweeps of _line_search
+    per-node load others and the load weights W: sweeps of _pair_step
     over every node pair from row, a start at which every availability is
     positive.  Each sweep makes a new row, clipped at 0 and normalised;
     they stop once one moves no entry by 1e-10, or after 500."""
@@ -131,8 +114,7 @@ def _descend(lam_i: float, others: np.ndarray, weights: np.ndarray,
         trial = row.tolist()
         for p in range(m):
             for q in range(p + 1, m):
-                _line_search(trial, p, q, others, weights, caps, lam_i,
-                             _LINE_TOL)
+                _pair_step(trial, p, q, others, weights, caps, lam_i)
         row = np.maximum(trial, 0.0)
         row /= row.sum()
         if np.max(np.abs(row - before)) < 1e-10:
@@ -144,18 +126,18 @@ def numeric_best_response(i: int, alloc: Allocation,
                           config: SystemConfig) -> np.ndarray:
     """Minimise scheduler i's row objective without the closed form.
 
-    Sweeps of pairwise mass-moving golden-section searches descend from
-    the uniform row; they converge to the global optimum because the row
-    objective is strictly convex on the simplex.  When the uniform row
-    would overload a node and some node has spare capacity, the descent
-    starts instead from the row proportional to each node's residual
-    capacity max(1/W_j - o_j, 0), which is feasible whenever any row is.
+    Sweeps of exact pairwise mass-moving steps descend from the uniform
+    row; they converge to the global optimum because the row objective is
+    strictly convex on the simplex.  When the uniform row would overload a
+    node and some node has spare capacity, the descent starts instead from
+    the row proportional to each node's residual capacity
+    max(1/W_j - o_j, 0), which is feasible whenever any row is.
 
-    Each line search is clipped in closed form to the moves that keep
-    both of its nodes' availabilities positive, evaluates only the two
-    reciprocals its move changes, on Python floats, and keeps a move only
-    when it strictly lowers them, so equal-valued jitter never counts as
-    progress.  Each search stops at width _LINE_TOL.
+    Each step moves mass between two nodes to the closed-form minimiser of
+    their two availability reciprocals, clipped to the moves that keep
+    both shares nonnegative and both availabilities positive, on Python
+    floats, and keeps a move only when it strictly lowers those two
+    reciprocals, so equal-valued jitter never counts as progress.
 
     A scheduler with zero arrival rate has a flat objective; a copy of its
     current row is returned.  i is an integer from 0 to n - 1 and alloc
@@ -183,8 +165,9 @@ def nash_check(alloc: Allocation, config: SystemConfig,
     because the objective at alloc is defined (it is computed first).  The
     row objective is strictly convex on the simplex, so the descent
     reaches the same optimum from any feasible start and the gain does not
-    depend on it, up to rounding.  At an equilibrium a descent stops after
-    one sweep, or two where the first accepts a move of rounding size.
+    depend on it, up to rounding.  At solve's output on the benchmark's
+    five instances no pair step accepts a move, so every descent stops
+    after one sweep.
     A zero-rate scheduler's candidate is its own row (a flat objective).
     alloc is read as an Allocation, n x m for config, else a ValidationError.
 

@@ -145,7 +145,7 @@ SLOW_NODES = {
 @pytest.mark.parametrize("m", sorted(SLOW_NODES))
 def test_uniform_infeasible_row(m, slow):
     # the uniform row overloads the slow nodes, so the descent starts from
-    # the residual-capacity row and every line search stays feasible
+    # the residual-capacity row and every pair step stays feasible
     fast, slow_mus, lam = SLOW_NODES[m]
     config = single_scheduler(
         slow_mus + fast if slow == "first" else fast + slow_mus, lam)
@@ -278,24 +278,20 @@ class TestNashCheckStart:
         # at an equilibrium most descents stop after their first sweep
         config = preset("table1-table2")
         alloc = solve(config).allocation
-        with mock.patch.object(oracle, "_line_search",
-                               wraps=oracle._line_search) as spy:
+        with mock.patch.object(oracle, "_pair_step",
+                               wraps=oracle._pair_step) as spy:
             ok, _ = nash_check(alloc, config)
         n, m = config.n_schedulers, config.n_nodes
         assert ok
         assert spy.call_count <= 2 * n * m * (m - 1) // 2
 
 
-GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
-LINE_TOL = 1e-9
-
-
-def reference_line_search(row, p, q, others, weights, caps, lam_i, tol):
-    """Plain reference for oracle._line_search: every probe, the loop's
-    too, goes through one pair closure, and min and max clip."""
+def reference_pair_step(row, p, q, others, weights, caps, lam_i):
+    """Plain reference for oracle._pair_step: both reciprocal sums go
+    through one pair closure, and min and max clip."""
     xp, xq = row[p], row[q]
     lo, hi = max(-xp, xq - caps[q]), min(xq, caps[p] - xp)
-    if hi - lo <= tol:
+    if hi <= lo:
         return
     op, oq, wp, wq = others[p], others[q], weights[p], weights[q]
 
@@ -306,20 +302,10 @@ def reference_line_search(row, p, q, others, weights, caps, lam_i, tol):
             return math.inf
         return 1.0 / ap + 1.0 / aq
 
-    a, b = lo, hi
-    x1 = b - GOLDEN * (b - a)
-    x2 = a + GOLDEN * (b - a)
-    f1, f2 = pair(xp + x1, xq - x1), pair(xp + x2, xq - x2)
-    while b - a > tol:
-        if f1 <= f2:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - GOLDEN * (b - a)
-            f1 = pair(xp + x1, xq - x1)
-        else:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + GOLDEN * (b - a)
-            f2 = pair(xp + x2, xq - x2)
-    t = (a + b) / 2.0
+    ap = 1.0 - (op + lam_i * xp) * wp
+    aq = 1.0 - (oq + lam_i * xq) * wq
+    s = math.sqrt(wp / wq)
+    t = min(max((ap - s * aq) / (lam_i * (wp + s * wq)), lo), hi)
     bp = min(max(xp + t, 0.0), 1.0)
     bq = min(max(xq - t, 0.0), 1.0)
     if pair(bp, bq) < pair(xp, xq):
@@ -327,7 +313,7 @@ def reference_line_search(row, p, q, others, weights, caps, lam_i, tol):
 
 
 def reference_descend(i, alloc, config, start=None):
-    """Plain reference for oracle._descend, on reference_line_search and
+    """Plain reference for oracle._descend, on reference_pair_step and
     others_load_vector."""
     m = config.n_nodes
     lam_i = float(config.lam[i])
@@ -352,8 +338,8 @@ def reference_descend(i, alloc, config, start=None):
         trial = row.tolist()
         for p in range(m):
             for q in range(p + 1, m):
-                reference_line_search(trial, p, q, others, weights, caps,
-                                      lam_i, LINE_TOL)
+                reference_pair_step(trial, p, q, others, weights, caps,
+                                    lam_i)
         row = np.maximum(trial, 0.0)
         row /= row.sum()
         if np.max(np.abs(row - before)) < 1e-10:
@@ -398,9 +384,29 @@ ORACLE_VERIFY = [("table1-table2", 4), ("table6-table7", 6),
                  ("table1-table2", None)]
 
 
+@pytest.mark.parametrize("name,m", ORACLE_VERIFY)
+def test_solved_instance_checked_in_one_sweep(name, m):
+    # at solve's output no pair step accepts a move, so every descent
+    # stops after its first sweep
+    config = preset(name, n_nodes=m)
+    alloc = solve(config).allocation
+    step, moved = oracle._pair_step, []
+
+    def spy(row, p, q, *rest):
+        before = row[p], row[q]
+        step(row, p, q, *rest)
+        moved.append((row[p], row[q]) != before)
+
+    with mock.patch.object(oracle, "_pair_step", spy):
+        ok, _ = nash_check(alloc, config)
+    m = config.n_nodes
+    assert ok and not any(moved)
+    assert len(moved) == config.n_schedulers * m * (m - 1) // 2
+
+
 class TestReferenceDescent:
-    # the package's search writes its loop probe out and clips without min
-    # and max, and nash_check forms the loads once; all must give the
+    # the package's step clips without min and max and calls _pair, not a
+    # closure, and nash_check forms the loads once; all must give the
     # reference's floats bit for bit
 
     @pytest.mark.parametrize("name,m", ORACLE_VERIFY)
@@ -437,6 +443,90 @@ def test_one_node_rows_are_exactly_one():
     assert rows == [np.ones(1).tobytes()] * config.n_schedulers
     for i in range(config.n_schedulers):
         assert numeric_best_response(i, alloc, config).tolist() == [1.0]
+
+
+def pair_step(mus, lam, row, p=0, q=1):
+    """One oracle._pair_step along (p, q) on the one-scheduler instance of
+    node rates mus and rate lam, from row; returns the row it leaves and
+    the load weights."""
+    weights = single_scheduler(mus, lam).weights.tolist()
+    others = [0.0] * len(mus)
+    caps = [(1.0 / w - o) / lam for w, o in zip(weights, others)]
+    row = list(row)
+    oracle._pair_step(row, p, q, others, weights, caps, lam)
+    return row, weights
+
+
+def availabilities(row, weights, lam):
+    return [1.0 - lam * y * w for y, w in zip(row, weights)]
+
+
+class TestPairStep:
+    # the step against the pair's optimality condition and its clips, not
+    # against a copy of its arithmetic
+
+    @pytest.mark.parametrize("start", [0.5, 0.1, 0.9])
+    @pytest.mark.parametrize("p,q", [(0, 1), (1, 0)])
+    def test_interior_step_balances_the_pair(self, start, p, q):
+        # one step lands where W_p/A_p^2 = W_q/A_q^2, the stationary point
+        # of 1/A_p + 1/A_q, whatever the start and the pair's orientation
+        mus, lam = (0.02, 0.03), 0.009
+        row, weights = pair_step(mus, lam, [start, 1.0 - start], p, q)
+        a0, a1 = availabilities(row, weights, lam)
+        assert 0.0 < row[0] < 1.0 and sum(row) == pytest.approx(1.0)
+        assert weights[0] / a0 ** 2 == pytest.approx(weights[1] / a1 ** 2,
+                                                     rel=1e-14, abs=0.0)
+        closed = best_response_row(0, Allocation.uniform(1, 2),
+                                   single_scheduler(mus, lam)).row
+        assert np.max(np.abs(np.array(row) - closed)) < 1e-12
+
+    @pytest.mark.parametrize("p,q", [(0, 1), (1, 0)])
+    def test_idle_slow_node_clipped_to_zero(self, p, q):
+        # node 0 (rate 0.02) is idle at the optimum: the unclipped move
+        # overshoots, the clip stops its share at exactly 0, and a second
+        # step leaves the row where it is
+        mus, lam = (0.02, 0.04), 0.005
+        row, weights = pair_step(mus, lam, [0.5, 0.5], p, q)
+        assert row == [0.0, 1.0]
+        again, _ = pair_step(mus, lam, row, p, q)
+        assert again == [0.0, 1.0]
+
+    @pytest.mark.parametrize("gap", [1e-3, 1e-9, 1e-15])
+    @pytest.mark.parametrize("p,q", [(0, 1), (1, 0)])
+    def test_start_near_capacity_stays_feasible(self, gap, p, q):
+        # node 0's availability starts gap above zero; the step moves mass
+        # off it and both availabilities stay in (0, 1]
+        mus, lam = (0.02, 0.04), 0.02
+        weights = single_scheduler(mus, lam).weights.tolist()
+        start = (1.0 - gap) / (lam * weights[0])
+        before = availabilities([start, 1.0 - start], weights, lam)
+        assert 0.0 < before[0] < 2 * gap
+        row, _ = pair_step(mus, lam, [start, 1.0 - start], p, q)
+        after = availabilities(row, weights, lam)
+        assert row[0] < start
+        assert all(0.0 < a <= 1.0 for a in after)
+
+
+class TestPair:
+    # the pair's reciprocal sum, and inf outside (0, 1], exactly at each
+    # end of the interval
+
+    def test_share_past_capacity_is_inf(self):
+        # with o = 0, lam = 1 and W = 1, a share y gives A = 1 - y exactly
+        assert oracle._pair(0.0, 0.0, 1.0, 1.0, 1.0, 0.5, 0.75) == 6.0
+        assert oracle._pair(0.0, 0.0, 1.0, 1.0, 1.0, 1.5, 0.5) == math.inf
+        assert oracle._pair(0.0, 0.0, 1.0, 1.0, 1.0, 0.5, 1.5) == math.inf
+
+    def test_availability_zero_is_inf_and_one_is_finite(self):
+        assert oracle._pair(0.0, 0.0, 1.0, 1.0, 1.0, 1.0, 0.5) == math.inf
+        assert oracle._pair(0.0, 0.0, 1.0, 1.0, 1.0, 0.5, 1.0) == math.inf
+        assert oracle._pair(0.0, 0.0, 1.0, 1.0, 1.0, 0.0, 0.5) == 3.0
+        assert oracle._pair(0.0, 0.0, 1.0, 1.0, 1.0, 0.5, 0.0) == 3.0
+
+    def test_availability_above_one_is_inf(self):
+        # a negative share lifts A above 1, which no row reaches
+        assert oracle._pair(0.0, 0.0, 1.0, 1.0, 1.0, -0.5, 0.5) == math.inf
+        assert oracle._pair(0.0, 0.0, 1.0, 1.0, 1.0, 0.5, -0.5) == math.inf
 
 
 class TestTrafficEmpiricalRates:
