@@ -504,9 +504,10 @@ class TestPinnedRows:
                 kernel.falls) == (None, None, None, None)
 
     def test_loaded_pool_rows_take_every_node(self):
-        """On a 400-node pool at 85 % utilisation most rows accept the
-        largest size, the first one the kernel tries (715 of 800 here)."""
-        config = hot_pool(0, 400)
+        """On 400-node pools at 85 % utilisation most rows accept the
+        largest size, the first one the kernel tries: 710-718 of a solve's
+        800 rows, as the README and the module docstring print (715, 712
+        and 712 on seeds 0-2), and some rows search."""
         counts = []
         row = _RowKernel.row
 
@@ -515,11 +516,14 @@ class TestPinnedRows:
             counts.append(result[0])
             return result
 
-        with mock.patch.object(_RowKernel, "row", recording_row):
-            solve(config)
-        full = sum(count == config.n_nodes for count in counts)
-        assert full >= 0.85 * len(counts)
-        assert full < len(counts)  # and some row searches
+        for seed in range(3):
+            counts.clear()
+            config = hot_pool(seed, 400)
+            with mock.patch.object(_RowKernel, "row", recording_row):
+                solve(config)
+            assert len(counts) == 800
+            full = sum(count == config.n_nodes for count in counts)
+            assert full in range(710, 719)
 
 
 def array_kernel(weights):
